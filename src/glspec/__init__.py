@@ -26,8 +26,10 @@ from .kernels import (
     kernel_matrices,
     laplacian,
     load_matrix_csv,
+    off_diagonal,
     pairwise_sq_dists,
     save_matrix_csv,
+    sym_normalized,
     transition,
     zeroed_transition,
 )
@@ -87,8 +89,6 @@ from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
     RunManifest,
-    compare_d2,
     parse_config_file,
     run,
-    zeroing_comparison,
 )

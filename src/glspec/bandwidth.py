@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelParams, affinity, pairwise_sq_dists
+from .kernels import KernelParams, affinity, pairwise_sq_dists, sym_normalized
+from .spectrum import sym_eigs
 
 
-def quantile_bandwidth(D2, omega, interpolate=False):
+def quantile_bandwidth(D2, omega):
     """Order-statistic bandwidth: the ceil(omega * m)-th smallest of the
     m = n(n-1)/2 off-diagonal squared distances.
-
-    With ``interpolate=True`` the linearly interpolated quantile is used
-    instead of the lower order statistic.
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError("need 0 < omega <= 1")
@@ -34,20 +32,16 @@ def quantile_bandwidth(D2, omega, interpolate=False):
     n = D2.shape[0]
     if D2.shape != (n, n) or n < 2:
         raise ValueError("need a square distance matrix with n >= 2")
-    vals = D2[np.triu_indices(n, k=1)]
-    if interpolate:
-        h = float(np.quantile(vals, omega))
-    else:
-        vals = np.sort(vals)
-        rank = math.ceil(omega * vals.size)
-        h = float(vals[rank - 1])
+    vals = np.sort(D2[np.triu_indices(n, k=1)])
+    rank = math.ceil(omega * vals.size)
+    h = float(vals[rank - 1])
     if h <= 0.0:
         raise ValueError("selected bandwidth is not positive")
     return h
 
 
-def count_outliers(eigs, s, k_min=1):
-    """Largest k with eigs[k-1]/eigs[k] >= 1 + s, scanning k_min <= k <= n-1.
+def count_outliers(eigs, s):
+    """Largest k with eigs[k-1]/eigs[k] >= 1 + s, scanning 1 <= k <= n-1.
 
     ``eigs`` is taken in descending order.  A gap from a positive value
     down to a nonpositive one counts as infinitely wide.  Returns 0 when
@@ -60,11 +54,10 @@ def count_outliers(eigs, s, k_min=1):
     if s <= 0:
         raise ValueError("need s > 0")
     eigs = np.asarray(eigs, dtype=float)
-    n = eigs.size
-    if k_min < 1 or k_min > n - 1:
-        raise ValueError("k_min out of range")
+    if eigs.size < 2:
+        raise ValueError("need at least two eigenvalues")
     best = 0
-    for k in range(k_min, n):
+    for k in range(1, eigs.size):
         top, nxt = eigs[k - 1], eigs[k]
         if nxt <= 0.0 < top:
             ratio = np.inf
@@ -141,7 +134,7 @@ def resample_threshold(c, n, upsilon, reps=50, quantile_level=0.99, seed=0):
     ratios = np.empty(reps)
     for r in range(reps):
         X = rng.standard_normal((n, p))
-        eigs = np.linalg.eigvalsh(X @ X.T / p)[::-1]
+        eigs = sym_eigs(X @ X.T / p).eigenvalues
         seg = eigs[1 : k_hi + 1]
         ratios[r] = np.max(seg[:-1] / seg[1:])
     return float(np.quantile(ratios, quantile_level)) - 1.0
@@ -188,10 +181,8 @@ def select_omega(cloud, upsilon, s, grid=None, matrix="affinity"):
         hs[i] = quantile_bandwidth(D2, omega)
         W = affinity(D2, KernelParams(upsilon, hs[i]))
         if matrix == "transition":
-            root = np.sqrt(W.sum(axis=1))
-            W = W / np.outer(root, root)
-        eigs = np.linalg.eigvalsh(W)[::-1]
-        counts[i] = window_outliers(eigs, s, k_hi)
+            W = sym_normalized(W)
+        counts[i] = window_outliers(sym_eigs(W).eigenvalues, s, k_hi)
     best = int(np.flatnonzero(counts == counts.max())[-1])
     return OmegaSelection(
         float(omegas[best]), float(hs[best]), counts, float(s), omegas

@@ -1,7 +1,7 @@
 """Command-line front end: generate point clouds, run named experiments,
 select bandwidth quantiles, and dump spectra."""
 
-import os
+import dataclasses
 
 import click
 import numpy as np
@@ -23,16 +23,14 @@ from .experiments import (
     ExperimentConfig,
     parse_config_file,
     run as run_experiment,
-    zeroing_comparison,
 )
 from .kernels import (
     KernelParams,
     affinity,
     gram,
-    laplacian,
+    off_diagonal,
     pairwise_sq_dists,
-    transition,
-    zeroed_transition,
+    sym_normalized,
 )
 from .spectrum import save_spectrum_csv, sym_eigs
 
@@ -109,7 +107,7 @@ def gen(kind, n, p, d, lam, alpha, alpha_base, scale, rotate, seed, out):
 
 @main.command(name="run")
 @click.option("--experiment", "experiment",
-              type=click.Choice(EXPERIMENT_NAMES + ("ZeroingComparison",)),
+              type=click.Choice(EXPERIMENT_NAMES),
               default=None, help="Experiment name (or set it in the config).")
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="Flat key = value config file.")
@@ -118,29 +116,17 @@ def gen(kind, n, p, d, lam, alpha, alpha_base, scale, rotate, seed, out):
 @click.option("--fast", is_flag=True, help="Reduced grids and repetitions.")
 def run_cmd(experiment, config_path, out, fast):
     """Run a named experiment and write CSV + gnuplot artifacts."""
-    zeroing = experiment == "ZeroingComparison"
     if config_path is not None:
-        cfg = parse_config_file(
-            config_path,
-            default_name="PhaseSweep" if zeroing else experiment,
-        )
-        if experiment is not None and not zeroing:
-            cfg = ExperimentConfig(**{**cfg.to_dict(), "name": experiment})
-            cfg.c_grid = None if cfg.c_grid is None else tuple(cfg.c_grid)
-            cfg.alpha_grid = (
-                None if cfg.alpha_grid is None else tuple(cfg.alpha_grid)
-            )
-            cfg.seeds = tuple(cfg.seeds)
+        cfg = parse_config_file(config_path, default_name=experiment)
+        if experiment is not None:
+            cfg = dataclasses.replace(cfg, name=experiment)
     else:
         if experiment is None:
             raise click.UsageError("give --experiment or --config")
-        cfg = ExperimentConfig(name="PhaseSweep" if zeroing else experiment)
+        cfg = ExperimentConfig(name=experiment)
     if out is not None:
         cfg.output_dir = out
-    if zeroing:
-        manifest = zeroing_comparison(cfg, fast=fast)
-    else:
-        manifest = run_experiment(cfg, fast=fast)
+    manifest = run_experiment(cfg, fast=fast)
     click.echo(
         "%s finished in %.1fs; %d artifacts in %s"
         % (
@@ -210,20 +196,15 @@ def spectra(cloud_path, which, upsilon, bandwidth, clean, top, out):
     if which == "gram":
         M = gram(X)
     else:
+        # the row-normalized matrices are similar to D^{-1/2} W D^{-1/2}
         W = affinity(pairwise_sq_dists(X), KernelParams(upsilon, h))
         if which == "affinity":
             M = W
-        elif which == "transition":
-            M = transition(W)
-        elif which == "laplacian":
-            M = laplacian(W, h)
         else:
-            M = zeroed_transition(W)
-    if which in ("transition", "laplacian", "zeroed"):
-        # row normalization breaks symmetry; the spectra are still real
-        eigs = np.sort(np.linalg.eigvals(M).real)[::-1]
-    else:
-        eigs = sym_eigs(M).eigenvalues
+            M = sym_normalized(off_diagonal(W) if which == "zeroed" else W)
+    eigs = sym_eigs(M).eigenvalues
+    if which == "laplacian":
+        eigs = (1.0 - eigs[::-1]) / h
     shown = ", ".join("%.6g" % v for v in eigs[: max(1, top)])
     click.echo("%s spectrum (n=%d): %s, ..." % (which, cloud.n, shown))
     if out is not None:

@@ -75,7 +75,6 @@ class GeneratorConfig:
     lambdas: tuple = None
     alphas: tuple = None
     alpha_base: str = "p"
-    noise_dist: str = "gaussian"
     rotate: bool = False
     seed: int = 0
 
@@ -103,8 +102,6 @@ class GeneratorConfig:
             raise ValueError("need n >= 2")
         if not (self.p >= self.d >= 1):
             raise ValueError("need p >= d >= 1")
-        if self.noise_dist != "gaussian":
-            raise ValueError("only standard Gaussian noise is implemented")
 
 
 def _streams(seed):

@@ -13,7 +13,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,21 @@ from .datagen import (
     gen_klein_bottle,
     gen_spiked,
 )
-from .kernels import KernelParams, affinity, gram, pairwise_sq_dists
+from .kernels import (
+    KernelParams,
+    affinity,
+    degree,
+    gram,
+    off_diagonal,
+    pairwise_sq_dists,
+    sym_normalized,
+)
 from .mplaw import mp_cdf, nu0, typical_location
 from .spectrum import (
     StieltjesGrid,
     bulk_rigidity,
     eigvec_rmse,
+    esd_histogram,
     op_norm_diff,
     stieltjes,
     sym_eigs,
@@ -48,6 +57,7 @@ EXPERIMENT_NAMES = (
     "ManifoldRmse",
     "StieltjesCompare",
     "D2Comparison",
+    "ZeroingComparison",
 )
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -191,9 +201,15 @@ def parse_config_file(path, default_name=None):
 
 def _pool_size():
     env = os.environ.get("GLSPEC_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    if not env.strip():
+        return max(1, os.cpu_count() or 1)
+    try:
+        size = int(env)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise ValueError("GLSPEC_THREADS must be a positive integer, got %r" % env)
+    return size
 
 
 def _map(fn, items):
@@ -286,7 +302,7 @@ def _run_phase_sweep(cfg, fast, out):
         lam = _signal(alpha, n, p, base)
         cloud = _spiked_cloud(n, p, lam, seed)
         W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
-        return np.linalg.eigvalsh(W)[::-1]
+        return sym_eigs(W).eigenvalues
 
     curves = _map(curve, alphas)
     header = ["index"] + ["alpha_%g" % a for a in alphas]
@@ -305,8 +321,8 @@ def _run_phase_sweep(cfg, fast, out):
         lam = _signal(alpha, n2, p2, base)
         cloud = _spiked_cloud(n2, p2, lam, seed)
         W = _affinity_of(cloud.noisy(), cfg.upsilon, p2)
-        ew = np.linalg.eigvalsh(W)[::-1]
-        eg = np.linalg.eigvalsh(gram(cloud.noisy()))[::-1]
+        ew = sym_eigs(W).eigenvalues
+        eg = sym_eigs(gram(cloud.noisy())).eigenvalues
         return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
 
     tasks = [(c, float(a)) for c in cs for a in fine]
@@ -342,9 +358,9 @@ def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
     """Shared body of the three fixed-strength accuracy experiments.
 
     ``make_reference(n, p, params)`` prepares the per-aspect context and
-    returns a function mapping (cloud, W) to (limit eigenvalues, error
-    scalar).  The per-c CSVs carry the mean sample and limit curves, the
-    summary carries the per-seed error.
+    returns a function mapping (cloud, W, descending eigenvalues of W) to
+    (limit eigenvalues, error scalar).  The per-c CSVs carry the mean
+    sample and limit curves, the summary carries the per-seed error.
     """
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
@@ -360,7 +376,8 @@ def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
         def one(seed):
             cloud = _spiked_cloud(n, p, lam, seed)
             W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
-            return (np.linalg.eigvalsh(W)[::-1],) + reference(cloud, W)
+            eigs = sym_eigs(W).eigenvalues
+            return (eigs,) + reference(cloud, W, eigs)
 
         results = _map(one, seeds)
         sample = np.mean([r[0] for r in results], axis=0)
@@ -394,6 +411,27 @@ def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
     return [f_curves, f_summary, f_gp], list(seeds), info
 
 
+def _low_snr_error(eigs, measure):
+    """Weak-signal error: bulk rigidity of the spectrum against the shifted
+    MP law, over indices 10 .. 0.9 n."""
+    return bulk_rigidity(eigs, measure, skip=9, eps=0.1)
+
+
+def _clean_surrogate(cloud, params):
+    """The moderate-signal reference W_a1 built from the clean rows."""
+    return w_a1(_affinity_of(cloud.clean, params.upsilon, params.h), params.upsilon)
+
+
+def _moderate_snr_error(W, Wa1):
+    """Moderate-signal error: ||W - W_a1|| / n."""
+    return op_norm_diff(W, Wa1) / W.shape[0]
+
+
+def _large_snr_error(eigs):
+    """Very-strong-signal error: max |lambda - 1|."""
+    return float(np.max(np.abs(eigs - 1.0)))
+
+
 def _run_accuracy_low(cfg, fast, out):
     """Bulk eigenvalues against shifted MP typical locations at weak signal."""
 
@@ -402,12 +440,7 @@ def _run_accuracy_low(cfg, fast, out):
         gammas = np.array(
             [typical_location(measure, i, n) for i in range(1, n + 1)]
         )
-
-        def reference(cloud, W):
-            eigs = np.linalg.eigvalsh(W)[::-1]
-            return gammas, bulk_rigidity(eigs, measure, skip=9, eps=0.1)
-
-        return reference
+        return lambda cloud, W, eigs: (gammas, _low_snr_error(eigs, measure))
 
     return _accuracy_recipe(cfg, fast, out, "accuracy_low", 0.2, make_reference)
 
@@ -416,11 +449,9 @@ def _run_accuracy_moderate(cfg, fast, out):
     """Eigenvalue overlay of W against its scaled-plus-shifted clean limit."""
 
     def make_reference(n, p, params):
-        def reference(cloud, W):
-            W1 = _affinity_of(cloud.clean, params.upsilon, params.h)
-            Wa1 = w_a1(W1, params.upsilon)
-            err = op_norm_diff(W, Wa1) / cloud.n
-            return np.linalg.eigvalsh(Wa1)[::-1], err
+        def reference(cloud, W, eigs):
+            Wa1 = _clean_surrogate(cloud, params)
+            return sym_eigs(Wa1).eigenvalues, _moderate_snr_error(W, Wa1)
 
         return reference
 
@@ -432,12 +463,7 @@ def _run_accuracy_large(cfg, fast, out):
 
     def make_reference(n, p, params):
         ones = np.ones(n)
-
-        def reference(cloud, W):
-            eigs = np.linalg.eigvalsh(W)[::-1]
-            return ones, float(np.max(np.abs(eigs - 1.0)))
-
-        return reference
+        return lambda cloud, W, eigs: (ones, _large_snr_error(eigs))
 
     return _accuracy_recipe(cfg, fast, out, "accuracy_large", 5.0, make_reference)
 
@@ -454,20 +480,17 @@ def _run_dimension_sweep(cfg, fast, out):
         n, seed = task
         p = n
         params = KernelParams(cfg.upsilon, float(p))
-        cloud_low = _spiked_cloud(n, p, _signal(0.2, n, p, base), seed)
-        eigs = np.linalg.eigvalsh(
-            _affinity_of(cloud_low.noisy(), cfg.upsilon, p)
-        )[::-1]
-        err_low = bulk_rigidity(eigs, nu0(1.0, cfg.upsilon), skip=9, eps=0.1)
 
-        cloud_mod = _spiked_cloud(n, p, _signal(1.9, n, p, base), seed)
-        W = _affinity_of(cloud_mod.noisy(), cfg.upsilon, p)
-        Wa1 = w_a1(_affinity_of(cloud_mod.clean, cfg.upsilon, p), cfg.upsilon)
-        err_mod = op_norm_diff(W, Wa1) / n
+        def noisy_affinity(alpha):
+            cloud = _spiked_cloud(n, p, _signal(alpha, n, p, base), seed)
+            return cloud, _affinity_of(cloud.noisy(), cfg.upsilon, p)
 
-        cloud_big = _spiked_cloud(n, p, _signal(5.0, n, p, base), seed)
-        eigs = np.linalg.eigvalsh(_affinity_of(cloud_big.noisy(), cfg.upsilon, p))
-        err_big = float(np.max(np.abs(eigs - 1.0)))
+        _, W = noisy_affinity(0.2)
+        err_low = _low_snr_error(sym_eigs(W).eigenvalues, nu0(1.0, cfg.upsilon))
+        cloud, W = noisy_affinity(1.9)
+        err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, params))
+        _, W = noisy_affinity(5.0)
+        err_big = _large_snr_error(sym_eigs(W).eigenvalues)
         return [n, seed, err_low, err_mod, err_big]
 
     rows = _map(one, [(n, s) for n in ns for s in seeds])
@@ -502,11 +525,16 @@ def _run_dimension_sweep(cfg, fast, out):
 
 def _run_histogram_bulk(cfg, fast, out):
     """Bulk histogram of the weak-signal affinity spectrum against the
-    shifted MP density, point mass removed, over many repetitions."""
+    shifted MP density, point mass removed, over many repetitions.
+
+    Repetition r draws seed 100000 (seeds[0] + 1) + r, so distinct first
+    seeds give disjoint repetitions.
+    """
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
     cs = _resolve_c_grid(cfg)
     reps = cfg.reps if cfg.reps is not None else (100 if fast else 1000)
+    first_seed = 100000 * (cfg.seeds[0] + 1)
     bins = 50
     rows = []
     for c in cs:
@@ -518,14 +546,13 @@ def _run_histogram_bulk(cfg, fast, out):
         edges = np.linspace(lo, hi, bins + 1)
 
         def one(rep):
-            cloud = _spiked_cloud(n, p, lam, 100000 + rep)
+            cloud = _spiked_cloud(n, p, lam, first_seed + rep)
             W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
-            return np.linalg.eigvalsh(W)
+            return sym_eigs(W).eigenvalues
 
         counts = np.zeros(bins)
         for eigs in _map(one, range(reps)):
-            hist, _ = np.histogram(eigs, bins=edges)
-            counts += hist
+            counts += esd_histogram(eigs, edges)[1]
         width = edges[1] - edges[0]
         emp = counts / (reps * n * width)
         theory = np.array(
@@ -553,7 +580,7 @@ def _run_histogram_bulk(cfg, fast, out):
         ],
     )
     info = {"n": n, "reps": reps, "alpha": 0.2, "alpha_base": base, "c_grid": list(cs)}
-    return [f_hist, f_gp], [100000], info
+    return [f_hist, f_gp], [first_seed], info
 
 
 def _run_omega_sweep(cfg, fast, out):
@@ -711,8 +738,9 @@ def _run_stieltjes_compare(cfg, fast, out):
         W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
         W1 = _affinity_of(cloud.clean, cfg.upsilon, p)
         Wb1 = w_b1(W1, gram(cloud.noise), cfg.upsilon)
-        ew = np.linalg.eigvalsh(W)
-        eb = np.linalg.eigvalsh(Wb1)
+        # ascending: the last bits of each Stieltjes mean depend on the order
+        ew = sym_eigs(W).eigenvalues[::-1]
+        eb = sym_eigs(Wb1).eigenvalues[::-1]
         return np.array(
             [abs(stieltjes(ew, z) - stieltjes(eb, z)) for z in grid.points]
         )
@@ -771,16 +799,16 @@ def _run_d2_comparison(cfg, fast, out):
         p = int(round(n / c))
         lam1 = _signal(a1, n, p, base)
         lam2 = _signal(a2, n, p, base)
-        e1 = np.linalg.eigvalsh(
+        e1 = sym_eigs(
             _affinity_of(_spiked_cloud(n, p, lam1, seed).noisy(), cfg.upsilon, p)
-        )[::-1]
-        e2 = np.linalg.eigvalsh(
+        ).eigenvalues
+        e2 = sym_eigs(
             _affinity_of(
                 _spiked_cloud(n, p, None, seed, d=2, lambdas=(lam1, lam2)).noisy(),
                 cfg.upsilon,
                 p,
             )
-        )[::-1]
+        ).eigenvalues
         return e1, e2
 
     for case, a1, a2, expected in D2_CASES:
@@ -819,110 +847,38 @@ def _run_d2_comparison(cfg, fast, out):
     return [f_curves, f_summary, f_gp], list(seeds), info
 
 
-_RUNNERS = {
-    "PhaseSweep": _run_phase_sweep,
-    "AccuracyLowSNR": _run_accuracy_low,
-    "AccuracyModerate": _run_accuracy_moderate,
-    "AccuracyLarge": _run_accuracy_large,
-    "DimensionSweep": _run_dimension_sweep,
-    "HistogramBulk": _run_histogram_bulk,
-    "OmegaSweep": _run_omega_sweep,
-    "ManifoldRmse": _run_manifold_rmse,
-    "StieltjesCompare": _run_stieltjes_compare,
-    "D2Comparison": _run_d2_comparison,
-}
-
-
-def run(config, fast=False):
-    """Execute one named experiment and return its manifest.
-
-    Artifacts (CSV files plus a gnuplot script) land in
-    ``config.output_dir``; the manifest is written there last, as
-    ``manifest.json``.
-    """
-    from glspec import __version__
-
-    config.validate()
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    started = time.perf_counter()
-    try:
-        files, seeds, info = _RUNNERS[config.name](config, fast, out)
-    except OSError as err:
-        raise OSError(
-            "experiment %s failed writing under %r: %s" % (config.name, out, err)
-        )
-    manifest = RunManifest(
-        config=config.to_dict(),
-        version=__version__,
-        experiment=config.name,
-        fast=bool(fast),
-        seeds=[int(s) for s in seeds],
-        resolved=info,
-        wall_clock_s=round(time.perf_counter() - started, 3),
-        files=[
-            {"path": os.path.basename(path), "sha256": _sha256(path)}
-            for path in files
-        ],
-    )
-    manifest.save(os.path.join(out, "manifest.json"))
-    return manifest
-
-
-def compare_d2(config, fast=False):
-    """Bulk comparison of one- and two-spike spectra (the D2Comparison
-    recipe, runnable under any config name)."""
-    return run(replace(config, name="D2Comparison"), fast=fast)
-
-
-def zeroing_comparison(config, fast=False):
+def _run_zeroing_comparison(cfg, fast, out):
     """Third-eigenvector recovery of the plain against the zero-diagonal
     transition matrix across signal strengths.
 
-    The recipe is fixed at p = 200, n = 400 with the zero-diagonal variant
-    at bandwidth 35 and the plain variant at the selected bandwidth;
-    ``config.name`` is not consulted.  Returns the run manifest.
+    The recipe defaults to p = 200, n = 400 with the zero-diagonal variant
+    at bandwidth 35 and the plain variant at the selected bandwidth.
     """
-    from glspec import __version__
-
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    started = time.perf_counter()
-    n = config.n if config.n is not None else 400
-    p = config.p if config.p is not None else 200
-    upsilon = config.upsilon
-    alphas = config.alpha_grid if config.alpha_grid is not None else (
+    n = cfg.n if cfg.n is not None else 400
+    p = cfg.p if cfg.p is not None else 200
+    upsilon = cfg.upsilon
+    alphas = cfg.alpha_grid if cfg.alpha_grid is not None else (
         0.3, 0.5, 0.6, 0.8, 1.0, 1.2,
     )
-    seeds = config.seeds[:2] if fast else config.seeds
+    seeds = cfg.seeds[:2] if fast else cfg.seeds
     h_zero = 35.0
     s = resample_threshold(n / float(p), n, upsilon, seed=seeds[0])
 
-    def third_vector_row_stochastic(W, zero_diagonal):
-        if zero_diagonal:
-            off = W.copy()
-            np.fill_diagonal(off, 0.0)
-            W = off
-        deg = W.sum(axis=1)
-        root = np.sqrt(deg)
-        sym = W / np.outer(root, root)
-        res = sym_eigs(sym, want_vectors=3)
-        vec = res.eigenvectors[:, 2] / root
+    def third_vector_row_stochastic(W):
+        # D^{-1/2} maps eigenvectors of the symmetric form to those of D^{-1} W
+        res = sym_eigs(sym_normalized(W), want_vectors=3)
+        vec = res.eigenvectors[:, 2] / np.sqrt(degree(W))
         return vec / np.linalg.norm(vec)
 
     def one(task):
         alpha, seed = task
         lam = float(p) ** alpha
         cloud = _spiked_cloud(n, p, lam, seed)
-        ref = third_vector_row_stochastic(
-            _affinity_of(cloud.clean, upsilon, p + lam), False
-        )
+        ref = third_vector_row_stochastic(_affinity_of(cloud.clean, upsilon, p + lam))
         sel = select_omega(cloud, upsilon, s)
-        adap = third_vector_row_stochastic(
-            _affinity_of(cloud.noisy(), upsilon, sel.h), False
-        )
+        adap = third_vector_row_stochastic(_affinity_of(cloud.noisy(), upsilon, sel.h))
         zeroed = third_vector_row_stochastic(
-            _affinity_of(cloud.noisy(), upsilon, h_zero), True
+            off_diagonal(_affinity_of(cloud.noisy(), upsilon, h_zero))
         )
         rng = np.random.Generator(np.random.Philox(key=seed + 991))
         noise_vec = rng.standard_normal(n)
@@ -958,18 +914,60 @@ def zeroing_comparison(config, fast=False):
             "title 'random baseline'",
         ],
     )
+    info = {"n": n, "p": p, "h_zero": h_zero, "s": s, "alphas": list(alphas)}
+    return [f_rows, f_means, f_gp], list(seeds), info
+
+
+_RUNNERS = {
+    "PhaseSweep": _run_phase_sweep,
+    "AccuracyLowSNR": _run_accuracy_low,
+    "AccuracyModerate": _run_accuracy_moderate,
+    "AccuracyLarge": _run_accuracy_large,
+    "DimensionSweep": _run_dimension_sweep,
+    "HistogramBulk": _run_histogram_bulk,
+    "OmegaSweep": _run_omega_sweep,
+    "ManifoldRmse": _run_manifold_rmse,
+    "StieltjesCompare": _run_stieltjes_compare,
+    "D2Comparison": _run_d2_comparison,
+    "ZeroingComparison": _run_zeroing_comparison,
+}
+
+
+def run(config, fast=False):
+    """Execute one named experiment and return its manifest.
+
+    Artifacts (CSV files plus a gnuplot script) land in
+    ``config.output_dir``; the manifest is written there last, as
+    ``manifest.json``, and a manifest from an earlier run is removed before
+    the recipe starts, so a run that fails leaves none.
+    """
+    from glspec import __version__
+
+    config.validate()
+    out = config.output_dir
+    os.makedirs(out, exist_ok=True)
+    manifest_path = os.path.join(out, "manifest.json")
+    started = time.perf_counter()
+    try:
+        if os.path.exists(manifest_path):
+            os.remove(manifest_path)
+        files, seeds, info = _RUNNERS[config.name](config, fast, out)
+    except OSError as err:
+        raise OSError(
+            "experiment %s failed writing under %r: %s" % (config.name, out, err)
+        ) from err
     manifest = RunManifest(
         config=config.to_dict(),
         version=__version__,
-        experiment="ZeroingComparison",
+        experiment=config.name,
         fast=bool(fast),
-        seeds=[int(v) for v in seeds],
-        resolved={"n": n, "p": p, "h_zero": h_zero, "s": s, "alphas": list(alphas)},
+        seeds=[int(s) for s in seeds],
+        resolved=info,
         wall_clock_s=round(time.perf_counter() - started, 3),
         files=[
-            {"path": os.path.basename(f), "sha256": _sha256(f)}
-            for f in (f_rows, f_means, f_gp)
+            {"path": os.path.basename(path), "sha256": _sha256(path)}
+            for path in files
         ],
     )
-    manifest.save(os.path.join(out, "manifest.json"))
+    manifest.save(manifest_path)
     return manifest

@@ -1,6 +1,6 @@
 """Kernel matrices for a point cloud: affinity W, degrees, transition A,
-graph Laplacian L, the zeroed-diagonal variant, and the clean/noise/cross
-factor matrices."""
+its symmetric form D^{-1/2} W D^{-1/2}, graph Laplacian L, the
+zeroed-diagonal variant, and the clean/noise/cross factor matrices."""
 
 from dataclasses import dataclass
 
@@ -66,16 +66,30 @@ def laplacian(W, h):
     return (np.eye(n) - transition(W)) / h
 
 
-def zeroed_transition(W):
-    """Transition matrix of W with its diagonal nulled before normalizing."""
+def off_diagonal(W):
+    """Copy of W with its diagonal nulled; rejects a row left with no weight."""
     if W.shape[0] < 2:
         raise ValueError("need n >= 2")
     off = W.copy()
     np.fill_diagonal(off, 0.0)
-    deg = off.sum(axis=1)
-    if np.any(deg < 1e-300):
+    if np.any(off.sum(axis=1) < 1e-300):
         raise ValueError("zeroed kernel has a degenerate row (all weights ~ 0)")
-    return off / deg[:, None]
+    return off
+
+
+def zeroed_transition(W):
+    """Transition matrix of W with its diagonal nulled before normalizing."""
+    return transition(off_diagonal(W))
+
+
+def sym_normalized(W):
+    """Symmetric normalization D^{-1/2} W D^{-1/2}, similar to the
+    transition matrix D^{-1} W and so sharing its (real) spectrum.
+
+    For the zeroed form, pass ``off_diagonal(W)``.
+    """
+    root = np.sqrt(W.sum(axis=1))
+    return W / np.outer(root, root)
 
 
 def kernel_matrices(X, params):

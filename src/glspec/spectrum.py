@@ -16,34 +16,34 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray = None
-    source: str = ""
 
     @property
     def n(self):
         return self.eigenvalues.size
 
 
-def sym_eigs(M, want_vectors=0, source=""):
+def sym_eigs(M, want_vectors=0):
     """Full descending spectrum of a symmetric matrix.
 
     ``want_vectors`` asks for that many leading eigenvectors (0 = none).
-    The input is symmetrized as (M + M^T)/2 first; asymmetry beyond 1e-9
-    relative is rejected.
+    An exactly symmetric input is solved as it is; any other input is
+    symmetrized as (M + M^T)/2 first, and asymmetry beyond 1e-9 relative
+    is rejected.  This is the package's only call into an eigensolver.
     """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, np.abs(M).max())
-    if np.abs(M - M.T).max() > 1e-9 * scale:
-        raise ValueError("matrix is not symmetric")
-    sym = 0.5 * (M + M.T)
+    if not np.array_equal(M, M.T):
+        scale = max(1.0, np.abs(M).max())
+        if np.abs(M - M.T).max() > 1e-9 * scale:
+            raise ValueError("matrix is not symmetric")
+        M = 0.5 * (M + M.T)
     if want_vectors:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = np.linalg.eigh(M)
         order = np.argsort(vals)[::-1]
         k = min(int(want_vectors), vals.size)
-        return SpectrumResult(vals[order], vecs[:, order[:k]], source)
-    vals = np.linalg.eigvalsh(sym)
-    return SpectrumResult(vals[::-1].copy(), None, source)
+        return SpectrumResult(vals[order], vecs[:, order[:k]])
+    return SpectrumResult(np.linalg.eigvalsh(M)[::-1].copy())
 
 
 def op_norm_diff(Ma, Mb):
@@ -54,9 +54,8 @@ def op_norm_diff(Ma, Mb):
     if Ma.shape != Mb.shape:
         raise ValueError("shape mismatch: %s vs %s" % (Ma.shape, Mb.shape))
     diff = Ma - Mb
-    diff = 0.5 * (diff + diff.T)
-    vals = np.linalg.eigvalsh(diff)
-    return float(max(-vals[0], vals[-1]))
+    vals = sym_eigs(0.5 * (diff + diff.T)).eigenvalues
+    return float(max(vals[0], -vals[-1]))
 
 
 def bulk_rigidity(eigs, measure, skip=9, eps=0.1):

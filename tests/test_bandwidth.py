@@ -48,12 +48,6 @@ def test_quantile_bandwidth_four_distance_example():
     assert quantile_bandwidth(D2, 0.5) == 3.0
 
 
-def test_quantile_bandwidth_interpolation_switch():
-    D2 = _d2_from_offdiag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    got = quantile_bandwidth(D2, 0.5, interpolate=True)
-    assert_allclose(got, np.quantile([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0.5), rtol=1e-15)
-
-
 def test_quantile_bandwidth_errors():
     D2 = _d2_from_offdiag([1.0])
     with pytest.raises(ValueError):
@@ -89,22 +83,11 @@ def test_count_outliers_nonpositive_tail_convention():
     assert count_outliers(np.array([2.0, 1.0, -1.0, -2.0]), 0.5) == 2
 
 
-def test_count_outliers_k_min_start():
-    # starting the scan at k = 2 skips the top-eigenvalue gap
-    eigs = np.array([10.0, 1.0, 0.99, 0.98])
-    assert count_outliers(eigs, 0.1) == 1
-    assert count_outliers(eigs, 0.1, k_min=2) == 0
-    eigs2 = np.array([10.0, 1.0, 0.9, 0.5, 0.49])
-    assert count_outliers(eigs2, 0.1, k_min=2) == 3
-
-
 def test_count_outliers_errors():
     with pytest.raises(ValueError):
         count_outliers(np.array([2.0, 1.0]), 0.0)
     with pytest.raises(ValueError):
-        count_outliers(np.array([2.0, 1.0]), 0.1, k_min=0)
-    with pytest.raises(ValueError):
-        count_outliers(np.array([2.0, 1.0]), 0.1, k_min=2)
+        count_outliers(np.array([2.0]), 0.1)
 
 
 def _bottom_gap_spectrum(n, k_gap):

@@ -6,6 +6,14 @@ from click.testing import CliRunner
 
 from glspec.cli import main
 from glspec.datagen import load_cloud_csv, load_cloud_npz
+from glspec.kernels import (
+    KernelParams,
+    affinity,
+    laplacian,
+    pairwise_sq_dists,
+    transition,
+    zeroed_transition,
+)
 
 
 def _invoke(args):
@@ -100,6 +108,26 @@ def test_run_experiment_overrides_config_name(tmp_path):
     assert os.path.exists(os.path.join(out, "stieltjes_grid.csv"))
 
 
+def test_run_zeroing_comparison(tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("n = 60\np = 30\nalpha_grid = 0.5, 1.0\nseeds = 0\n")
+    out = str(tmp_path / "zeroing")
+    result = _invoke(
+        ["run", "--experiment", "ZeroingComparison", "--config", str(cfg),
+         "--out", out, "--fast"]
+    )
+    assert "ZeroingComparison finished" in result.output
+    rows = np.loadtxt(os.path.join(out, "zeroing.csv"), delimiter=",", skiprows=1)
+    assert rows.shape == (2, 6)
+    with open(os.path.join(out, "manifest.json")) as fh:
+        payload = json.load(fh)
+    assert payload["experiment"] == "ZeroingComparison"
+    assert payload["config"]["name"] == "ZeroingComparison"
+    assert {f["path"] for f in payload["files"]} == {
+        "zeroing.csv", "zeroing_mean.csv", "zeroing.gp"
+    }
+
+
 def test_run_requires_some_input():
     runner = CliRunner()
     result = runner.invoke(main, ["run"])
@@ -176,3 +204,28 @@ def test_spectra_transition_top_eigenvalue(tmp_path):
         ["spectra", "--cloud", cloud_path, "--matrix", "laplacian", "--clean"]
     )
     assert "laplacian spectrum" in result.output
+
+
+def test_spectra_row_normalized_matrices_match_reference(tmp_path):
+    cloud_path = str(tmp_path / "cloud.npz")
+    _invoke(
+        ["gen", "--kind", "spiked", "--n", "30", "--p", "20", "--lam", "5",
+         "--seed", "4", "--out", cloud_path]
+    )
+    cloud = load_cloud_npz(cloud_path)
+    h = 7.0
+    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, h))
+    references = {
+        "transition": transition(W),
+        "laplacian": laplacian(W, h),
+        "zeroed": zeroed_transition(W),
+    }
+    for which, M in references.items():
+        spec_path = str(tmp_path / ("%s.csv" % which))
+        _invoke(
+            ["spectra", "--cloud", cloud_path, "--matrix", which, "--h", "7",
+             "--out", spec_path]
+        )
+        got = np.loadtxt(spec_path, delimiter=",", skiprows=1)[:, 1]
+        want = np.sort(np.linalg.eigvals(M).real)[::-1]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)

@@ -109,8 +109,6 @@ def test_config_validation_errors():
         GeneratorConfig(n=5, p=4, d=1, lambdas=(-1.0,)).resolve_lambdas()
     with pytest.raises(ValueError):
         GeneratorConfig(n=5, p=4, d=1, alphas=(1.0,), alpha_base="q").resolve_lambdas()
-    with pytest.raises(ValueError):
-        gen_spiked(GeneratorConfig(n=5, p=4, d=1, lambdas=(1.0,), noise_dist="uniform"))
 
 
 def test_random_rotation_is_orthogonal():

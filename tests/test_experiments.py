@@ -9,10 +9,8 @@ from glspec.experiments import (
     DEFAULT_SEEDS,
     EXPERIMENT_NAMES,
     ExperimentConfig,
-    compare_d2,
     parse_config_file,
     run,
-    zeroing_comparison,
 )
 
 
@@ -21,10 +19,11 @@ def _load_named_csv(path):
 
 
 def test_experiment_names_enumeration():
-    assert len(EXPERIMENT_NAMES) == 10
-    assert len(set(EXPERIMENT_NAMES)) == 10
+    assert len(EXPERIMENT_NAMES) == 11
+    assert len(set(EXPERIMENT_NAMES)) == 11
     assert "PhaseSweep" in EXPERIMENT_NAMES
     assert "D2Comparison" in EXPERIMENT_NAMES
+    assert "ZeroingComparison" in EXPERIMENT_NAMES
 
 
 def test_config_validation():
@@ -104,6 +103,10 @@ def test_pool_size_env(monkeypatch):
 
     monkeypatch.setenv("GLSPEC_THREADS", "3")
     assert _pool_size() == 3
+    for bad in ("two", "1.5", "0", "-2"):
+        monkeypatch.setenv("GLSPEC_THREADS", bad)
+        with pytest.raises(ValueError, match="GLSPEC_THREADS.*%r" % bad):
+            _pool_size()
     monkeypatch.delenv("GLSPEC_THREADS")
     assert _pool_size() >= 1
 
@@ -142,6 +145,19 @@ def test_rerun_reproduces_artifact_bytes(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path):
+    out = str(tmp_path)
+    run(ExperimentConfig(name="AccuracyLarge", n=40, seeds=(0, 1), output_dir=out), fast=True)
+    assert os.path.exists(os.path.join(out, "manifest.json"))
+    summary = os.path.join(out, "accuracy_large_summary.csv")
+    os.remove(summary)
+    os.mkdir(summary)
+    with pytest.raises(OSError) as info:
+        run(ExperimentConfig(name="AccuracyLarge", n=40, seeds=(2, 3), output_dir=out), fast=True)
+    assert isinstance(info.value.__cause__, OSError)
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 def test_accuracy_low_errors_small(tmp_path):
@@ -209,6 +225,25 @@ def test_histogram_bulk_matches_limit_density(tmp_path):
     assert np.max(np.abs(emp - theory)[2:]) <= 0.1
 
 
+def test_histogram_bulk_reps_follow_the_first_seed(tmp_path):
+    def empirical(seed):
+        out = str(tmp_path / str(seed))
+        manifest = run(
+            ExperimentConfig(
+                name="HistogramBulk", n=40, c_grid=(1.0,), reps=3, seeds=(seed,), output_dir=out
+            ),
+            fast=True,
+        )
+        rows = np.loadtxt(os.path.join(out, "histogram_bulk.csv"), delimiter=",", skiprows=1)
+        return manifest.seeds, rows[:, 3]
+
+    seeds_0, emp_0 = empirical(0)
+    seeds_1, emp_1 = empirical(1)
+    assert seeds_0 == [100000]
+    assert seeds_1 == [200000]
+    assert not np.array_equal(emp_0, emp_1)
+
+
 def test_omega_sweep_fast_endpoints(tmp_path):
     out = str(tmp_path)
     manifest = run(ExperimentConfig(name="OmegaSweep", c_grid=(1.0,), output_dir=out), fast=True)
@@ -258,7 +293,7 @@ def test_stieltjes_compare_sup_below_bound(tmp_path):
 
 def test_d2_comparison_printed_cases(tmp_path):
     out = str(tmp_path)
-    manifest = compare_d2(ExperimentConfig(name="PhaseSweep", output_dir=out))
+    manifest = run(ExperimentConfig(name="D2Comparison", output_dir=out))
     assert manifest.experiment == "D2Comparison"
     summary = _load_named_csv(os.path.join(out, "d2_summary.csv"))
     sups = {}
@@ -287,7 +322,7 @@ def test_d2_comparison_printed_cases(tmp_path):
 @pytest.fixture(scope="module")
 def zeroing_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("zeroing"))
-    manifest = zeroing_comparison(ExperimentConfig(name="PhaseSweep", output_dir=out), fast=True)
+    manifest = run(ExperimentConfig(name="ZeroingComparison", output_dir=out), fast=True)
     return out, manifest
 
 

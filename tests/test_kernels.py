@@ -12,8 +12,10 @@ from glspec.kernels import (
     kernel_matrices,
     laplacian,
     load_matrix_csv,
+    off_diagonal,
     pairwise_sq_dists,
     save_matrix_csv,
+    sym_normalized,
     transition,
     zeroed_transition,
 )
@@ -132,6 +134,33 @@ def test_zeroed_transition_rows_sum_to_one():
     A0 = zeroed_transition(W)
     assert_array_equal(np.diag(A0), np.zeros(18))
     assert_allclose(A0.sum(axis=1), np.ones(18), atol=1e-12)
+
+
+def test_sym_normalized_formula_and_spectrum():
+    cloud = _cloud(n=16, seed=5)
+    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(cloud.p)))
+    root = np.sqrt(W.sum(axis=1))
+    assert_array_equal(sym_normalized(W), W / np.outer(root, root))
+    off = W.copy()
+    np.fill_diagonal(off, 0.0)
+    root = np.sqrt(off.sum(axis=1))
+    S0 = sym_normalized(off_diagonal(W))
+    assert_array_equal(S0, off / np.outer(root, root))
+    eigs_a = np.sort(np.linalg.eigvals(zeroed_transition(W)).real)
+    assert_allclose(eigs_a, np.sort(np.linalg.eigvalsh(S0)), atol=1e-12)
+
+
+def test_zero_diagonal_rejects_degenerate_row():
+    # point 2 is far from the others: its zeroed row has no weight left
+    W = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="degenerate row"):
+        zeroed_transition(W)
+    with pytest.raises(ValueError, match="degenerate row"):
+        sym_normalized(off_diagonal(W))
+    # without zeroing, the unit diagonal keeps that row's degree positive
+    assert np.all(np.isfinite(sym_normalized(W)))
+    with pytest.raises(ValueError):
+        sym_normalized(off_diagonal(np.ones((1, 1))))
 
 
 def test_kernel_matrices_bundle_consistency():

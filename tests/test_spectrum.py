@@ -28,9 +28,8 @@ def _symmetric(n, key):
 
 def test_sym_eigs_descending_and_orthonormal():
     M = _symmetric(12, 1)
-    res = sym_eigs(M, want_vectors=4, source="test")
+    res = sym_eigs(M, want_vectors=4)
     assert res.n == 12
-    assert res.source == "test"
     assert np.all(np.diff(res.eigenvalues) <= 0)
     assert res.eigenvectors.shape == (12, 4)
     assert_allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(4), atol=1e-12)
@@ -41,9 +40,18 @@ def test_sym_eigs_descending_and_orthonormal():
 
 def test_sym_eigs_rejects_asymmetric_input():
     M = _symmetric(6, 2)
+    # exactly symmetric input is solved as it is
+    assert_array_equal(sym_eigs(M).eigenvalues, np.linalg.eigvalsh(M)[::-1])
+    # round-off asymmetry is symmetrized, anything larger is rejected
+    M[0, 1] += 1e-12
+    assert_array_equal(
+        sym_eigs(M).eigenvalues, np.linalg.eigvalsh(0.5 * (M + M.T))[::-1]
+    )
     M[0, 1] += 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         sym_eigs(M)
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigs(M, want_vectors=2)
 
 
 def test_op_norm_diff_against_power_iteration():
