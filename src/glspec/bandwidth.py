@@ -25,19 +25,23 @@ from .spectrum import sym_eigs
 def quantile_bandwidth(D2, omega):
     """Order-statistic bandwidth: the ceil(omega * m)-th smallest of the
     m = n(n-1)/2 off-diagonal squared distances.
+
+    A scalar ``omega`` gives a float.  An array of levels gives the array
+    of bandwidths, read off one sort of the distances.
     """
-    if not 0.0 < omega <= 1.0:
+    omega = np.asarray(omega, dtype=float)
+    if not np.all((0.0 < omega) & (omega <= 1.0)):
         raise ValueError("need 0 < omega <= 1")
     D2 = np.asarray(D2, dtype=float)
     n = D2.shape[0]
     if D2.shape != (n, n) or n < 2:
         raise ValueError("need a square distance matrix with n >= 2")
     vals = np.sort(D2[np.triu_indices(n, k=1)])
-    rank = math.ceil(omega * vals.size)
-    h = float(vals[rank - 1])
-    if h <= 0.0:
+    ranks = np.ceil(omega * vals.size).astype(int)
+    h = vals[ranks - 1]
+    if np.any(h <= 0.0):
         raise ValueError("selected bandwidth is not positive")
-    return h
+    return float(h) if h.ndim == 0 else h
 
 
 def count_outliers(eigs, s):
@@ -176,10 +180,9 @@ def select_omega(cloud, upsilon, s, grid=None, matrix="affinity"):
     X = cloud.noisy()
     D2 = pairwise_sq_dists(X)
     counts = np.empty(T + 1, dtype=int)
-    hs = np.empty(T + 1)
-    for i, omega in enumerate(omegas):
-        hs[i] = quantile_bandwidth(D2, omega)
-        W = affinity(D2, KernelParams(upsilon, hs[i]))
+    hs = quantile_bandwidth(D2, omegas)
+    for i, h in enumerate(hs):
+        W = affinity(D2, KernelParams(upsilon, h))
         if matrix == "transition":
             W = sym_normalized(W)
         counts[i] = window_outliers(sym_eigs(W).eigenvalues, s, k_hi)

@@ -4,15 +4,13 @@ Each recipe writes plain CSV artifacts plus a small gnuplot script into the
 configured output directory and returns a manifest (config echo, library
 version, per-run seeds, wall clock, artifact digests).  Artifacts are
 formatted deterministically, so re-running a config reproduces byte-identical
-CSVs.  The worker pool size is capped by the GLSPEC_THREADS environment
-variable.
+CSVs.
 """
 
 import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +98,12 @@ class ExperimentConfig:
             raise ValueError("need upsilon > 0")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError("seeds must be nonnegative")
+        if self.c_grid is not None and any(c <= 0 for c in self.c_grid):
+            raise ValueError("c_grid entries must be positive")
+        if self.reps is not None and self.reps < 1:
+            raise ValueError("need reps >= 1")
         if self.alpha_base not in (None, "n", "p"):
             raise ValueError("alpha_base must be 'n' or 'p'")
         return self
@@ -199,29 +203,6 @@ def parse_config_file(path, default_name=None):
 # artifact plumbing
 
 
-def _pool_size():
-    env = os.environ.get("GLSPEC_THREADS", "")
-    if not env.strip():
-        return max(1, os.cpu_count() or 1)
-    try:
-        size = int(env)
-    except ValueError:
-        size = 0
-    if size < 1:
-        raise ValueError("GLSPEC_THREADS must be a positive integer, got %r" % env)
-    return size
-
-
-def _map(fn, items):
-    """Ordered map over a thread pool (eigendecompositions release the GIL)."""
-    items = list(items)
-    workers = min(_pool_size(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(value):
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -256,13 +237,15 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _resolve_c_grid(cfg, default=(0.5, 1.0, 2.0)):
+def _resolve_c_grid(cfg, n, default=(0.5, 1.0, 2.0)):
+    """Aspect ratios c = n/p for a recipe that draws n points; a fixed
+    ``cfg.p`` becomes the one c with round(n/c) = p."""
     if cfg.c_grid is not None:
         return tuple(float(c) for c in cfg.c_grid)
     if cfg.p is not None:
-        n = cfg.n if cfg.n is not None else 200
         return (n / float(cfg.p),)
     return default
+
 
 def _resolve_base(cfg, default):
     return cfg.alpha_base if cfg.alpha_base is not None else default
@@ -304,19 +287,18 @@ def _run_phase_sweep(cfg, fast, out):
         W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
         return sym_eigs(W).eigenvalues
 
-    curves = _map(curve, alphas)
+    curves = [curve(alpha) for alpha in alphas]
     header = ["index"] + ["alpha_%g" % a for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
     f_curves = _write_csv(os.path.join(out, "phase_eigencurves.csv"), header, rows)
 
     n2 = 200
-    cs = _resolve_c_grid(cfg)
+    cs = _resolve_c_grid(cfg, n2)
     step = 0.1 if fast else 0.05
     fine = np.round(np.arange(0.0, 2.5 + 1e-9, step), 10)
     track = (1, 2, 8, 80)
 
-    def tracked(task):
-        c, alpha = task
+    def tracked(c, alpha):
         p2 = int(round(n2 / c))
         lam = _signal(alpha, n2, p2, base)
         cloud = _spiked_cloud(n2, p2, lam, seed)
@@ -325,8 +307,7 @@ def _run_phase_sweep(cfg, fast, out):
         eg = sym_eigs(gram(cloud.noisy())).eigenvalues
         return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
 
-    tasks = [(c, float(a)) for c in cs for a in fine]
-    rows = _map(tracked, tasks)
+    rows = [tracked(c, float(a)) for c in cs for a in fine]
     f_track = _write_csv(
         os.path.join(out, "phase_tracked.csv"),
         ["c", "alpha"]
@@ -364,7 +345,7 @@ def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
     """
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
-    cs = _resolve_c_grid(cfg)
+    cs = _resolve_c_grid(cfg, n)
     seeds = cfg.seeds[:2] if fast else cfg.seeds
     curve_rows, summary_rows = [], []
     for c in cs:
@@ -379,7 +360,7 @@ def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
             eigs = sym_eigs(W).eigenvalues
             return (eigs,) + reference(cloud, W, eigs)
 
-        results = _map(one, seeds)
+        results = [one(seed) for seed in seeds]
         sample = np.mean([r[0] for r in results], axis=0)
         limit = np.mean([r[1] for r in results], axis=0)
         for i in range(n):
@@ -476,8 +457,7 @@ def _run_dimension_sweep(cfg, fast, out):
     base = _resolve_base(cfg, "p")
     seeds = cfg.seeds[:2] if fast else cfg.seeds
 
-    def one(task):
-        n, seed = task
+    def one(n, seed):
         p = n
         params = KernelParams(cfg.upsilon, float(p))
 
@@ -493,7 +473,7 @@ def _run_dimension_sweep(cfg, fast, out):
         err_big = _large_snr_error(sym_eigs(W).eigenvalues)
         return [n, seed, err_low, err_mod, err_big]
 
-    rows = _map(one, [(n, s) for n in ns for s in seeds])
+    rows = [one(n, s) for n in ns for s in seeds]
     f_rows = _write_csv(
         os.path.join(out, "dimension_sweep.csv"),
         ["n", "seed", "err_low", "err_moderate", "err_large"],
@@ -532,7 +512,7 @@ def _run_histogram_bulk(cfg, fast, out):
     """
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
-    cs = _resolve_c_grid(cfg)
+    cs = _resolve_c_grid(cfg, n)
     reps = cfg.reps if cfg.reps is not None else (100 if fast else 1000)
     first_seed = 100000 * (cfg.seeds[0] + 1)
     bins = 50
@@ -545,14 +525,11 @@ def _run_histogram_bulk(cfg, fast, out):
         hi = measure.shift + measure.bulk_hi
         edges = np.linspace(lo, hi, bins + 1)
 
-        def one(rep):
+        counts = np.zeros(bins)
+        for rep in range(reps):
             cloud = _spiked_cloud(n, p, lam, first_seed + rep)
             W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
-            return sym_eigs(W).eigenvalues
-
-        counts = np.zeros(bins)
-        for eigs in _map(one, range(reps)):
-            counts += esd_histogram(eigs, edges)[1]
+            counts += esd_histogram(sym_eigs(W).eigenvalues, edges)[1]
         width = edges[1] - edges[0]
         emp = counts / (reps * n * width)
         theory = np.array(
@@ -588,7 +565,7 @@ def _run_omega_sweep(cfg, fast, out):
     once from the affinity spectrum and once from the transition spectrum."""
     n = cfg.n if cfg.n is not None else 300
     base = _resolve_base(cfg, "n")
-    cs = _resolve_c_grid(cfg)
+    cs = _resolve_c_grid(cfg, n)
     alphas = cfg.alpha_grid if cfg.alpha_grid is not None else (
         0.2, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0,
     )
@@ -597,8 +574,7 @@ def _run_omega_sweep(cfg, fast, out):
     seed = cfg.seeds[0]
     thresholds = {c: resample_threshold(c, n, cfg.upsilon, seed=seed) for c in cs}
 
-    def one(task):
-        c, alpha = task
+    def one(c, alpha):
         p = int(round(n / c))
         lam = _signal(alpha, n, p, base)
         cloud = gen_circle(n, p, lam, seed)
@@ -610,7 +586,7 @@ def _run_omega_sweep(cfg, fast, out):
             sel_a.omega, sel_a.h / p,
         ]
 
-    rows = _map(one, [(c, float(a)) for c in cs for a in alphas])
+    rows = [one(c, float(a)) for c in cs for a in alphas]
     f_rows = _write_csv(
         os.path.join(out, "omega_sweep.csv"),
         ["c", "alpha", "s", "omega_w", "h_over_p_w", "omega_a", "h_over_p_a"],
@@ -645,13 +621,14 @@ def _run_manifold_rmse(cfg, fast, out):
     reference, for the selected, median-quantile, ambient-dimension, and
     signal-matched bandwidths."""
     upsilon = cfg.upsilon
-    cs = _resolve_c_grid(cfg, default=(1.0,))
     reps = cfg.reps if cfg.reps is not None else (5 if fast else 20)
     base_seed = cfg.seeds[0]
     top = 9
-    rmse_rows, omega_rows = [], []
+    rmse_rows, omega_rows, c_grids = [], [], {}
     for kind, n_kind in MANIFOLD_RMSE_SIZES.items():
         n = n_kind if cfg.n is None else cfg.n
+        cs = _resolve_c_grid(cfg, n, default=(1.0,))
+        c_grids[kind] = list(cs)
         for ci, c in enumerate(cs):
             p = int(round(n / c))
             a = 20.0 * np.sqrt(p)
@@ -685,7 +662,7 @@ def _run_manifold_rmse(cfg, fast, out):
                     rmse[tag] = eigvec_rmse(ref, vecs)
                 return seed, sel, rmse
 
-            results = _map(one, range(reps))
+            results = [one(rep) for rep in range(reps)]
             for seed, sel, _ in results:
                 omega_rows.append([kind, c, seed, sel.omega, sel.h / p])
             for tag in ("adap", "medq", "hp", "theory"):
@@ -717,7 +694,7 @@ def _run_manifold_rmse(cfg, fast, out):
             "skip 1 with yerrorlines title 'h=p'",
         ],
     )
-    info = {"reps": reps, "c_grid": list(cs), "sizes": dict(MANIFOLD_RMSE_SIZES)}
+    info = {"reps": reps, "c_grid": c_grids, "sizes": dict(MANIFOLD_RMSE_SIZES)}
     seeds = [base_seed + r for r in range(reps)]
     return [f_rmse, f_omega, f_gp], seeds, info
 
@@ -745,7 +722,7 @@ def _run_stieltjes_compare(cfg, fast, out):
             [abs(stieltjes(ew, z) - stieltjes(eb, z)) for z in grid.points]
         )
 
-    diffs = np.array(_map(one, seeds))
+    diffs = np.array([one(seed) for seed in seeds])
     rows = []
     for k, z in enumerate(grid.points):
         rows.append(
@@ -789,13 +766,12 @@ def _run_d2_comparison(cfg, fast, out):
     strength pairings, from the tenth eigenvalue on."""
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
-    cs = _resolve_c_grid(cfg)
+    cs = _resolve_c_grid(cfg, n)
     seeds = cfg.seeds[:2] if fast else cfg.seeds
     start = 10
     curve_rows, summary_rows = [], []
 
-    def one(task):
-        case, a1, a2, _, c, seed = task
+    def one(a1, a2, c, seed):
         p = int(round(n / c))
         lam1 = _signal(a1, n, p, base)
         lam2 = _signal(a2, n, p, base)
@@ -813,8 +789,7 @@ def _run_d2_comparison(cfg, fast, out):
 
     for case, a1, a2, expected in D2_CASES:
         for c in cs:
-            tasks = [(case, a1, a2, expected, c, seed) for seed in seeds]
-            results = _map(one, tasks)
+            results = [one(a1, a2, c, seed) for seed in seeds]
             m1 = np.mean([r[0] for r in results], axis=0)
             m2 = np.mean([r[1] for r in results], axis=0)
             for i in range(start - 1, n):
@@ -870,8 +845,7 @@ def _run_zeroing_comparison(cfg, fast, out):
         vec = res.eigenvectors[:, 2] / np.sqrt(degree(W))
         return vec / np.linalg.norm(vec)
 
-    def one(task):
-        alpha, seed = task
+    def one(alpha, seed):
         lam = float(p) ** alpha
         cloud = _spiked_cloud(n, p, lam, seed)
         ref = third_vector_row_stochastic(_affinity_of(cloud.clean, upsilon, p + lam))
@@ -888,7 +862,7 @@ def _run_zeroing_comparison(cfg, fast, out):
         r = eigvec_rmse(refs, cols)
         return [alpha, seed, r[0], r[1], r[2], sel.omega]
 
-    rows = _map(one, [(float(a), s_) for a in alphas for s_ in seeds])
+    rows = [one(float(a), s_) for a in alphas for s_ in seeds]
     f_rows = _write_csv(
         os.path.join(out, "zeroing.csv"),
         ["alpha", "seed", "rmse_adap", "rmse_zero", "rmse_baseline", "omega"],

@@ -150,16 +150,9 @@ def gap_instability_flags(eigs, tol=1e-8):
     return flags
 
 
-def esd_histogram(eigs, bins, drop_point_mass=False, atom=0.0):
-    """Histogram of an empirical spectrum.
-
-    With ``drop_point_mass`` the eigenvalues within 1e-8 of ``atom`` are
-    removed first (the analytic measures carry their atom at the shift).
-    Returns (edges, counts).
-    """
+def esd_histogram(eigs, bins):
+    """Histogram of an empirical spectrum.  Returns (edges, counts)."""
     eigs = np.asarray(eigs, dtype=float)
-    if drop_point_mass:
-        eigs = eigs[np.abs(eigs - atom) > 1e-8]
     counts, edges = np.histogram(eigs, bins=bins)
     return edges, counts
 

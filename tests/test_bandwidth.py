@@ -68,7 +68,15 @@ def test_quantile_bandwidth_nondecreasing_in_omega(n, key):
     D2 = pairwise_sq_dists(X)
     omegas = np.linspace(0.05, 1.0, 17)
     hs = [quantile_bandwidth(D2, w) for w in omegas]
+    assert all(type(h) is float for h in hs)
     assert np.all(np.diff(hs) >= 0.0)
+    # an array of levels reads the same order statistics off one sort,
+    # on this grid and on select_omega's default one
+    default_grid = 0.05 + (np.arange(92) / 91) * (0.95 - 0.05)
+    for grid in (omegas, default_grid):
+        assert np.array_equal(
+            quantile_bandwidth(D2, grid), [quantile_bandwidth(D2, w) for w in grid]
+        )
 
 
 def test_count_outliers_printed_examples():

@@ -39,6 +39,15 @@ def test_config_validation():
         ExperimentConfig(name="PhaseSweep", seeds=()).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(name="PhaseSweep", alpha_base="q").validate()
+    for bad, field in (
+        ({"reps": 0}, "reps"),
+        ({"reps": -3}, "reps"),
+        ({"c_grid": (0,)}, "c_grid"),
+        ({"c_grid": (1.0, -0.5)}, "c_grid"),
+        ({"seeds": (0, -1)}, "seeds"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(name="HistogramBulk", **bad).validate()
     cfg = ExperimentConfig(name="PhaseSweep").validate()
     assert cfg.seeds == DEFAULT_SEEDS
 
@@ -96,19 +105,6 @@ def test_parse_config_file_default_name_and_errors(tmp_path):
 def test_run_rejects_unknown_name(tmp_path):
     with pytest.raises(ValueError):
         run(ExperimentConfig(name="Nope", output_dir=str(tmp_path)))
-
-
-def test_pool_size_env(monkeypatch):
-    from glspec.experiments import _pool_size
-
-    monkeypatch.setenv("GLSPEC_THREADS", "3")
-    assert _pool_size() == 3
-    for bad in ("two", "1.5", "0", "-2"):
-        monkeypatch.setenv("GLSPEC_THREADS", bad)
-        with pytest.raises(ValueError, match="GLSPEC_THREADS.*%r" % bad):
-            _pool_size()
-    monkeypatch.delenv("GLSPEC_THREADS")
-    assert _pool_size() >= 1
 
 
 def test_phase_sweep_manifest_and_artifacts(tmp_path):
@@ -257,6 +253,15 @@ def test_omega_sweep_fast_endpoints(tmp_path):
     assert np.all((rows[:, 5] >= 0.05) & (rows[:, 5] <= 0.95))
     assert manifest.resolved["alpha_base"] == "n"
     assert "1" in manifest.resolved["thresholds"]
+
+
+def test_omega_sweep_fixed_p_uses_its_own_n(tmp_path):
+    # n = 300 points in p = 150 dimensions is c = 2, whatever n other
+    # recipes draw
+    cfg = ExperimentConfig(name="OmegaSweep", p=150, alpha_grid=(3.0,), output_dir=str(tmp_path))
+    manifest = run(cfg, fast=True)
+    assert manifest.resolved["n"] == 300
+    assert manifest.resolved["c_grid"] == [2.0]
 
 
 def test_manifold_rmse_structure(tmp_path):

@@ -188,11 +188,6 @@ def test_esd_histogram_counts_and_atom():
     eigs = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
     edges, counts = esd_histogram(eigs, bins=3)
     assert counts.sum() == 5
-    edges2, counts2 = esd_histogram(eigs, bins=3, drop_point_mass=True)
-    assert counts2.sum() == 3
-    # atom elsewhere
-    _, counts3 = esd_histogram(eigs, bins=3, drop_point_mass=True, atom=3.0)
-    assert counts3.sum() == 4
 
 
 def test_esd_density_matches_limit_in_probability():
