@@ -17,13 +17,11 @@ from .datagen import (
     save_cloud_npz,
 )
 from .kernels import (
-    KernelMatrices,
     KernelParams,
     affinity,
     degree,
     factor_matrices,
     gram,
-    kernel_matrices,
     laplacian,
     load_matrix_csv,
     off_diagonal,
@@ -77,7 +75,6 @@ from .approximants import (
 )
 from .bandwidth import (
     OmegaSelection,
-    count_outliers,
     quantile_bandwidth,
     ratio_window,
     resample_threshold,

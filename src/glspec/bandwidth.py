@@ -6,10 +6,11 @@ the corresponding bandwidth, count the outlier eigenvalues separated from
 the bulk by a relative gap s, and keep the omega maximizing that count.
 The gap threshold s itself is calibrated by resampling pure-noise clouds.
 
-Calibration and counting share one ratio window, ``ratio_window(n, p)``:
-a ratio lam_k/lam_{k+1} takes part only for k <= k_hi, so a gap at the
-bottom of the spectrum, where the null calibration never looked, cannot
-be counted as an outlier gap.
+Calibration and counting share one ratio window, ``ratio_window(n, p)``,
+and read their ratios from one array, ``_bulk_ratios``: a ratio
+lam_k/lam_{k+1} takes part only for k <= k_hi, so a gap at the bottom of
+the spectrum, where the null calibration never looked, cannot be counted
+as an outlier gap.
 """
 
 import json
@@ -44,36 +45,6 @@ def quantile_bandwidth(D2, omega):
     return float(h) if h.ndim == 0 else h
 
 
-def count_outliers(eigs, s):
-    """Largest k with eigs[k-1]/eigs[k] >= 1 + s, scanning 1 <= k <= n-1.
-
-    ``eigs`` is taken in descending order.  A gap from a positive value
-    down to a nonpositive one counts as infinitely wide.  Returns 0 when
-    no gap exceeds the threshold.
-
-    This scans every ratio it is given; ``window_outliers`` is the count
-    ``select_omega`` takes, restricted to the calibrated ratio window and
-    to eigenvalues above the round-off floor.
-    """
-    if s <= 0:
-        raise ValueError("need s > 0")
-    eigs = np.asarray(eigs, dtype=float)
-    if eigs.size < 2:
-        raise ValueError("need at least two eigenvalues")
-    best = 0
-    for k in range(1, eigs.size):
-        top, nxt = eigs[k - 1], eigs[k]
-        if nxt <= 0.0 < top:
-            ratio = np.inf
-        elif nxt > 0.0:
-            ratio = top / nxt
-        else:
-            continue
-        if ratio >= 1.0 + s:
-            best = k
-    return best
-
-
 def ratio_window(n, p):
     """Upper end k_hi of the bulk ratio window for n points in dimension p:
     ratios lam_k/lam_{k+1} with k <= k_hi take part.
@@ -96,22 +67,33 @@ def ratio_window(n, p):
     return m - 2
 
 
-def window_outliers(eigs, s, k_hi):
-    """``count_outliers`` restricted to ratios k <= k_hi whose eigenvalues
-    both lie above the round-off floor n * eps * |eigs[0]|.
+def _bulk_ratios(eigs, k_hi):
+    """Consecutive ratios lam_k/lam_{k+1} of a descending spectrum, for
+    1 <= k <= min(k_hi, m - 1), where m counts the eigenvalues above the
+    round-off floor n * eps * |eigs[0]|; entry i holds k = i + 1.
 
-    ``eigs`` is taken in descending order.  Eigenvalues at or below the
-    floor leave the scan: they are numerically zero, so neither their
-    mutual ratios nor the step down to them is a spectral gap.  This is
-    the count ``select_omega`` takes, on the window of ``ratio_window``.
+    Eigenvalues at or below the floor leave the scan: they are numerically
+    zero, so neither their mutual ratios nor the step down to them is a
+    spectral gap.  Calibration and counting both read this array.
     """
     eigs = np.asarray(eigs, dtype=float)
     floor = eigs.size * np.finfo(float).eps * abs(eigs[0])
     above = int(np.count_nonzero(eigs > floor))
-    k_max = min(k_hi, above - 1)
-    if k_max < 1:
-        return 0
-    return count_outliers(eigs[: k_max + 1], s)
+    top = eigs[: max(min(k_hi, above - 1), 0) + 1]
+    return top[:-1] / top[1:]
+
+
+def window_outliers(eigs, s, k_hi):
+    """Largest k with lam_k/lam_{k+1} >= 1 + s among the ratios of
+    ``_bulk_ratios(eigs, k_hi)``; 0 when none reaches the threshold.
+
+    ``eigs`` is taken in descending order.  This is the count
+    ``select_omega`` takes, on the window of ``ratio_window``.
+    """
+    if s <= 0:
+        raise ValueError("need s > 0")
+    wide = np.flatnonzero(_bulk_ratios(eigs, k_hi) >= 1.0 + s)
+    return int(wide[-1]) + 1 if wide.size else 0
 
 
 def resample_threshold(c, n, upsilon, reps=50, quantile_level=0.99, seed=0):
@@ -122,10 +104,10 @@ def resample_threshold(c, n, upsilon, reps=50, quantile_level=0.99, seed=0):
     lam_k/lam_{k+1} of the Gram matrix (1/p) X X^T over bulk indices
     2 <= k <= k_hi, with k_hi = ``ratio_window(n, p)``: the bottom edge of
     the spectrum is left out, and ``select_omega`` counts on the same
-    window.  The top ratio k = 1 is an edge spacing of the null, not a bulk
-    one, so the calibration starts at k = 2 while the count starts at the
-    top.  Returns the ``quantile_level`` quantile of the per-rep maxima,
-    minus one.
+    ``_bulk_ratios`` window.  The top ratio k = 1 is an edge spacing of the
+    null, not a bulk one, so the calibration starts at k = 2 while the count
+    starts at the top.  Returns the ``quantile_level`` quantile of the
+    per-rep maxima, minus one.
 
     ``upsilon`` is accepted for interface uniformity with the selection
     routines; the null calibration itself is kernel-free.
@@ -139,8 +121,7 @@ def resample_threshold(c, n, upsilon, reps=50, quantile_level=0.99, seed=0):
     for r in range(reps):
         X = rng.standard_normal((n, p))
         eigs = sym_eigs(X @ X.T / p).eigenvalues
-        seg = eigs[1 : k_hi + 1]
-        ratios[r] = np.max(seg[:-1] / seg[1:])
+        ratios[r] = np.max(_bulk_ratios(eigs, k_hi)[1:])
     return float(np.quantile(ratios, quantile_level)) - 1.0
 
 

@@ -100,8 +100,12 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError("seeds must be nonnegative")
+        if self.c_grid is not None and not self.c_grid:
+            raise ValueError("c_grid must not be empty")
         if self.c_grid is not None and any(c <= 0 for c in self.c_grid):
             raise ValueError("c_grid entries must be positive")
+        if self.alpha_grid is not None and not self.alpha_grid:
+            raise ValueError("alpha_grid must not be empty")
         if self.reps is not None and self.reps < 1:
             raise ValueError("need reps >= 1")
         if self.alpha_base not in (None, "n", "p"):
@@ -418,9 +422,7 @@ def _run_accuracy_low(cfg, fast, out):
 
     def make_reference(n, p, params):
         measure = nu0(n / float(p), params.upsilon)
-        gammas = np.array(
-            [typical_location(measure, i, n) for i in range(1, n + 1)]
-        )
+        gammas = typical_location(measure, np.arange(1, n + 1), n)
         return lambda cloud, W, eigs: (gammas, _low_snr_error(eigs, measure))
 
     return _accuracy_recipe(cfg, fast, out, "accuracy_low", 0.2, make_reference)
@@ -456,6 +458,7 @@ def _run_dimension_sweep(cfg, fast, out):
         raise ValueError("DimensionSweep fixes its three alpha values")
     base = _resolve_base(cfg, "p")
     seeds = cfg.seeds[:2] if fast else cfg.seeds
+    law = nu0(1.0, cfg.upsilon)
 
     def one(n, seed):
         p = n
@@ -466,7 +469,7 @@ def _run_dimension_sweep(cfg, fast, out):
             return cloud, _affinity_of(cloud.noisy(), cfg.upsilon, p)
 
         _, W = noisy_affinity(0.2)
-        err_low = _low_snr_error(sym_eigs(W).eigenvalues, nu0(1.0, cfg.upsilon))
+        err_low = _low_snr_error(sym_eigs(W).eigenvalues, law)
         cloud, W = noisy_affinity(1.9)
         err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, params))
         _, W = noisy_affinity(5.0)
@@ -532,12 +535,7 @@ def _run_histogram_bulk(cfg, fast, out):
             counts += esd_histogram(sym_eigs(W).eigenvalues, edges)[1]
         width = edges[1] - edges[0]
         emp = counts / (reps * n * width)
-        theory = np.array(
-            [
-                (mp_cdf(edges[k + 1], measure) - mp_cdf(edges[k], measure)) / width
-                for k in range(bins)
-            ]
-        )
+        theory = np.diff(mp_cdf(edges, measure)) / width
         for k in range(bins):
             rows.append([c, edges[k], edges[k + 1], emp[k], theory[k]])
     f_hist = _write_csv(
@@ -702,6 +700,8 @@ def _run_manifold_rmse(cfg, fast, out):
 def _run_stieltjes_compare(cfg, fast, out):
     """Stieltjes transforms of W and its Gram-based surrogate over the
     spectral-parameter box, at unit-exponent signal strength."""
+    if cfg.c_grid is not None:
+        raise ValueError("StieltjesCompare takes p, not c_grid")
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
     a = 0.2
@@ -829,6 +829,8 @@ def _run_zeroing_comparison(cfg, fast, out):
     The recipe defaults to p = 200, n = 400 with the zero-diagonal variant
     at bandwidth 35 and the plain variant at the selected bandwidth.
     """
+    if cfg.c_grid is not None:
+        raise ValueError("ZeroingComparison takes p, not c_grid")
     n = cfg.n if cfg.n is not None else 400
     p = cfg.p if cfg.p is not None else 200
     upsilon = cfg.upsilon

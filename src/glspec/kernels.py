@@ -21,16 +21,6 @@ class KernelParams:
             raise ValueError("need h > 0")
 
 
-@dataclass
-class KernelMatrices:
-    """Affinity W, degree vector D, transition A for one cloud and bandwidth."""
-
-    W: np.ndarray
-    D: np.ndarray
-    A: np.ndarray
-    params: KernelParams
-
-
 def pairwise_sq_dists(X):
     """Matrix of squared Euclidean distances ||x_i - x_j||^2.
 
@@ -90,12 +80,6 @@ def sym_normalized(W):
     """
     root = np.sqrt(W.sum(axis=1))
     return W / np.outer(root, root)
-
-
-def kernel_matrices(X, params):
-    """Bundle W, D, A for the observed matrix X."""
-    W = affinity(pairwise_sq_dists(X), params)
-    return KernelMatrices(W, degree(W), transition(W), params)
 
 
 def factor_matrices(cloud, params):

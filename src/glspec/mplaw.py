@@ -74,18 +74,17 @@ class MpMeasure:
         x = self._center + self._radius * np.sin(t)
         return (self._radius * np.cos(t)) ** 2 / (2.0 * np.pi * self.sigma2 * self.c * x)
 
-    def _panel(self, a, b):
+    def _panels(self, a, b):
+        # 5-point Gauss-Legendre integral of the integrand over each panel
+        # [a, b], elementwise
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        return half * np.dot(_GL_WEIGHTS, self._integrand(mid + half * _GL_NODES))
+        nodes = mid[..., None] + half[..., None] * _GL_NODES
+        return (self._integrand(nodes) * _GL_WEIGHTS).sum(axis=-1) * half
 
     def _build_cdf_cache(self):
         ts = np.linspace(-0.5 * np.pi, 0.5 * np.pi, _CACHE_INTERVALS + 1)
-        mids = 0.5 * (ts[:-1] + ts[1:])
-        halves = 0.5 * np.diff(ts)
-        # all panels in one vectorized sweep
-        nodes = mids[:, None] + halves[:, None] * _GL_NODES[None, :]
-        panel = (self._integrand(nodes) * _GL_WEIGHTS[None, :]).sum(axis=1) * halves
+        panel = self._panels(ts[:-1], ts[1:])
         self._cache_t = ts
         self._cache_cum = np.concatenate([[0.0], np.cumsum(panel)])
         self.bulk_mass = float(self._cache_cum[-1])
@@ -94,15 +93,16 @@ class MpMeasure:
         return self.point_mass_at_zero + self.bulk_mass
 
     def _bulk_cdf_raw(self, x):
-        """Bulk mass of (-inf, x] in unshifted coordinates (scalar x)."""
-        if x <= self.bulk_lo:
-            return 0.0
-        if x >= self.bulk_hi:
-            return self.bulk_mass
-        t = np.arcsin(np.clip((x - self._center) / self._radius, -1.0, 1.0))
-        k = int(np.searchsorted(self._cache_t, t, side="right")) - 1
-        k = min(max(k, 0), _CACHE_INTERVALS - 1)
-        return float(self._cache_cum[k] + self._panel(self._cache_t[k], t))
+        """Bulk mass of (-inf, x] in unshifted coordinates, elementwise;
+        a scalar x gives a float."""
+        x = np.asarray(x, dtype=float)
+        out = np.where(x >= self.bulk_hi, self.bulk_mass, 0.0)
+        inside = (x > self.bulk_lo) & (x < self.bulk_hi)
+        t = np.arcsin(np.clip((x[inside] - self._center) / self._radius, -1.0, 1.0))
+        k = np.searchsorted(self._cache_t, t, side="right") - 1
+        k = np.clip(k, 0, _CACHE_INTERVALS - 1)
+        out[inside] = self._cache_cum[k] + self._panels(self._cache_t[k], t)
+        return out if out.ndim else float(out)
 
 
 def mp_edges(c, sigma2):
@@ -127,53 +127,57 @@ def mp_density(x, measure):
 
 
 def mp_cdf(x, measure):
-    """Full CDF (point mass plus bulk integral), monotone in x."""
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        u = xi - measure.shift
-        val = measure.point_mass_at_zero if u >= 0.0 else 0.0
-        out[i] = val + measure._bulk_cdf_raw(u)
-    return float(out[0]) if scalar else out
+    """Full CDF (point mass plus bulk integral), monotone in x.  Elementwise
+    over an array x; a scalar x gives a float."""
+    u = np.asarray(x, dtype=float) - measure.shift
+    out = np.where(u >= 0.0, measure.point_mass_at_zero, 0.0) + measure._bulk_cdf_raw(u)
+    return out if out.ndim else float(out)
 
 
 def typical_location(measure, j, n):
     """Location gamma with mass j/n above it (upper-quantile convention).
 
+    Elementwise over an array of indices j; a scalar j gives a float.
     Bisection on the cached bulk CDF, tolerance 1e-9 in mass and 1e-8 in
-    location.  When j/n exceeds the bulk mass the answer is the atom
-    location (the largest admissible gamma, right-continuous convention).
+    location, each element stopping on its own.  When j/n exceeds the bulk
+    mass the answer is the atom location (the largest admissible gamma,
+    right-continuous convention).
     """
-    if not 1 <= j <= n:
+    j = np.asarray(j)
+    if np.any((j < 1) | (j > n)):
         raise ValueError("need 1 <= j <= n")
-    q = j / float(n)
+    q = np.ravel(j / float(n))
     total = measure.total_mass()
-    if q > total + 1e-9:
+    if np.any(q > total + 1e-9):
         raise ValueError(
-            "tail mass %g exceeds total mass %g (non-normalized convention?)" % (q, total)
+            "tail mass %g exceeds total mass %g (non-normalized convention?)"
+            % (np.max(q), total)
         )
-    if q >= measure.bulk_mass:
-        # inside or below the atom: the supremum of admissible locations is
-        # the bulk's lower edge exactly at q = bulk mass, the atom beyond.
-        if q <= measure.bulk_mass + 1e-9:
-            return measure.shift + measure.bulk_lo
-        return measure.shift
-    target = measure.bulk_mass - q  # bulk CDF value sought
-    lo, hi = measure.bulk_lo, measure.bulk_hi
-    flo = 0.0
+    # inside or below the atom: the supremum of admissible locations is the
+    # bulk's lower edge exactly at q = bulk mass, the atom beyond.
+    out = np.where(
+        q <= measure.bulk_mass + 1e-9, measure.shift + measure.bulk_lo, measure.shift
+    )
+    todo = np.flatnonzero(q < measure.bulk_mass)
+    target = measure.bulk_mass - q[todo]  # bulk CDF values sought
+    lo = np.full(todo.size, measure.bulk_lo)
+    hi = np.full(todo.size, measure.bulk_hi)
     for _ in range(200):
+        if not todo.size:
+            break
         mid = 0.5 * (lo + hi)
         fmid = measure._bulk_cdf_raw(mid)
-        if abs(fmid - target) < 1e-9 and hi - lo < 1e-8:
-            return measure.shift + mid
-        if fmid < target:
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return measure.shift + 0.5 * (lo + hi)
+        hit = (np.abs(fmid - target) < 1e-9) & (hi - lo < 1e-8)
+        out[todo[hit]] = measure.shift + mid[hit]
+        below = fmid < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        busy = ~hit & (hi - lo >= 1e-12)
+        done = ~hit & ~busy
+        out[todo[done]] = measure.shift + 0.5 * (lo[done] + hi[done])
+        todo, target, lo, hi = todo[busy], target[busy], lo[busy], hi[busy]
+    out[todo] = measure.shift + 0.5 * (lo + hi)
+    return out.reshape(j.shape) if j.ndim else float(out[0])
 
 
 def export_measure_csv(measure, path, n_points=512):

@@ -63,7 +63,7 @@ def bulk_rigidity(eigs, measure, skip=9, eps=0.1):
 
     Compares the 1-indexed descending eigenvalues over skip < i <= (1-eps) n
     with typical_location(measure, i, n) and returns the largest absolute
-    gap.
+    gap, 0.0 when the window is empty.
     """
     eigs = np.asarray(eigs, dtype=float)
     n = eigs.size
@@ -71,12 +71,9 @@ def bulk_rigidity(eigs, measure, skip=9, eps=0.1):
         raise ValueError("need 0 <= skip < n")
     if not 0 < eps < 1:
         raise ValueError("need 0 < eps < 1")
-    hi = int(np.floor((1.0 - eps) * n))
-    worst = 0.0
-    for i in range(skip + 1, hi + 1):
-        gamma = typical_location(measure, i, n)
-        worst = max(worst, abs(eigs[i - 1] - gamma))
-    return worst
+    idx = np.arange(skip + 1, int(np.floor((1.0 - eps) * n)) + 1)
+    gaps = np.abs(eigs[idx - 1] - typical_location(measure, idx, n))
+    return float(np.max(gaps, initial=0.0))
 
 
 def stieltjes(eigs, z):

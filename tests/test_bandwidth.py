@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 import glspec.bandwidth as bandwidth
 from glspec.bandwidth import (
     OmegaSelection,
-    count_outliers,
     quantile_bandwidth,
     ratio_window,
     resample_threshold,
@@ -79,23 +78,44 @@ def test_quantile_bandwidth_nondecreasing_in_omega(n, key):
         )
 
 
-def test_count_outliers_printed_examples():
-    assert count_outliers(np.array([10.0, 1.0, 0.9, 0.5, 0.49]), 0.1) == 3
-    assert count_outliers(np.ones(6), 0.1) == 0
-    assert count_outliers(np.array([10.0, 5.0, 1.0, 0.99]), 0.1) == 2
+def test_window_outliers_printed_examples():
+    eigs = np.array([10.0, 1.0, 0.9, 0.5, 0.49])
+    assert window_outliers(eigs, 0.1, eigs.size - 1) == 3
+    assert window_outliers(np.ones(6), 0.1, 5) == 0
+    eigs = np.array([10.0, 5.0, 1.0, 0.99])
+    assert window_outliers(eigs, 0.1, eigs.size - 1) == 2
 
 
-def test_count_outliers_nonpositive_tail_convention():
-    # a positive-to-nonpositive gap counts as infinitely wide
-    assert count_outliers(np.array([2.0, 1.0, 0.0]), 0.5) == 2
-    assert count_outliers(np.array([2.0, 1.0, -1.0, -2.0]), 0.5) == 2
-
-
-def test_count_outliers_errors():
+def test_window_outliers_errors():
     with pytest.raises(ValueError):
-        count_outliers(np.array([2.0, 1.0]), 0.0)
-    with pytest.raises(ValueError):
-        count_outliers(np.array([2.0]), 0.1)
+        window_outliers(np.array([2.0, 1.0]), 0.0, 1)
+
+
+def _literal_window_count(eigs, s, k_hi):
+    # the scan spelled out: ratios k = 1 .. k_hi above the round-off floor
+    floor = eigs.size * np.finfo(float).eps * abs(eigs[0])
+    best = 0
+    for k in range(1, min(k_hi, eigs.size - 1) + 1):
+        if eigs[k] <= floor:
+            break
+        if eigs[k - 1] / eigs[k] >= 1.0 + s:
+            best = k
+    return best
+
+
+def test_window_outliers_matches_literal_scan():
+    rng = np.random.Generator(np.random.Philox(key=7))
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(1, n + 1))
+        # m decaying values with random multiplicative gaps, then a tail of
+        # round-off values of either sign
+        head = np.cumprod(rng.uniform(0.3, 1.0, m)) * rng.uniform(0.5, 5.0)
+        tail = rng.uniform(-1.0, 1.0, n - m) * n * np.finfo(float).eps * head[0]
+        eigs = np.sort(np.concatenate([head, tail]))[::-1]
+        s = float(rng.uniform(0.01, 1.5))
+        k_hi = int(rng.integers(0, n + 2))
+        assert window_outliers(eigs, s, k_hi) == _literal_window_count(eigs, s, k_hi)
 
 
 def _bottom_gap_spectrum(n, k_gap):
@@ -118,7 +138,7 @@ def test_window_outliers_ignores_gap_below_window():
     n = 40
     k_hi = ratio_window(n, n)
     eigs = _bottom_gap_spectrum(n, k_hi + 2)
-    assert count_outliers(eigs, 0.1) == k_hi + 2
+    assert window_outliers(eigs, 0.1, n - 1) == k_hi + 2
     assert window_outliers(eigs, 0.1, k_hi) == 0
     # the same drop inside the window still counts
     assert window_outliers(_bottom_gap_spectrum(n, 5), 0.1, k_hi) == 5
@@ -127,7 +147,6 @@ def test_window_outliers_ignores_gap_below_window():
 def test_window_outliers_roundoff_tail_leaves_scan():
     # eigenvalues at round-off level, of either sign, are not a gap
     eigs = np.concatenate([0.99 ** np.arange(10), [1e-17, 3e-18, -2e-18, -1e-17]])
-    assert count_outliers(eigs, 0.1) == 12
     assert window_outliers(eigs, 0.1, 12) == 0
     eigs[1:] /= 2.0
     assert window_outliers(eigs, 0.1, 12) == 1

@@ -44,6 +44,8 @@ def test_config_validation():
         ({"reps": -3}, "reps"),
         ({"c_grid": (0,)}, "c_grid"),
         ({"c_grid": (1.0, -0.5)}, "c_grid"),
+        ({"c_grid": ()}, "c_grid"),
+        ({"alpha_grid": ()}, "alpha_grid"),
         ({"seeds": (0, -1)}, "seeds"),
     ):
         with pytest.raises(ValueError, match=field):
@@ -100,6 +102,10 @@ def test_parse_config_file_default_name_and_errors(tmp_path):
     bad_line.write_text("name PhaseSweep\n")
     with pytest.raises(ValueError):
         parse_config_file(bad_line)
+    empty_grid = tmp_path / "empty.cfg"
+    empty_grid.write_text("name = HistogramBulk\nc_grid =\n")
+    with pytest.raises(ValueError, match="c_grid"):
+        parse_config_file(empty_grid)
 
 
 def test_run_rejects_unknown_name(tmp_path):
@@ -296,6 +302,13 @@ def test_stieltjes_compare_sup_below_bound(tmp_path):
     assert np.all(grid_rows[:, 2] <= grid_rows[:, 3] + 1e-12)
 
 
+def test_stieltjes_compare_rejects_c_grid(tmp_path):
+    cfg = ExperimentConfig(name="StieltjesCompare", c_grid=(2.0,), output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="StieltjesCompare.*c_grid"):
+        run(cfg, fast=True)
+    assert os.listdir(str(tmp_path)) == []
+
+
 def test_d2_comparison_printed_cases(tmp_path):
     out = str(tmp_path)
     manifest = run(ExperimentConfig(name="D2Comparison", output_dir=out))
@@ -329,6 +342,13 @@ def zeroing_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("zeroing"))
     manifest = run(ExperimentConfig(name="ZeroingComparison", output_dir=out), fast=True)
     return out, manifest
+
+
+def test_zeroing_comparison_rejects_c_grid(tmp_path):
+    cfg = ExperimentConfig(name="ZeroingComparison", c_grid=(2.0,), output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="ZeroingComparison.*c_grid"):
+        run(cfg, fast=True)
+    assert os.listdir(str(tmp_path)) == []
 
 
 def test_zeroing_comparison_strength_windows(zeroing_run):

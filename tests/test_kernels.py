@@ -9,7 +9,6 @@ from glspec.kernels import (
     degree,
     factor_matrices,
     gram,
-    kernel_matrices,
     laplacian,
     load_matrix_csv,
     off_diagonal,
@@ -161,16 +160,6 @@ def test_zero_diagonal_rejects_degenerate_row():
     assert np.all(np.isfinite(sym_normalized(W)))
     with pytest.raises(ValueError):
         sym_normalized(off_diagonal(np.ones((1, 1))))
-
-
-def test_kernel_matrices_bundle_consistency():
-    cloud = _cloud(n=14, seed=4)
-    params = KernelParams(0.5, float(cloud.p))
-    km = kernel_matrices(cloud.noisy(), params)
-    D2 = pairwise_sq_dists(cloud.noisy())
-    assert_allclose(km.W, affinity(D2, params), atol=1e-14)
-    assert_allclose(km.D, km.W.sum(axis=1), atol=1e-14)
-    assert_allclose(km.A, transition(km.W), atol=1e-14)
 
 
 def test_affinity_factorizes_over_signal_noise_cross():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -136,6 +138,93 @@ def test_typical_location_atom_conventions():
         typical_location(m, 0, n)
     with pytest.raises(ValueError):
         typical_location(m, n + 1, n)
+    # an array takes each index through the same conventions, and one index
+    # out of range rejects the whole array
+    js = np.array([[j_bulk_end, n], [n - 100, 1]])
+    got = typical_location(m, js, n)
+    assert got.shape == js.shape
+    assert np.array_equal(got, [[typical_location(m, j, n) for j in row] for row in js])
+    assert got[0, 1] == got[1, 0] == m.shift
+    with pytest.raises(ValueError):
+        typical_location(m, np.array([1, n + 1]), n)
+    with pytest.raises(ValueError):
+        typical_location(m, np.array([0, 5]), n)
+
+
+def _scalar_typical_location(measure, j, n):
+    # one bisection per index, stopping as soon as that index is resolved
+    q = j / float(n)
+    if q >= measure.bulk_mass:
+        if q <= measure.bulk_mass + 1e-9:
+            return measure.shift + measure.bulk_lo
+        return measure.shift
+    target = measure.bulk_mass - q
+    lo, hi = measure.bulk_lo, measure.bulk_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = measure._bulk_cdf_raw(mid)
+        if abs(fmid - target) < 1e-9 and hi - lo < 1e-8:
+            return measure.shift + mid
+        if fmid < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return measure.shift + 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "c, ns",
+    [(0.5, (200,)), (1.0, (50, 100, 150, 200, 250, 300, 400)), (2.0, (200,))],
+)
+def test_typical_location_array_matches_scalar_bisection(c, ns):
+    m = nu0(c, 0.5)
+    for n in ns:
+        js = np.arange(1, n + 1)
+        ref = [_scalar_typical_location(m, j, n) for j in js]
+        assert np.array_equal(typical_location(m, js, n), ref)
+        assert [typical_location(m, int(j), n) for j in js[::37]] == ref[::37]
+
+
+def _scalar_cdf(measure, x):
+    # one point at a time, each partial panel summed with np.dot
+    from glspec.mplaw import _CACHE_INTERVALS, _GL_NODES, _GL_WEIGHTS
+
+    u = x - measure.shift
+    atom = measure.point_mass_at_zero if u >= 0.0 else 0.0
+    if u <= measure.bulk_lo:
+        return atom
+    if u >= measure.bulk_hi:
+        return atom + measure.bulk_mass
+    t = np.arcsin(np.clip((u - measure._center) / measure._radius, -1.0, 1.0))
+    k = int(np.searchsorted(measure._cache_t, t, side="right")) - 1
+    k = min(max(k, 0), _CACHE_INTERVALS - 1)
+    a = measure._cache_t[k]
+    mid, half = 0.5 * (a + t), 0.5 * (t - a)
+    panel = half * np.dot(_GL_WEIGHTS, measure._integrand(mid + half * _GL_NODES))
+    return atom + (measure._cache_cum[k] + panel)
+
+
+def test_cdf_array_matches_scalar_reference_at_the_edges():
+    m = nu0(1.0, 0.5)
+    lo, hi = m.shift + m.bulk_lo, m.shift + m.bulk_hi
+    rng = np.random.Generator(np.random.Philox(key=11))
+    xs = np.concatenate(
+        [
+            [lo - 1.0, np.nextafter(lo, -np.inf), lo, hi, np.nextafter(hi, np.inf), hi + 1.0],
+            np.linspace(lo, hi, 257),
+            rng.uniform(lo - 0.1, hi + 0.1, 2000),
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mp_cdf(xs, m)
+    ref = np.array([_scalar_cdf(m, x) for x in xs])
+    np.testing.assert_array_max_ulp(got, ref, maxulp=4)
+    assert got[0] == got[1] == got[2] == 0.0
+    assert got[3] == got[4] == got[5] == m.bulk_mass
+    assert mp_cdf(lo, m) == 0.0 and mp_cdf(hi, m) == m.bulk_mass
 
 
 def test_typical_location_matches_large_sample_spectrum():

@@ -96,6 +96,8 @@ def test_bulk_rigidity_detects_displacement():
         bulk_rigidity(eigs, m, skip=-1)
     with pytest.raises(ValueError):
         bulk_rigidity(eigs, m, eps=1.0)
+    # n = 10 leaves no index in 9 < i <= 0.9 n
+    assert bulk_rigidity(eigs[:10], m, skip=9, eps=0.1) == 0.0
 
 
 def test_stieltjes_single_atom():
