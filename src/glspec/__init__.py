@@ -23,19 +23,14 @@ from .kernels import (
     factor_matrices,
     gram,
     laplacian,
-    load_matrix_csv,
     off_diagonal,
     pairwise_sq_dists,
-    save_matrix_csv,
     sym_normalized,
     transition,
     zeroed_transition,
 )
 from .mplaw import (
     MpMeasure,
-    ScalingRegime,
-    classify_regime,
-    export_measure_csv,
     mp_cdf,
     mp_density,
     mp_edges,
@@ -52,9 +47,7 @@ from .spectrum import (
     bulk_rigidity,
     eigvec_rmse,
     esd_histogram,
-    gap_instability_flags,
     op_norm_diff,
-    save_histogram_csv,
     save_spectrum_csv,
     stieltjes,
     stieltjes_compare,

@@ -5,6 +5,9 @@ counter splits into three fixed substreams per seed: noise draws, the
 standardized signal draws, and the random rotation.  Because noise and
 standardized signal live on their own substreams, the same seed reuses one
 noise realization across a whole grid of signal strengths.
+
+``write_csv`` here is the one CSV writer of the package: clouds, spectra
+and experiment artifacts all share its number format.
 """
 
 from dataclasses import dataclass, field
@@ -214,16 +217,33 @@ def gen_klein_bottle(n, p, a, seed, rotate=True):
     return PointCloud(clean, noise, n, p, 4, lams, seed, KLEIN_BOTTLE)
 
 
+def _fmt(value):
+    """One CSV field: booleans as 1/0, integers in full, floats round-trip
+    exact, anything else as its str."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % value
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    """Write a header line and one comma-separated line per row; every CSV
+    the package writes goes through here.  Returns ``path``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
+
+
 def save_cloud_csv(cloud, path):
     """Dump a cloud: header row `n,p,d,kind,seed`, a value row, then n clean
     rows and n noise rows of p values each."""
-    with open(path, "w") as fh:
-        fh.write("n,p,d,kind,seed\n")
-        fh.write("%d,%d,%d,%s,%d\n" % (cloud.n, cloud.p, cloud.d, cloud.kind, cloud.seed))
-        for block in (cloud.clean, cloud.noise):
-            for row in block:
-                fh.write(",".join("%.17g" % v for v in row))
-                fh.write("\n")
+    meta = [cloud.n, cloud.p, cloud.d, cloud.kind, cloud.seed]
+    write_csv(path, ["n", "p", "d", "kind", "seed"], [meta, *cloud.clean, *cloud.noise])
 
 
 def load_cloud_csv(path):

@@ -19,10 +19,12 @@ from .approximants import w_a1, w_b1
 from .bandwidth import quantile_bandwidth, resample_threshold, select_omega
 from .datagen import (
     GeneratorConfig,
+    _fmt,
     gen_circle,
     gen_curve_m1,
     gen_klein_bottle,
     gen_spiked,
+    write_csv,
 )
 from .kernels import (
     KernelParams,
@@ -129,6 +131,14 @@ class ExperimentConfig:
         }
 
 
+def _json_scalar(value):
+    """``json.dumps`` hook: a numpy scalar (an ``np.int64`` n, say) as the
+    Python scalar it holds; anything else stays unserialisable."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 @dataclass
 class RunManifest:
     """Record of one experiment run: config echo, versions, seeds, timing,
@@ -155,9 +165,12 @@ class RunManifest:
             "wall_clock_s": self.wall_clock_s,
             "files": self.files,
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # serialise first and swap the finished file in: no partial manifest
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar)
+        tmp = os.fspath(path) + ".tmp"
+        with open(tmp, "w") as fh:
+            fh.write(text + "\n")
+        os.replace(tmp, path)
 
 
 def parse_config_file(path, default_name=None):
@@ -205,24 +218,6 @@ def parse_config_file(path, default_name=None):
 
 # ---------------------------------------------------------------------------
 # artifact plumbing
-
-
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    return str(value)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
 
 
 def _write_gnuplot(path, lines):
@@ -294,7 +289,7 @@ def _run_phase_sweep(cfg, fast, out):
     curves = [curve(alpha) for alpha in alphas]
     header = ["index"] + ["alpha_%g" % a for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
-    f_curves = _write_csv(os.path.join(out, "phase_eigencurves.csv"), header, rows)
+    f_curves = write_csv(os.path.join(out, "phase_eigencurves.csv"), header, rows)
 
     n2 = 200
     cs = _resolve_c_grid(cfg, n2)
@@ -312,7 +307,7 @@ def _run_phase_sweep(cfg, fast, out):
         return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
 
     rows = [tracked(c, float(a)) for c in cs for a in fine]
-    f_track = _write_csv(
+    f_track = write_csv(
         os.path.join(out, "phase_tracked.csv"),
         ["c", "alpha"]
         + ["w_eig%d" % i for i in track]
@@ -371,12 +366,12 @@ def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
             curve_rows.append([c, i + 1, sample[i], limit[i]])
         for seed, r in zip(seeds, results):
             summary_rows.append([c, seed, r[2]])
-    f_curves = _write_csv(
+    f_curves = write_csv(
         os.path.join(out, "%s_curves.csv" % tag),
         ["c", "index", "sample_mean", "limit_mean"],
         curve_rows,
     )
-    f_summary = _write_csv(
+    f_summary = write_csv(
         os.path.join(out, "%s_summary.csv" % tag),
         ["c", "seed", "error"],
         summary_rows,
@@ -477,7 +472,7 @@ def _run_dimension_sweep(cfg, fast, out):
         return [n, seed, err_low, err_mod, err_big]
 
     rows = [one(n, s) for n in ns for s in seeds]
-    f_rows = _write_csv(
+    f_rows = write_csv(
         os.path.join(out, "dimension_sweep.csv"),
         ["n", "seed", "err_low", "err_moderate", "err_large"],
         rows,
@@ -486,7 +481,7 @@ def _run_dimension_sweep(cfg, fast, out):
     for n in ns:
         block = np.array([r[2:] for r in rows if r[0] == n])
         means.append([n] + list(block.mean(axis=0)))
-    f_mean = _write_csv(
+    f_mean = write_csv(
         os.path.join(out, "dimension_sweep_mean.csv"),
         ["n", "err_low", "err_moderate", "err_large"],
         means,
@@ -538,7 +533,7 @@ def _run_histogram_bulk(cfg, fast, out):
         theory = np.diff(mp_cdf(edges, measure)) / width
         for k in range(bins):
             rows.append([c, edges[k], edges[k + 1], emp[k], theory[k]])
-    f_hist = _write_csv(
+    f_hist = write_csv(
         os.path.join(out, "histogram_bulk.csv"),
         ["c", "bin_lo", "bin_hi", "empirical_density", "limit_density"],
         rows,
@@ -585,7 +580,7 @@ def _run_omega_sweep(cfg, fast, out):
         ]
 
     rows = [one(c, float(a)) for c in cs for a in alphas]
-    f_rows = _write_csv(
+    f_rows = write_csv(
         os.path.join(out, "omega_sweep.csv"),
         ["c", "alpha", "s", "omega_w", "h_over_p_w", "omega_a", "h_over_p_a"],
         rows,
@@ -668,12 +663,12 @@ def _run_manifold_rmse(cfg, fast, out):
                 mean, std = stack.mean(axis=0), stack.std(axis=0)
                 for j in range(top):
                     rmse_rows.append([kind, c, j + 1, tag, mean[j], std[j]])
-    f_rmse = _write_csv(
+    f_rmse = write_csv(
         os.path.join(out, "manifold_rmse.csv"),
         ["manifold", "c", "vec_index", "variant", "rmse_mean", "rmse_std"],
         rmse_rows,
     )
-    f_omega = _write_csv(
+    f_omega = write_csv(
         os.path.join(out, "manifold_omegas.csv"),
         ["manifold", "c", "seed", "omega", "h_over_p"],
         omega_rows,
@@ -718,9 +713,9 @@ def _run_stieltjes_compare(cfg, fast, out):
         # ascending: the last bits of each Stieltjes mean depend on the order
         ew = sym_eigs(W).eigenvalues[::-1]
         eb = sym_eigs(Wb1).eigenvalues[::-1]
-        return np.array(
-            [abs(stieltjes(ew, z) - stieltjes(eb, z)) for z in grid.points]
-        )
+        diff = stieltjes(ew, grid.points) - stieltjes(eb, grid.points)
+        # hypot rounds as Python's complex abs does; numpy's complex abs differs
+        return np.hypot(diff.real, diff.imag)
 
     diffs = np.array([one(seed) for seed in seeds])
     rows = []
@@ -728,12 +723,12 @@ def _run_stieltjes_compare(cfg, fast, out):
         rows.append(
             [z.real, z.imag, diffs[:, k].mean(), diffs[:, k].max()]
         )
-    f_grid = _write_csv(
+    f_grid = write_csv(
         os.path.join(out, "stieltjes_grid.csv"),
         ["energy", "eta", "mean_absdiff", "max_absdiff"],
         rows,
     )
-    f_sup = _write_csv(
+    f_sup = write_csv(
         os.path.join(out, "stieltjes_sup.csv"),
         ["seed", "sup_absdiff", "bound"],
         [
@@ -796,12 +791,12 @@ def _run_d2_comparison(cfg, fast, out):
                 curve_rows.append([case, c, i + 1, m1[i], m2[i]])
             sup = float(np.max(np.abs(m1[start - 1 :] - m2[start - 1 :])))
             summary_rows.append([case, c, sup, expected])
-    f_curves = _write_csv(
+    f_curves = write_csv(
         os.path.join(out, "d2_curves.csv"),
         ["case", "c", "index", "eig_d1_mean", "eig_d2_mean"],
         curve_rows,
     )
-    f_summary = _write_csv(
+    f_summary = write_csv(
         os.path.join(out, "d2_summary.csv"),
         ["case", "c", "sup_absdiff", "expectation"],
         summary_rows,
@@ -865,7 +860,7 @@ def _run_zeroing_comparison(cfg, fast, out):
         return [alpha, seed, r[0], r[1], r[2], sel.omega]
 
     rows = [one(float(a), s_) for a in alphas for s_ in seeds]
-    f_rows = _write_csv(
+    f_rows = write_csv(
         os.path.join(out, "zeroing.csv"),
         ["alpha", "seed", "rmse_adap", "rmse_zero", "rmse_baseline", "omega"],
         rows,
@@ -874,7 +869,7 @@ def _run_zeroing_comparison(cfg, fast, out):
     for alpha in alphas:
         block = np.array([r[2:5] for r in rows if r[0] == float(alpha)])
         means.append([float(alpha)] + list(block.mean(axis=0)))
-    f_means = _write_csv(
+    f_means = write_csv(
         os.path.join(out, "zeroing_mean.csv"),
         ["alpha", "rmse_adap", "rmse_zero", "rmse_baseline"],
         means,

@@ -105,25 +105,3 @@ def gram(X):
     X = np.asarray(X, dtype=float)
     return (X @ X.T) / X.shape[1]
 
-
-def save_matrix_csv(M, path, kind, params):
-    """Row-major CSV dump with a `n,kind,upsilon,h` metadata header."""
-    M = np.asarray(M)
-    with open(path, "w") as fh:
-        fh.write("n,kind,upsilon,h\n")
-        fh.write("%d,%s,%.17g,%.17g\n" % (M.shape[0], kind, params.upsilon, params.h))
-        for row in M:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
-
-
-def load_matrix_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "n,kind,upsilon,h":
-            raise ValueError("not a matrix CSV: %r" % header)
-        n_s, kind, ups_s, h_s = fh.readline().strip().split(",")
-        M = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if M.shape != (int(n_s), int(n_s)):
-        raise ValueError("matrix CSV body has shape %s, expected square %s" % (M.shape, n_s))
-    return M, kind, KernelParams(float(ups_s), float(h_s))

@@ -1,6 +1,6 @@
 """Analytic spectral measures: the Marchenko-Pastur family with a point
 mass, shifted variants describing kernel-matrix bulks, typical eigenvalue
-locations, regime classification, and the spiked-Gram outlier location.
+locations, and the spiked-Gram outlier location.
 
 Conventions
 -----------
@@ -71,8 +71,12 @@ class MpMeasure:
         # After x = center + radius*sin t the bulk density integrates as
         # radius^2 cos^2 t / (2 pi sigma2 c x(t)) dt, smooth on [-pi/2, pi/2]
         # (the edge square-root singularities cancel against dx).
+        # x(t) rounds to 0 only beside a lower edge at 0 (c = 1); there
+        # (radius cos t)^2 / x = radius (1 - sin t), which tends to 2 radius.
         x = self._center + self._radius * np.sin(t)
-        return (self._radius * np.cos(t)) ** 2 / (2.0 * np.pi * self.sigma2 * self.c * x)
+        edge = x == 0.0
+        num = np.where(edge, 2.0 * self._radius, (self._radius * np.cos(t)) ** 2)
+        return num / (2.0 * np.pi * self.sigma2 * self.c * np.where(edge, 1.0, x))
 
     def _panels(self, a, b):
         # 5-point Gauss-Legendre integral of the integrand over each panel
@@ -180,21 +184,6 @@ def typical_location(measure, j, n):
     return out.reshape(j.shape) if j.ndim else float(out[0])
 
 
-def export_measure_csv(measure, path, n_points=512):
-    """(x, density, cdf) table over the bulk support, atom row included."""
-    xs = np.linspace(
-        measure.shift + measure.bulk_lo, measure.shift + measure.bulk_hi, n_points
-    )
-    if measure.point_mass_at_zero > 0:
-        xs = np.unique(np.concatenate([[measure.shift], xs]))
-    dens = mp_density(xs, measure)
-    cdf = mp_cdf(xs, measure)
-    with open(path, "w") as fh:
-        fh.write("x,density,cdf\n")
-        for row in zip(xs, dens, cdf):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
 # -- the paper-specific shifted measures ---------------------------------
 
 
@@ -246,65 +235,6 @@ def nu_check0(c, lam, upsilon, p=None):
     sigma2 = 2.0 * upsilon * decay0 / np.exp(-upsilon * tau_lam)
     shift = 1.0 - 2.0 * upsilon * decay0 - decay0
     return MpMeasure(c, sigma2, shift)
-
-
-# -- regime classification ------------------------------------------------
-
-
-@dataclass
-class ScalingRegime:
-    """Classification constants for a signal-strength exponent alpha."""
-
-    alpha: float
-    regime_class: str
-    S: int = None
-    d_frak: int = None
-    B_alpha: float = None
-    T_alpha: float = None
-
-
-BOUNDED = "bounded"
-SLOW_SUB = "slow_sub"
-SLOW_SUPER = "slow_super"
-MODERATE = "moderate"
-LARGE = "large"
-VERY_LARGE = "very_large"
-
-
-def classify_regime(alpha, n, c, t=0.6, lam=None, c_const=10.0):
-    """Place an exponent alpha in its spectral regime with its constants.
-
-    S bounds the number of non-bulk eigenvalues in the bounded/slowly
-    divergent regimes; d_frak and B_alpha are the expansion depth and rate
-    exponent for 0.5 <= alpha < 1; T_alpha bounds the kernel-affected top
-    eigenvalues for 1 <= alpha < 2 (the unspecified constant defaults to
-    c_const = 10).  ``lam`` defaults to n**alpha and only matters for the
-    bounded-regime S split at sqrt(c).
-    """
-    if alpha < 0:
-        raise ValueError("need alpha >= 0")
-    if not 0 < t < 1:
-        raise ValueError("need t in (0, 1)")
-    if lam is None:
-        lam = float(n) ** alpha
-    S = d_frak = B_alpha = T_alpha = None
-    if alpha == 0:
-        klass = BOUNDED
-        S = 3 if lam <= np.sqrt(c) else 4
-    elif alpha < 0.5:
-        klass = SLOW_SUB
-        S = 4
-    elif alpha < 1:
-        klass = SLOW_SUPER
-        steps = int(np.ceil(1.0 / (1.0 - alpha)))
-        d_frak = steps + 1
-        B_alpha = (alpha - 1.0) * steps + alpha
-    elif alpha < 2:
-        klass = MODERATE
-        T_alpha = c_const * np.log(n) if alpha == 1 else c_const * float(n) ** (alpha - 1.0)
-    else:
-        klass = VERY_LARGE if alpha > 2.0 / t + 1.0 else LARGE
-    return ScalingRegime(alpha, klass, S, d_frak, B_alpha, T_alpha)
 
 
 def spiked_gram_outlier(lam, c):

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import write_csv
 from .mplaw import typical_location
 
 
@@ -77,11 +78,14 @@ def bulk_rigidity(eigs, measure, skip=9, eps=0.1):
 
 
 def stieltjes(eigs, z):
-    """m(z) = (1/n) sum 1/(lambda_i - z) for Im z > 0."""
-    if np.imag(z) <= 0:
+    """m(z) = (1/n) sum 1/(lambda_i - z) for Im z > 0, summed in the order
+    of ``eigs``.  Elementwise over an array z; a scalar z gives a complex."""
+    z = np.asarray(z)
+    if np.any(np.imag(z) <= 0):
         raise ValueError("need Im z > 0")
     eigs = np.asarray(eigs, dtype=float)
-    return complex(np.mean(1.0 / (eigs - z)))
+    m = np.mean(1.0 / (eigs - z[..., None]), axis=-1)
+    return m if m.ndim else complex(m)
 
 
 @dataclass
@@ -119,10 +123,8 @@ def stieltjes_compare(Ma, Mb, grid):
     eb = sym_eigs(Mb).eigenvalues
     if ea.size != eb.size:
         raise ValueError("matrices have different sizes")
-    worst = 0.0
-    for z in grid.points:
-        worst = max(worst, abs(stieltjes(ea, z) - stieltjes(eb, z)))
-    return worst
+    diff = stieltjes(ea, grid.points) - stieltjes(eb, grid.points)
+    return float(np.max(np.hypot(diff.real, diff.imag)))
 
 
 def eigvec_rmse(U, V):
@@ -136,17 +138,6 @@ def eigvec_rmse(U, V):
     return np.minimum(minus, plus) / np.sqrt(U.shape[0])
 
 
-def gap_instability_flags(eigs, tol=1e-8):
-    """True at index j when the eigenvalue gap around j falls below tol
-    (eigenvector comparison is ill-posed there)."""
-    eigs = np.asarray(eigs, dtype=float)
-    gaps = np.abs(np.diff(eigs))
-    flags = np.zeros(eigs.size, dtype=bool)
-    flags[:-1] |= gaps < tol
-    flags[1:] |= gaps < tol
-    return flags
-
-
 def esd_histogram(eigs, bins):
     """Histogram of an empirical spectrum.  Returns (edges, counts)."""
     eigs = np.asarray(eigs, dtype=float)
@@ -155,14 +146,5 @@ def esd_histogram(eigs, bins):
 
 
 def save_spectrum_csv(eigs, path):
-    with open(path, "w") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, v in enumerate(np.asarray(eigs), start=1):
-            fh.write("%d,%.17g\n" % (i, v))
-
-
-def save_histogram_csv(edges, counts, path):
-    with open(path, "w") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            fh.write("%.17g,%.17g,%d\n" % (lo, hi, c))
+    """Write ``index,eigenvalue`` rows, 1-based, in the order given."""
+    write_csv(path, ["index", "eigenvalue"], enumerate(np.asarray(eigs, dtype=float), start=1))

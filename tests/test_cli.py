@@ -5,15 +5,17 @@ import numpy as np
 from click.testing import CliRunner
 
 from glspec.cli import main
-from glspec.datagen import load_cloud_csv, load_cloud_npz
+from glspec.datagen import GeneratorConfig, gen_spiked, load_cloud_csv, load_cloud_npz
 from glspec.kernels import (
     KernelParams,
     affinity,
     laplacian,
     pairwise_sq_dists,
+    sym_normalized,
     transition,
     zeroed_transition,
 )
+from glspec.spectrum import save_spectrum_csv, sym_eigs
 
 
 def _invoke(args):
@@ -229,3 +231,53 @@ def test_spectra_row_normalized_matrices_match_reference(tmp_path):
         got = np.loadtxt(spec_path, delimiter=",", skiprows=1)[:, 1]
         want = np.sort(np.linalg.eigvals(M).real)[::-1]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def _reference_save_cloud_csv(cloud, path):
+    # the cloud writer before all CSV output shared one writer: the byte
+    # reference for the format
+    with open(path, "w") as fh:
+        fh.write("n,p,d,kind,seed\n")
+        fh.write("%d,%d,%d,%s,%d\n" % (cloud.n, cloud.p, cloud.d, cloud.kind, cloud.seed))
+        for block in (cloud.clean, cloud.noise):
+            for row in block:
+                fh.write(",".join("%.17g" % v for v in row))
+                fh.write("\n")
+
+
+def _reference_save_spectrum_csv(eigs, path):
+    with open(path, "w") as fh:
+        fh.write("index,eigenvalue\n")
+        for i, v in enumerate(np.asarray(eigs), start=1):
+            fh.write("%d,%.17g\n" % (i, v))
+
+
+def test_cli_writers_keep_the_reference_bytes(tmp_path):
+    cloud_path = str(tmp_path / "x.csv")
+    _invoke(
+        ["gen", "--kind", "spiked", "--n", "30", "--p", "20", "--lam", "5",
+         "--seed", "4", "--out", cloud_path]
+    )
+    ref_path = str(tmp_path / "ref.csv")
+    cloud = gen_spiked(GeneratorConfig(n=30, p=20, lambdas=(5.0,), seed=4))
+    _reference_save_cloud_csv(cloud, ref_path)
+    with open(cloud_path, "rb") as got, open(ref_path, "rb") as ref:
+        assert got.read() == ref.read()
+    cloud = load_cloud_csv(cloud_path)
+    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, 20.0))
+    spectra = {
+        "affinity": sym_eigs(W).eigenvalues,
+        "laplacian": (1.0 - sym_eigs(sym_normalized(W)).eigenvalues[::-1]) / 20.0,
+    }
+    for which, values in spectra.items():
+        spec_path = str(tmp_path / ("%s.csv" % which))
+        _invoke(["spectra", "--cloud", cloud_path, "--matrix", which, "--out", spec_path])
+        _reference_save_spectrum_csv(values, ref_path)
+        with open(spec_path, "rb") as got, open(ref_path, "rb") as ref:
+            assert got.read() == ref.read()
+    odd = np.array([0.0, -0.0, 5e-324, 3e38, np.inf, -np.inf, np.nan, 1.0 / 3.0])
+    for values in (odd, odd.astype(np.float32), np.array([3, -1, 10**17])):
+        save_spectrum_csv(values, spec_path)
+        _reference_save_spectrum_csv(values, ref_path)
+        with open(spec_path, "rb") as got, open(ref_path, "rb") as ref:
+            assert got.read() == ref.read()

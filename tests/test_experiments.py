@@ -162,6 +162,34 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+def test_numpy_scalar_config_writes_a_plain_manifest(tmp_path):
+    out = str(tmp_path)
+    cfg = ExperimentConfig(name="AccuracyLarge", n=np.int64(40), seeds=(0,), output_dir=out)
+    run(cfg, fast=True)
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["config"]["n"] == 40 and manifest["resolved"]["n"] == 40
+    assert isinstance(manifest["config"]["n"], int)
+
+
+def test_unserialisable_manifest_leaves_no_file(tmp_path, monkeypatch):
+    import glspec.experiments as experiments
+
+    out = str(tmp_path)
+    inner = experiments._RUNNERS["AccuracyLarge"]
+
+    def runner(cfg, fast, out):
+        files, seeds, info = inner(cfg, fast, out)
+        return files, seeds, dict(info, bad=object())
+
+    monkeypatch.setitem(experiments._RUNNERS, "AccuracyLarge", runner)
+    with pytest.raises(TypeError):
+        run(ExperimentConfig(name="AccuracyLarge", n=40, seeds=(0,), output_dir=out), fast=True)
+    assert os.path.exists(os.path.join(out, "accuracy_large_summary.csv"))
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    assert not os.path.exists(os.path.join(out, "manifest.json.tmp"))
+
+
 def test_accuracy_low_errors_small(tmp_path):
     out = str(tmp_path)
     run(ExperimentConfig(name="AccuracyLowSNR", output_dir=out), fast=True)

@@ -10,10 +10,8 @@ from glspec.kernels import (
     factor_matrices,
     gram,
     laplacian,
-    load_matrix_csv,
     off_diagonal,
     pairwise_sq_dists,
-    save_matrix_csv,
     sym_normalized,
     transition,
     zeroed_transition,
@@ -193,16 +191,3 @@ def test_affinity_never_indefinite_beyond_roundoff():
     W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, 40.0))
     eigs = np.linalg.eigvalsh(W)
     assert eigs[0] >= -1e-9 * 60
-
-
-def test_matrix_csv_roundtrip(tmp_path):
-    cloud = _cloud(n=6, seed=12)
-    params = KernelParams(0.5, float(cloud.p))
-    W = affinity(pairwise_sq_dists(cloud.noisy()), params)
-    path = tmp_path / "w.csv"
-    save_matrix_csv(W, path, "affinity", params)
-    back, kind, back_params = load_matrix_csv(path)
-    assert kind == "affinity"
-    assert back_params.upsilon == params.upsilon
-    assert back_params.h == params.h
-    assert_array_equal(back, W)

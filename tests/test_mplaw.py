@@ -6,15 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from glspec.mplaw import (
-    BOUNDED,
-    LARGE,
-    MODERATE,
-    SLOW_SUB,
-    SLOW_SUPER,
-    VERY_LARGE,
     MpMeasure,
-    classify_regime,
-    export_measure_csv,
     mp_cdf,
     mp_density,
     mp_edges,
@@ -225,6 +217,17 @@ def test_cdf_array_matches_scalar_reference_at_the_edges():
     assert got[0] == got[1] == got[2] == 0.0
     assert got[3] == got[4] == got[5] == m.bulk_mass
     assert mp_cdf(lo, m) == 0.0 and mp_cdf(hi, m) == m.bulk_mass
+    # c = 1 unshifted: x(t) rounds to the lower edge 0 next to it, and the
+    # cdf keeps to the small-x law 2 sqrt(x) / pi instead of turning NaN
+    unit = MpMeasure(1.0, 1.0)
+    near = np.array([5e-324, 1e-17, 1e-16, 2e-16, 1e-15, 1e-14, 1e-13])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mp_cdf(near, unit)
+        assert mp_cdf(1e-17, unit) == 0.0
+    assert np.all(np.diff(got) >= 0.0)
+    assert np.max(np.abs(got - 2.0 * np.sqrt(near) / np.pi)) <= 1e-8
+    np.testing.assert_array_max_ulp(got, [_scalar_cdf(unit, x) for x in near], maxulp=4)
 
 
 def test_typical_location_matches_large_sample_spectrum():
@@ -298,34 +301,6 @@ def test_nu_check0_requires_p_only_with_signal():
     assert m2.sigma2 > 0.0
 
 
-def test_classify_regime_branches():
-    r = classify_regime(0.0, n=300, c=1.0, lam=0.5)
-    assert (r.regime_class, r.S) == (BOUNDED, 3)
-    r = classify_regime(0.0, n=300, c=1.0, lam=2.0)
-    assert (r.regime_class, r.S) == (BOUNDED, 4)
-    r = classify_regime(0.3, n=300, c=1.0)
-    assert (r.regime_class, r.S) == (SLOW_SUB, 4)
-    r = classify_regime(0.75, n=300, c=1.0)
-    assert r.regime_class == SLOW_SUPER
-    assert r.d_frak == 5
-    assert_allclose(r.B_alpha, (0.75 - 1.0) * 4 + 0.75, rtol=1e-15)
-    r = classify_regime(1.0, n=300, c=1.0)
-    assert r.regime_class == MODERATE
-    assert_allclose(r.T_alpha, 10.0 * np.log(300.0), rtol=1e-15)
-    r = classify_regime(1.5, n=300, c=1.0)
-    assert r.regime_class == MODERATE
-    assert_allclose(r.T_alpha, 10.0 * 300.0 ** 0.5, rtol=1e-15)
-    r = classify_regime(2.5, n=300, c=1.0, t=0.6)
-    assert r.regime_class == LARGE
-    # alpha > 2/t + 1 flips to the very-large class
-    r = classify_regime(4.5, n=300, c=1.0, t=0.6)
-    assert r.regime_class == VERY_LARGE
-    with pytest.raises(ValueError):
-        classify_regime(-0.1, n=300, c=1.0)
-    with pytest.raises(ValueError):
-        classify_regime(1.0, n=300, c=1.0, t=1.0)
-
-
 def test_spiked_gram_outlier_value_and_threshold():
     assert_allclose(spiked_gram_outlier(4.0, 1.0), 6.25, rtol=1e-15)
     assert_allclose(spiked_gram_outlier(2.0, 0.5), 3.0 * 1.0, rtol=1e-15)
@@ -347,18 +322,3 @@ def test_spiked_gram_outlier_against_sample_spectrum():
         cloud = gen_spiked(GeneratorConfig(n=n, p=n, d=1, lambdas=(4.0,), seed=seed))
         tops.append(np.max(np.linalg.eigvalsh(gram(cloud.noisy()))))
     assert abs(np.mean(tops) - 6.25) <= 0.25
-
-
-def test_export_measure_csv(tmp_path):
-    m = MpMeasure(c=2.0, sigma2=1.0, shift=0.1)
-    path = tmp_path / "measure.csv"
-    export_measure_csv(m, path, n_points=64)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape[1] == 3
-    xs, dens, cdf = rows.T
-    assert np.all(np.diff(xs) > 0)
-    assert np.all(np.diff(cdf) >= -1e-12)
-    # the atom row sits at the shift and already carries its mass
-    assert xs[0] == 0.1
-    assert cdf[0] >= m.point_mass_at_zero - 1e-12
-    assert np.all(dens >= 0.0)

@@ -10,9 +10,7 @@ from glspec.spectrum import (
     bulk_rigidity,
     eigvec_rmse,
     esd_histogram,
-    gap_instability_flags,
     op_norm_diff,
-    save_histogram_csv,
     save_spectrum_csv,
     stieltjes,
     stieltjes_compare,
@@ -114,6 +112,27 @@ def test_stieltjes_imaginary_part_positive():
         assert stieltjes(eigs, z).imag > 0.0
 
 
+def test_stieltjes_array_matches_per_point_loop():
+    # the per-point loop and Python's complex abs are the reference: the
+    # array form must reproduce both bit for bit
+    for n, key in ((57, 3), (200, 4), (300, 5)):
+        ea = np.sort(sym_eigs(_symmetric(n, key)).eigenvalues)
+        eb = np.sort(sym_eigs(_symmetric(n, key + 10)).eigenvalues)
+        grid = StieltjesGrid.build(n, 1.0, 0.2)
+        loop = [complex(np.mean(1.0 / (ea - z))) for z in grid.points]
+        got = stieltjes(ea, grid.points)
+        assert got.shape == grid.points.shape
+        assert np.array_equal(got, loop)
+        assert stieltjes(ea, grid.points[0]) == loop[0]
+        # stieltjes_compare sums in sym_eigs' descending order
+        da, db = ea[::-1], eb[::-1]
+        worst = max(abs(complex(np.mean(1.0 / (da - z))) - complex(np.mean(1.0 / (db - z))))
+                    for z in grid.points)
+        assert stieltjes_compare(np.diag(ea), np.diag(eb), grid) == worst
+    with pytest.raises(ValueError):
+        stieltjes(ea, np.array([1.0 + 0.1j, 2.0 - 0.1j]))
+
+
 def test_stieltjes_grid_build():
     n, alpha, a = 200, 1.0, 0.2
     grid = StieltjesGrid.build(n, alpha, a, n_e=16, n_eta=8)
@@ -179,13 +198,6 @@ def test_eigvec_rmse_bounded_for_unit_columns(n, key):
     assert_allclose(eigvec_rmse(U, -U), np.zeros(2), atol=1e-12)
 
 
-def test_gap_instability_flags():
-    eigs = np.array([3.0, 2.0, 2.0 + 1e-12, 1.0])
-    flags = gap_instability_flags(eigs, tol=1e-8)
-    assert_array_equal(flags, np.array([False, True, True, False]))
-    assert not gap_instability_flags(np.array([3.0, 2.0, 1.0])).any()
-
-
 def test_esd_histogram_counts_and_atom():
     eigs = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
     edges, counts = esd_histogram(eigs, bins=3)
@@ -229,12 +241,3 @@ def test_save_spectrum_csv(tmp_path):
     assert lines[0] == "index,eigenvalue"
     assert lines[1] == "1,3"
     assert lines[2] == "2,1"
-
-
-def test_save_histogram_csv(tmp_path):
-    path = tmp_path / "hist.csv"
-    edges, counts = esd_histogram(np.array([0.5, 1.5, 1.6]), bins=2)
-    save_histogram_csv(edges, counts, path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    assert rows.shape == (2, 3)
-    assert rows[:, 2].sum() == 3
