@@ -136,7 +136,7 @@ class OmegaSelection:
     grid: np.ndarray
 
 
-def select_omega(cloud, upsilon, s, grid=None, matrix="affinity"):
+def select_omega(cloud, upsilon, s, grid=None, matrix="affinity", D2=None):
     """Scan quantile levels omega_i = omega_L + (i/T)(omega_U - omega_L),
     i = 0..T, and return the largest omega maximizing the outlier count.
 
@@ -144,6 +144,9 @@ def select_omega(cloud, upsilon, s, grid=None, matrix="affinity"):
     ``matrix="transition"`` the outlier counts are taken from the
     row-stochastic normalization instead (same scan, eigenvalues of
     D^{-1/2} W D^{-1/2}, which shares the transition spectrum).
+
+    ``D2`` is ``pairwise_sq_dists(cloud.noisy())`` when the caller already
+    holds it; otherwise the scan builds it.
 
     Each count is ``window_outliers`` on k <= k_hi = ``ratio_window(n, p)``,
     the window ``resample_threshold`` calibrates s on, with eigenvalues
@@ -158,8 +161,12 @@ def select_omega(cloud, upsilon, s, grid=None, matrix="affinity"):
         raise ValueError("bad grid")
     omegas = omega_lo + (np.arange(T + 1) / T) * (omega_hi - omega_lo)
     k_hi = ratio_window(cloud.n, cloud.p)
-    X = cloud.noisy()
-    D2 = pairwise_sq_dists(X)
+    if D2 is None:
+        D2 = pairwise_sq_dists(cloud.noisy())
+    elif np.shape(D2) != (cloud.n, cloud.n):
+        raise ValueError(
+            "D2 has shape %s, need (%d, %d)" % (np.shape(D2), cloud.n, cloud.n)
+        )
     counts = np.empty(T + 1, dtype=int)
     hs = quantile_bandwidth(D2, omegas)
     for i, h in enumerate(hs):

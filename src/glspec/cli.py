@@ -45,6 +45,17 @@ def _parse_floats(text):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+def _parse_grid(ctx, param, value):
+    """``--grid omega_L,omega_U,T`` as (float, float, int)."""
+    try:
+        lo, hi, t = value.split(",")
+        return float(lo), float(hi), int(t)
+    except ValueError:
+        raise click.BadParameter(
+            "expected omega_L,omega_U,T (two numbers and an integer), got %r" % value
+        ) from None
+
+
 @click.group()
 def main():
     """Kernel-affinity spectra for noisy high-dimensional point clouds."""
@@ -145,7 +156,7 @@ def run_cmd(experiment, config_path, out, fast):
 @click.option("--s", "threshold", type=float, default=None,
               help="Outlier-ratio threshold; resampled when omitted.")
 @click.option("--grid", default="0.05,0.95,91", show_default=True,
-              help="omega_L,omega_U,T.")
+              callback=_parse_grid, help="omega_L,omega_U,T.")
 @click.option("--matrix", type=click.Choice(["affinity", "transition"]),
               default="affinity", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -155,8 +166,6 @@ def run_cmd(experiment, config_path, out, fast):
 def omega(cloud_path, upsilon, threshold, grid, matrix, seed, out):
     """Pick the bandwidth quantile that maximizes the outlier count."""
     cloud = _load_cloud(cloud_path)
-    lo, hi, t = grid.split(",")
-    grid = (float(lo), float(hi), int(t))
     if threshold is None:
         threshold = resample_threshold(
             cloud.n / float(cloud.p), cloud.n, upsilon, seed=seed

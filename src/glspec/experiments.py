@@ -271,23 +271,29 @@ def _affinity_of(X, upsilon, h):
 
 def _run_phase_sweep(cfg, fast, out):
     """Descending eigenvalue curves per signal strength, plus four tracked
-    eigenvalues swept over a fine strength grid with frozen noise."""
+    eigenvalues swept over a fine strength grid with frozen noise.
+
+    The curves run at p = ``cfg.p`` (default n), or at p = round(n/c) for
+    each c of ``cfg.c_grid``, one ``c*_alpha_*`` column per pair."""
     n = cfg.n if cfg.n is not None else 300
-    p = cfg.p if cfg.p is not None else n
+    if cfg.c_grid is None:
+        aspects = [("", cfg.p if cfg.p is not None else n)]
+    else:
+        aspects = [("c%g_" % c, int(round(n / c))) for c in cfg.c_grid]
     base = _resolve_base(cfg, "p")
     seed = cfg.seeds[0]
     alphas = cfg.alpha_grid if cfg.alpha_grid is not None else (
         0.0, 0.3, 0.45, 0.6, 0.8, 1.5, 2.5,
     )
 
-    def curve(alpha):
+    def curve(p, alpha):
         lam = _signal(alpha, n, p, base)
         cloud = _spiked_cloud(n, p, lam, seed)
         W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
         return sym_eigs(W).eigenvalues
 
-    curves = [curve(alpha) for alpha in alphas]
-    header = ["index"] + ["alpha_%g" % a for a in alphas]
+    curves = [curve(p, alpha) for _, p in aspects for alpha in alphas]
+    header = ["index"] + [tag + "alpha_%g" % a for tag, _ in aspects for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
     f_curves = write_csv(os.path.join(out, "phase_eigencurves.csv"), header, rows)
 
@@ -321,7 +327,7 @@ def _run_phase_sweep(cfg, fast, out):
             "set xlabel 'index'",
             "set ylabel 'eigenvalue'",
             "plot for [col=2:%d] 'phase_eigencurves.csv' using 1:col "
-            "with lines title columnheader(col)" % (1 + len(alphas)),
+            "with lines title columnheader(col)" % len(header),
             "pause -1",
             "set xlabel 'alpha'",
             "plot 'phase_tracked.csv' using 2:3 skip 1 with lines title 'w eig 1', "
@@ -330,7 +336,14 @@ def _run_phase_sweep(cfg, fast, out):
             "'' using 2:6 skip 1 with lines title 'w eig 80'",
         ],
     )
-    info = {"n": n, "p": p, "alpha_base": base, "tracked_n": n2, "c_grid": list(cs)}
+    info = {
+        "n": n,
+        "curve_p": [p for _, p in aspects],
+        "alpha_base": base,
+        "tracked_n": n2,
+        "tracked_p": [int(round(n2 / c)) for c in cs],
+        "c_grid": list(cs),
+    }
     return [f_curves, f_track, f_gp], [seed], info
 
 
@@ -571,8 +584,11 @@ def _run_omega_sweep(cfg, fast, out):
         p = int(round(n / c))
         lam = _signal(alpha, n, p, base)
         cloud = gen_circle(n, p, lam, seed)
-        sel_w = select_omega(cloud, cfg.upsilon, thresholds[c])
-        sel_a = select_omega(cloud, cfg.upsilon, thresholds[c], matrix="transition")
+        D2 = pairwise_sq_dists(cloud.noisy())
+        sel_w = select_omega(cloud, cfg.upsilon, thresholds[c], D2=D2)
+        sel_a = select_omega(
+            cloud, cfg.upsilon, thresholds[c], matrix="transition", D2=D2
+        )
         return [
             c, alpha, thresholds[c],
             sel_w.omega, sel_w.h / p,
@@ -634,13 +650,11 @@ def _run_manifold_rmse(cfg, fast, out):
                 else:
                     cloud = gen_klein_bottle(n, p, a, seed)
                 lam_tot = cloud.lambda_total()
-                D2_clean = pairwise_sq_dists(cloud.clean)
                 ref = sym_eigs(
-                    affinity(D2_clean, KernelParams(upsilon, p + lam_tot)),
-                    want_vectors=top,
+                    _affinity_of(cloud.clean, upsilon, p + lam_tot), want_vectors=top
                 ).eigenvectors
                 D2 = pairwise_sq_dists(cloud.noisy())
-                sel = select_omega(cloud, upsilon, s)
+                sel = select_omega(cloud, upsilon, s, D2=D2)
                 variants = {
                     "adap": sel.h,
                     "medq": quantile_bandwidth(D2, 0.5),
@@ -846,10 +860,11 @@ def _run_zeroing_comparison(cfg, fast, out):
         lam = float(p) ** alpha
         cloud = _spiked_cloud(n, p, lam, seed)
         ref = third_vector_row_stochastic(_affinity_of(cloud.clean, upsilon, p + lam))
-        sel = select_omega(cloud, upsilon, s)
-        adap = third_vector_row_stochastic(_affinity_of(cloud.noisy(), upsilon, sel.h))
+        D2 = pairwise_sq_dists(cloud.noisy())
+        sel = select_omega(cloud, upsilon, s, D2=D2)
+        adap = third_vector_row_stochastic(affinity(D2, KernelParams(upsilon, sel.h)))
         zeroed = third_vector_row_stochastic(
-            off_diagonal(_affinity_of(cloud.noisy(), upsilon, h_zero))
+            off_diagonal(affinity(D2, KernelParams(upsilon, h_zero)))
         )
         rng = np.random.Generator(np.random.Philox(key=seed + 991))
         noise_vec = rng.standard_normal(n)

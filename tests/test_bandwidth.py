@@ -236,6 +236,26 @@ def test_select_omega_validates_arguments():
         select_omega(cloud, 0.5, s=0.2, matrix="laplacian")
 
 
+@pytest.mark.parametrize("matrix", ["affinity", "transition"])
+def test_select_omega_takes_the_callers_distances(matrix):
+    cloud = gen_circle(n=60, p=60, lam=60.0, seed=4)
+    own = select_omega(cloud, 0.5, 0.3, matrix=matrix)
+    given = select_omega(
+        cloud, 0.5, 0.3, matrix=matrix, D2=pairwise_sq_dists(cloud.noisy())
+    )
+    assert given.omega.hex() == own.omega.hex()
+    assert given.h.hex() == own.h.hex()
+    assert np.array_equal(given.k_per_omega, own.k_per_omega)
+    assert np.array_equal(given.grid, own.grid)
+
+
+def test_select_omega_rejects_distances_of_another_size():
+    cloud = gen_circle(n=30, p=30, lam=30.0, seed=4)
+    D2 = pairwise_sq_dists(cloud.noisy()[:-1])
+    with pytest.raises(ValueError, match="D2"):
+        select_omega(cloud, 0.5, 0.3, grid=(0.1, 0.9, 4), D2=D2)
+
+
 def test_select_omega_transition_variant_runs():
     cloud = gen_circle(n=60, p=60, lam=60.0, seed=4)
     s = 0.3

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from glspec.cli import main
@@ -281,3 +282,16 @@ def test_cli_writers_keep_the_reference_bytes(tmp_path):
         _reference_save_spectrum_csv(values, ref_path)
         with open(spec_path, "rb") as got, open(ref_path, "rb") as ref:
             assert got.read() == ref.read()
+
+
+@pytest.mark.parametrize("grid", ["0.05,0.95", "0.05,0.95,x"])
+def test_omega_rejects_a_malformed_grid(tmp_path, grid):
+    cloud_path = str(tmp_path / "cloud.csv")
+    _invoke(["gen", "--kind", "spiked", "--n", "20", "--p", "20", "--lam", "5",
+             "--out", cloud_path])
+    result = CliRunner().invoke(
+        main, ["omega", "--cloud", cloud_path, "--s", "0.3", "--grid", grid]
+    )
+    assert result.exit_code == 2, result.output
+    assert "--grid" in result.output
+    assert "Traceback" not in result.output

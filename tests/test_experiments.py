@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from glspec.datagen import GeneratorConfig, gen_spiked
 from glspec.experiments import (
     DEFAULT_SEEDS,
     EXPERIMENT_NAMES,
@@ -12,6 +13,8 @@ from glspec.experiments import (
     parse_config_file,
     run,
 )
+from glspec.kernels import KernelParams, affinity, pairwise_sq_dists
+from glspec.spectrum import sym_eigs
 
 
 def _load_named_csv(path):
@@ -136,6 +139,25 @@ def test_phase_sweep_manifest_and_artifacts(tmp_path):
     # gnuplot preamble
     gp = (tmp_path / "phase" / "phase_sweep.gp").read_text()
     assert gp.startswith("set datafile separator ','")
+
+
+def test_phase_sweep_eigencurves_follow_c_grid(tmp_path):
+    out = str(tmp_path)
+    manifest = run(
+        ExperimentConfig(name="PhaseSweep", n=60, c_grid=(2.0,), alpha_grid=(0.0, 1.5),
+                         output_dir=out),
+        fast=True,
+    )
+    assert manifest.resolved["curve_p"] == [30]
+    assert manifest.resolved["tracked_p"] == [100]
+    with open(os.path.join(out, "phase_eigencurves.csv")) as fh:
+        header = fh.readline().strip().split(",")
+    assert header == ["index", "c2_alpha_0", "c2_alpha_1.5"]
+    curves = np.loadtxt(os.path.join(out, "phase_eigencurves.csv"), delimiter=",", skiprows=1)
+    # alpha = 0 is lambda = 1 at n = 60, p = 30, bandwidth h = p
+    cloud = gen_spiked(GeneratorConfig(n=60, p=30, d=1, lambdas=(1.0,), seed=0))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, 30.0))
+    assert np.array_equal(curves[:, 1], sym_eigs(W).eigenvalues)
 
 
 def test_rerun_reproduces_artifact_bytes(tmp_path):
@@ -319,6 +341,42 @@ def test_manifold_rmse_structure(tmp_path):
         assert 0.05 <= r[3] <= 0.95
         assert r[4] > 0.0
     assert manifest.resolved["reps"] == 2
+
+
+@pytest.mark.parametrize(
+    "settings, expected",
+    [
+        # clean and noisy distances once per repetition: 2 manifolds x 2 reps
+        ({"name": "ManifoldRmse", "n": 40, "reps": 2, "c_grid": (1.0,)}, 2 * 4),
+        # clean and noisy distances once per (alpha, seed): 2 x 2 pairs
+        (
+            {"name": "ZeroingComparison", "n": 60, "p": 30,
+             "alpha_grid": (0.5, 1.0), "seeds": (0, 1)},
+            2 * 4,
+        ),
+        # one noisy distance matrix per cloud, both scans share it: 2 x 2 clouds
+        (
+            {"name": "OmegaSweep", "n": 60, "c_grid": (1.0, 2.0),
+             "alpha_grid": (0.2, 3.0)},
+            1 * 4,
+        ),
+    ],
+    ids=lambda v: v["name"] if isinstance(v, dict) else str(v),
+)
+def test_one_distance_matrix_per_cloud(tmp_path, monkeypatch, settings, expected):
+    import glspec.bandwidth
+    import glspec.experiments
+
+    calls = []
+
+    def counting(X):
+        calls.append(np.shape(X))
+        return pairwise_sq_dists(X)
+
+    monkeypatch.setattr(glspec.experiments, "pairwise_sq_dists", counting)
+    monkeypatch.setattr(glspec.bandwidth, "pairwise_sq_dists", counting)
+    run(ExperimentConfig(output_dir=str(tmp_path), **settings))
+    assert len(calls) == expected
 
 
 def test_stieltjes_compare_sup_below_bound(tmp_path):
