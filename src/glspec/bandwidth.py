@@ -125,6 +125,18 @@ def resample_threshold(c, n, upsilon, reps=50, quantile_level=0.99, seed=0):
     return float(np.quantile(ratios, quantile_level)) - 1.0
 
 
+def omega_grid(grid):
+    """Quantile levels omega_i = omega_L + (i/T)(omega_U - omega_L),
+    i = 0..T, of ``grid`` = (omega_L, omega_U, T); raises ValueError
+    unless 0 < omega_L <= omega_U <= 1 and T >= 1."""
+    omega_lo, omega_hi, T = grid
+    if not (0.0 < omega_lo <= omega_hi <= 1.0 and T >= 1):
+        raise ValueError(
+            "need 0 < omega_L <= omega_U <= 1 and T >= 1, got %r" % (tuple(grid),)
+        )
+    return omega_lo + (np.arange(T + 1) / T) * (omega_hi - omega_lo)
+
+
 @dataclass
 class OmegaSelection:
     """Outcome of the quantile-grid bandwidth search."""
@@ -137,8 +149,8 @@ class OmegaSelection:
 
 
 def select_omega(cloud, upsilon, s, grid=None, matrix="affinity", D2=None):
-    """Scan quantile levels omega_i = omega_L + (i/T)(omega_U - omega_L),
-    i = 0..T, and return the largest omega maximizing the outlier count.
+    """Scan the quantile levels of ``omega_grid(grid)`` and return the
+    largest omega maximizing the outlier count.
 
     ``grid`` is (omega_L, omega_U, T), default (0.05, 0.95, 91).  With
     ``matrix="transition"`` the outlier counts are taken from the
@@ -156,10 +168,7 @@ def select_omega(cloud, upsilon, s, grid=None, matrix="affinity", D2=None):
         grid = (0.05, 0.95, 91)
     if matrix not in ("affinity", "transition"):
         raise ValueError("matrix must be 'affinity' or 'transition'")
-    omega_lo, omega_hi, T = grid
-    if not (0.0 < omega_lo <= omega_hi <= 1.0 and T >= 1):
-        raise ValueError("bad grid")
-    omegas = omega_lo + (np.arange(T + 1) / T) * (omega_hi - omega_lo)
+    omegas = omega_grid(grid)
     k_hi = ratio_window(cloud.n, cloud.p)
     if D2 is None:
         D2 = pairwise_sq_dists(cloud.noisy())
@@ -167,7 +176,7 @@ def select_omega(cloud, upsilon, s, grid=None, matrix="affinity", D2=None):
         raise ValueError(
             "D2 has shape %s, need (%d, %d)" % (np.shape(D2), cloud.n, cloud.n)
         )
-    counts = np.empty(T + 1, dtype=int)
+    counts = np.empty(omegas.size, dtype=int)
     hs = quantile_bandwidth(D2, omegas)
     for i, h in enumerate(hs):
         W = affinity(D2, KernelParams(upsilon, h))

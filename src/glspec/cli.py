@@ -6,7 +6,12 @@ import dataclasses
 import click
 import numpy as np
 
-from .bandwidth import resample_threshold, save_selection_json, select_omega
+from .bandwidth import (
+    omega_grid,
+    resample_threshold,
+    save_selection_json,
+    select_omega,
+)
 from .datagen import (
     GeneratorConfig,
     gen_circle,
@@ -46,14 +51,20 @@ def _parse_floats(text):
 
 
 def _parse_grid(ctx, param, value):
-    """``--grid omega_L,omega_U,T`` as (float, float, int)."""
+    """``--grid omega_L,omega_U,T`` as (float, float, int), checked by
+    ``bandwidth.omega_grid`` before any work starts."""
     try:
         lo, hi, t = value.split(",")
-        return float(lo), float(hi), int(t)
+        grid = float(lo), float(hi), int(t)
     except ValueError:
         raise click.BadParameter(
             "expected omega_L,omega_U,T (two numbers and an integer), got %r" % value
         ) from None
+    try:
+        omega_grid(grid)
+    except ValueError as err:
+        raise click.BadParameter(str(err)) from None
+    return grid
 
 
 @click.group()

@@ -6,10 +6,16 @@ standardized signal draws, and the random rotation.  Because noise and
 standardized signal live on their own substreams, the same seed reuses one
 noise realization across a whole grid of signal strengths.
 
+A generated cloud's ``noise`` is read-only and is one array shared by every
+live cloud with the same (seed, n, p): it is drawn when no such cloud holds
+it and freed with the last one that does.  Callers copy it before writing.
+Clouds loaded from CSV or NPZ own their arrays.
+
 ``write_csv`` here is the one CSV writer of the package: clouds, spectra
 and experiment artifacts all share its number format.
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +46,8 @@ class PointCloud:
     never stored redundantly.  ``lambdas`` holds the spectrum of the clean
     part's population covariance (the signal strengths), ``d`` its rank.
     Loaded clouds may carry ``lambdas=None`` when the source format has no
-    strength metadata.
+    strength metadata.  A generated cloud's ``noise`` is read-only and shared
+    with every live cloud of the same (seed, n, p); copy it before writing.
     """
 
     clean: np.ndarray
@@ -117,6 +124,24 @@ def _streams(seed):
     )
 
 
+# Live noise draws by (seed, n, p).  Values are held weakly, so an entry
+# lasts only as long as some cloud holds its array.
+_NOISE = weakref.WeakValueDictionary()
+
+
+def _shared_noise(noise_rng, seed, n, p):
+    """The standard Gaussian n x p draw of ``noise_rng``, the noise
+    substream of ``seed``: taken from a live cloud with the same key when
+    there is one, otherwise drawn and marked read-only."""
+    key = (int(seed), int(n), int(p))
+    noise = _NOISE.get(key)
+    if noise is None:
+        noise = noise_rng.standard_normal((n, p))
+        noise.flags.writeable = False
+        _NOISE[key] = noise
+    return noise
+
+
 def _haar_orthogonal(rng, p):
     m = rng.standard_normal((p, p))
     q, r = np.linalg.qr(m)
@@ -143,7 +168,7 @@ def gen_spiked(cfg):
     cfg.validate()
     lams = cfg.resolve_lambdas()
     noise_rng, signal_rng, rot_rng = _streams(cfg.seed)
-    noise = noise_rng.standard_normal((cfg.n, cfg.p))
+    noise = _shared_noise(noise_rng, cfg.seed, cfg.n, cfg.p)
     xi = signal_rng.standard_normal((cfg.n, cfg.d))
     clean = np.zeros((cfg.n, cfg.p))
     clean[:, : cfg.d] = xi * np.sqrt(lams)
@@ -159,7 +184,7 @@ def gen_circle(n, p, lam, seed):
     if lam <= 0:
         raise ValueError("need lam > 0")
     noise_rng, signal_rng, _ = _streams(seed)
-    noise = noise_rng.standard_normal((n, p))
+    noise = _shared_noise(noise_rng, seed, n, p)
     theta = signal_rng.uniform(0.0, TWO_PI, n)
     clean = np.zeros((n, p))
     clean[:, 0] = np.sqrt(lam) * np.cos(theta)
@@ -184,7 +209,7 @@ def gen_curve_m1(n, p, a, seed, rotate=True):
     if a <= 0:
         raise ValueError("need a > 0")
     noise_rng, signal_rng, rot_rng = _streams(seed)
-    noise = noise_rng.standard_normal((n, p))
+    noise = _shared_noise(noise_rng, seed, n, p)
     u = signal_rng.uniform(0.0, TWO_PI, n)
     clean = np.zeros((n, p))
     clean[:, :3] = a * _m1_embedding(u)
@@ -201,7 +226,7 @@ def gen_klein_bottle(n, p, a, seed, rotate=True):
     if a <= 0:
         raise ValueError("need a > 0")
     noise_rng, signal_rng, rot_rng = _streams(seed)
-    noise = noise_rng.standard_normal((n, p))
+    noise = _shared_noise(noise_rng, seed, n, p)
     u1 = signal_rng.uniform(0.0, TWO_PI, n)
     u2 = signal_rng.uniform(0.0, TWO_PI, n)
     clean = np.zeros((n, p))

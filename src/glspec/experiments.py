@@ -306,10 +306,9 @@ def _run_phase_sweep(cfg, fast, out):
     def tracked(c, alpha):
         p2 = int(round(n2 / c))
         lam = _signal(alpha, n2, p2, base)
-        cloud = _spiked_cloud(n2, p2, lam, seed)
-        W = _affinity_of(cloud.noisy(), cfg.upsilon, p2)
-        ew = sym_eigs(W).eigenvalues
-        eg = sym_eigs(gram(cloud.noisy())).eigenvalues
+        X = _spiked_cloud(n2, p2, lam, seed).noisy()
+        ew = sym_eigs(_affinity_of(X, cfg.upsilon, p2)).eigenvalues
+        eg = sym_eigs(gram(X)).eigenvalues
         return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
 
     rows = [tracked(c, float(a)) for c in cs for a in fine]

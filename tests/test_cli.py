@@ -284,7 +284,7 @@ def test_cli_writers_keep_the_reference_bytes(tmp_path):
             assert got.read() == ref.read()
 
 
-@pytest.mark.parametrize("grid", ["0.05,0.95", "0.05,0.95,x"])
+@pytest.mark.parametrize("grid", ["0.05,0.95", "0.05,0.95,x", "0.5,0.2,10", "0.05,0.95,0"])
 def test_omega_rejects_a_malformed_grid(tmp_path, grid):
     cloud_path = str(tmp_path / "cloud.csv")
     _invoke(["gen", "--kind", "spiked", "--n", "20", "--p", "20", "--lam", "5",

@@ -1,7 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from glspec import datagen
 from glspec.datagen import (
     CIRCLE,
     CURVE_M1,
@@ -85,6 +88,45 @@ def test_noise_reused_across_signal_strengths():
     b = gen_spiked(GeneratorConfig(n=30, p=20, d=1, lambdas=(900.0,), seed=9))
     assert_array_equal(a.noise, b.noise)
     assert not np.array_equal(a.clean, b.clean)
+
+
+# Each generator as (seed, n, p, strength) -> cloud; p >= 4 suits all four.
+GENERATORS = {
+    "spiked": lambda seed, n, p, lam: gen_spiked(
+        GeneratorConfig(n=n, p=p, d=1, lambdas=(lam,), rotate=True, seed=seed)
+    ),
+    "circle": lambda seed, n, p, lam: gen_circle(n, p, lam, seed),
+    "curve_m1": lambda seed, n, p, lam: gen_curve_m1(n, p, lam, seed),
+    "klein_bottle": lambda seed, n, p, lam: gen_klein_bottle(n, p, lam, seed),
+}
+
+
+@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
+def test_strength_sweep_shares_one_read_only_noise_draw(make):
+    seed, n, p = 7341, 12, 6
+    a, b = make(seed, n, p, 1.0), make(seed, n, p, 50.0)
+    assert a.noise is b.noise
+    assert not np.array_equal(a.clean, b.clean)
+    with pytest.raises(ValueError):
+        a.noise[0, 0] = 1.0
+    fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, p))
+    assert_array_equal(a.noise, fresh)
+    for other in (make(seed + 1, n, p, 1.0), make(seed, n, p + 1, 1.0)):
+        assert not np.array_equal(other.noise, a.noise)
+
+
+@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
+def test_shared_noise_goes_with_its_last_cloud(make):
+    seed, n, p = 7342, 10, 5
+    key = (seed, n, p)
+    a, b = make(seed, n, p, 1.0), make(seed, n, p, 2.0)
+    assert key in datagen._NOISE
+    del a
+    gc.collect()
+    assert datagen._NOISE[key] is b.noise
+    del b
+    gc.collect()
+    assert key not in datagen._NOISE
 
 
 def test_determinism_same_seed():
@@ -212,6 +254,7 @@ def test_cloud_csv_roundtrip(tmp_path):
     back = load_cloud_csv(path)
     assert_array_equal(back.clean, cloud.clean)
     assert_array_equal(back.noise, cloud.noise)
+    assert back.noise.flags.writeable  # a loaded cloud owns its arrays
     assert (back.n, back.p, back.d, back.seed, back.kind) == (9, 5, 2, 13, SPIKED)
     assert back.lambdas is None  # the CSV format has no strength column
     with pytest.raises(ValueError):
@@ -225,6 +268,7 @@ def test_cloud_npz_roundtrip(tmp_path):
     back = load_cloud_npz(path)
     assert_array_equal(back.clean, cloud.clean)
     assert_array_equal(back.noise, cloud.noise)
+    assert back.noise.flags.writeable
     assert back.lambdas == cloud.lambdas
     assert back.kind == CIRCLE
 
