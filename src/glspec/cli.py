@@ -13,7 +13,6 @@ from .bandwidth import (
     select_omega,
 )
 from .datagen import (
-    GeneratorConfig,
     gen_circle,
     gen_curve_m1,
     gen_klein_bottle,
@@ -46,8 +45,28 @@ def _load_cloud(path):
     return load_cloud_csv(path)
 
 
-def _parse_floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _strengths(kind, n, p, lam, alpha, alpha_base):
+    """Signal strengths from ``--lam`` or ``--alpha`` (base**alpha, base n
+    or p): exactly one of them for spiked, one value of it for the circle,
+    neither for m1/kb, whose strength is ``--scale``."""
+    if kind in ("m1", "kb"):
+        if lam is not None or alpha is not None:
+            raise click.UsageError("%s takes --scale, not --lam or --alpha" % kind)
+        return None
+    if (lam is None) == (alpha is None):
+        raise click.UsageError("%s needs exactly one of --lam or --alpha" % kind)
+    name, text = ("--lam", lam) if alpha is None else ("--alpha", alpha)
+    try:
+        values = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        values = ()
+    if not values or (kind == "circle" and len(values) != 1):
+        count = "one number" if kind == "circle" else "comma-separated numbers"
+        raise click.BadParameter("%s takes %s, got %r" % (kind, count, text), param_hint=name)
+    if name == "--alpha":
+        base = float(n if alpha_base == "n" else p)
+        values = tuple(base ** a for a in values)
+    return values
 
 
 def _parse_grid(ctx, param, value):
@@ -77,8 +96,6 @@ def main():
               default="spiked", show_default=True)
 @click.option("--n", type=int, required=True, help="Points.")
 @click.option("--p", type=int, required=True, help="Ambient dimension.")
-@click.option("--d", type=int, default=1, show_default=True,
-              help="Signal dimension (spiked only).")
 @click.option("--lam", default=None,
               help="Comma-separated signal strengths (spiked/circle).")
 @click.option("--alpha", default=None,
@@ -92,34 +109,22 @@ def main():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(),
               help="Output path (.csv or .npz).")
-def gen(kind, n, p, d, lam, alpha, alpha_base, scale, rotate, seed, out):
+def gen(kind, n, p, lam, alpha, alpha_base, scale, rotate, seed, out):
     """Generate a point cloud and write it to disk."""
-    if kind == "spiked":
-        cfg = GeneratorConfig(
-            n=n,
-            p=p,
-            d=d,
-            lambdas=_parse_floats(lam) if lam else None,
-            alphas=_parse_floats(alpha) if alpha else None,
-            alpha_base=alpha_base,
-            rotate=bool(rotate),
-            seed=seed,
-        )
-        cloud = gen_spiked(cfg)
-    elif kind == "circle":
-        if lam is None and alpha is None:
-            raise click.UsageError("circle needs --lam or --alpha")
-        if lam is not None:
-            strength = _parse_floats(lam)[0]
+    lams = _strengths(kind, n, p, lam, alpha, alpha_base)
+    try:
+        if kind == "spiked":
+            cloud = gen_spiked(n, p, lams, seed, rotate=bool(rotate))
+        elif kind == "circle":
+            cloud = gen_circle(n, p, lams[0], seed)
         else:
-            base = n if alpha_base == "n" else p
-            strength = float(base) ** _parse_floats(alpha)[0]
-        cloud = gen_circle(n, p, strength, seed)
-    else:
-        a = scale if scale is not None else 20.0 * np.sqrt(p)
-        maker = gen_curve_m1 if kind == "m1" else gen_klein_bottle
-        kwargs = {} if rotate is None else {"rotate": rotate}
-        cloud = maker(n, p, a, seed, **kwargs)
+            a = scale if scale is not None else 20.0 * np.sqrt(p)
+            maker = gen_curve_m1 if kind == "m1" else gen_klein_bottle
+            kwargs = {} if rotate is None else {"rotate": rotate}
+            cloud = maker(n, p, a, seed, **kwargs)
+    except ValueError as err:
+        # the generators check their arguments before drawing anything
+        raise click.UsageError(str(err)) from None
     if out.endswith(".npz"):
         save_cloud_npz(cloud, out)
     else:

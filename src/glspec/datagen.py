@@ -16,7 +16,7 @@ and experiment artifacts all share its number format.
 """
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,50 +70,6 @@ class PointCloud:
         return float(sum(self.lambdas))
 
 
-@dataclass
-class GeneratorConfig:
-    """Parameters of the spiked generator.
-
-    Signal strengths come either from ``lambdas`` directly or from exponents
-    ``alphas`` via lambda_l = base**alpha_l, with ``alpha_base`` selecting
-    the base ("p", the figure convention, or "n").
-    """
-
-    n: int
-    p: int
-    d: int = 1
-    lambdas: tuple = None
-    alphas: tuple = None
-    alpha_base: str = "p"
-    rotate: bool = False
-    seed: int = 0
-
-    def resolve_lambdas(self):
-        if (self.lambdas is None) == (self.alphas is None):
-            raise ValueError("specify exactly one of lambdas / alphas")
-        if self.lambdas is not None:
-            lams = tuple(float(l) for l in self.lambdas)
-        else:
-            if self.alpha_base == "p":
-                base = self.p
-            elif self.alpha_base == "n":
-                base = self.n
-            else:
-                raise ValueError("alpha_base must be 'p' or 'n'")
-            lams = tuple(float(base) ** float(a) for a in self.alphas)
-        if len(lams) != self.d:
-            raise ValueError("need one signal strength per signal dimension")
-        if any(l < 0 for l in lams):
-            raise ValueError("signal strengths must be nonnegative")
-        return lams
-
-    def validate(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if not (self.p >= self.d >= 1):
-            raise ValueError("need p >= d >= 1")
-
-
 def _streams(seed):
     # Fixed substream layout: 0 = noise, 1 = standardized signal, 2 = rotation.
     root = np.random.Philox(key=int(seed))
@@ -162,19 +118,37 @@ def random_rotation(p, seed):
     return _haar_orthogonal(rot, p)
 
 
-def gen_spiked(cfg):
-    """Spiked model: x_i = z_i + y_i with cov(z) = diag(lambda_1..lambda_d, 0..)
-    and standard Gaussian noise."""
-    cfg.validate()
-    lams = cfg.resolve_lambdas()
-    noise_rng, signal_rng, rot_rng = _streams(cfg.seed)
-    noise = _shared_noise(noise_rng, cfg.seed, cfg.n, cfg.p)
-    xi = signal_rng.standard_normal((cfg.n, cfg.d))
-    clean = np.zeros((cfg.n, cfg.p))
-    clean[:, : cfg.d] = xi * np.sqrt(lams)
-    if cfg.rotate:
-        clean = clean @ _haar_orthogonal(rot_rng, cfg.p).T
-    return PointCloud(clean, noise, cfg.n, cfg.p, cfg.d, lams, cfg.seed, SPIKED)
+def _generate(kind, n, p, seed, lambdas, coords, rotate=False):
+    """The one body behind every generator: the noise of ``seed``, the n x d
+    array ``coords(signal_rng)`` drawn from its signal substream and
+    zero-padded to n x p, then rotated by the Haar matrix of its rotation
+    substream when ``rotate``."""
+    noise_rng, signal_rng, rot_rng = _streams(seed)
+    noise = _shared_noise(noise_rng, seed, n, p)
+    z = coords(signal_rng)
+    d = z.shape[1]
+    clean = np.zeros((n, p))
+    clean[:, :d] = z
+    if rotate:
+        clean = clean @ _haar_orthogonal(rot_rng, p).T
+    return PointCloud(clean, noise, n, p, d, lambdas, seed, kind)
+
+
+def gen_spiked(n, p, lambdas, seed, rotate=False):
+    """Spiked model: x_i = z_i + y_i with cov(z) = diag(lambdas, 0..) and
+    standard Gaussian noise; the signal dimension d is len(lambdas)."""
+    lams = tuple(float(l) for l in lambdas)
+    d = len(lams)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if not (p >= d >= 1):
+        raise ValueError("need p >= d >= 1")
+    if any(l < 0 for l in lams):
+        raise ValueError("signal strengths must be nonnegative")
+    return _generate(
+        SPIKED, n, p, seed, lams,
+        lambda rng: rng.standard_normal((n, d)) * np.sqrt(lams), rotate,
+    )
 
 
 def gen_circle(n, p, lam, seed):
@@ -183,14 +157,13 @@ def gen_circle(n, p, lam, seed):
         raise ValueError("need p >= 2 for the circle")
     if lam <= 0:
         raise ValueError("need lam > 0")
-    noise_rng, signal_rng, _ = _streams(seed)
-    noise = _shared_noise(noise_rng, seed, n, p)
-    theta = signal_rng.uniform(0.0, TWO_PI, n)
-    clean = np.zeros((n, p))
-    clean[:, 0] = np.sqrt(lam) * np.cos(theta)
-    clean[:, 1] = np.sqrt(lam) * np.sin(theta)
+
+    def coords(rng):
+        theta = rng.uniform(0.0, TWO_PI, n)
+        return np.sqrt(lam) * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
     # clean covariance is (lam/2) I on the circle plane
-    return PointCloud(clean, noise, n, p, 2, (lam / 2.0, lam / 2.0), seed, CIRCLE)
+    return _generate(CIRCLE, n, p, seed, (lam / 2.0, lam / 2.0), coords)
 
 
 def _m1_embedding(u):
@@ -208,15 +181,11 @@ def gen_curve_m1(n, p, a, seed, rotate=True):
         raise ValueError("need p >= 3 for the M1 curve")
     if a <= 0:
         raise ValueError("need a > 0")
-    noise_rng, signal_rng, rot_rng = _streams(seed)
-    noise = _shared_noise(noise_rng, seed, n, p)
-    u = signal_rng.uniform(0.0, TWO_PI, n)
-    clean = np.zeros((n, p))
-    clean[:, :3] = a * _m1_embedding(u)
-    if rotate:
-        clean = clean @ _haar_orthogonal(rot_rng, p).T
     lams = tuple(a * a * v for v in M1_COV_EIGS)
-    return PointCloud(clean, noise, n, p, 3, lams, seed, CURVE_M1)
+    return _generate(
+        CURVE_M1, n, p, seed, lams,
+        lambda rng: a * _m1_embedding(rng.uniform(0.0, TWO_PI, n)), rotate,
+    )
 
 
 def gen_klein_bottle(n, p, a, seed, rotate=True):
@@ -225,21 +194,21 @@ def gen_klein_bottle(n, p, a, seed, rotate=True):
         raise ValueError("need p >= 4 for the Klein bottle")
     if a <= 0:
         raise ValueError("need a > 0")
-    noise_rng, signal_rng, rot_rng = _streams(seed)
-    noise = _shared_noise(noise_rng, seed, n, p)
-    u1 = signal_rng.uniform(0.0, TWO_PI, n)
-    u2 = signal_rng.uniform(0.0, TWO_PI, n)
-    clean = np.zeros((n, p))
-    ring = 2.0 * np.cos(u1) + 1.0
-    clean[:, 0] = ring * np.cos(u2)
-    clean[:, 1] = ring * np.sin(u2)
-    clean[:, 2] = 2.0 * np.sin(u1) * np.cos(u2 / 2.0)
-    clean[:, 3] = 2.0 * np.sin(u1) * np.sin(u2 / 2.0)
-    clean[:, :4] *= a
-    if rotate:
-        clean = clean @ _haar_orthogonal(rot_rng, p).T
+
+    def coords(rng):
+        u1 = rng.uniform(0.0, TWO_PI, n)
+        u2 = rng.uniform(0.0, TWO_PI, n)
+        ring = 2.0 * np.cos(u1) + 1.0
+        psi = np.stack([
+            ring * np.cos(u2),
+            ring * np.sin(u2),
+            2.0 * np.sin(u1) * np.cos(u2 / 2.0),
+            2.0 * np.sin(u1) * np.sin(u2 / 2.0),
+        ], axis=1)
+        return a * psi
+
     lams = tuple(a * a * v for v in KB_COV_EIGS)
-    return PointCloud(clean, noise, n, p, 4, lams, seed, KLEIN_BOTTLE)
+    return _generate(KLEIN_BOTTLE, n, p, seed, lams, coords, rotate)
 
 
 def _fmt(value):

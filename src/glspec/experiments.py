@@ -7,6 +7,7 @@ formatted deterministically, so re-running a config reproduces byte-identical
 CSVs.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -15,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .approximants import w_a1, w_b1
 from .bandwidth import quantile_bandwidth, resample_threshold, select_omega
 from .datagen import (
-    GeneratorConfig,
     _fmt,
     gen_circle,
     gen_curve_m1,
@@ -254,13 +255,6 @@ def _signal(alpha, n, p, base):
     return float(n) ** alpha if base == "n" else float(p) ** alpha
 
 
-def _spiked_cloud(n, p, lam, seed, d=1, lambdas=None):
-    cfg = GeneratorConfig(
-        n=n, p=p, d=d, lambdas=lambdas if lambdas is not None else (lam,), seed=seed
-    )
-    return gen_spiked(cfg)
-
-
 def _affinity_of(X, upsilon, h):
     return affinity(pairwise_sq_dists(X), KernelParams(upsilon, float(h)))
 
@@ -288,7 +282,7 @@ def _run_phase_sweep(cfg, fast, out):
 
     def curve(p, alpha):
         lam = _signal(alpha, n, p, base)
-        cloud = _spiked_cloud(n, p, lam, seed)
+        cloud = gen_spiked(n, p, (lam,), seed)
         W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
         return sym_eigs(W).eigenvalues
 
@@ -306,7 +300,7 @@ def _run_phase_sweep(cfg, fast, out):
     def tracked(c, alpha):
         p2 = int(round(n2 / c))
         lam = _signal(alpha, n2, p2, base)
-        X = _spiked_cloud(n2, p2, lam, seed).noisy()
+        X = gen_spiked(n2, p2, (lam,), seed).noisy()
         ew = sym_eigs(_affinity_of(X, cfg.upsilon, p2)).eigenvalues
         eg = sym_eigs(gram(X)).eigenvalues
         return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
@@ -366,7 +360,7 @@ def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
         reference = make_reference(n, p, params)
 
         def one(seed):
-            cloud = _spiked_cloud(n, p, lam, seed)
+            cloud = gen_spiked(n, p, (lam,), seed)
             W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
             eigs = sym_eigs(W).eigenvalues
             return (eigs,) + reference(cloud, W, eigs)
@@ -472,7 +466,7 @@ def _run_dimension_sweep(cfg, fast, out):
         params = KernelParams(cfg.upsilon, float(p))
 
         def noisy_affinity(alpha):
-            cloud = _spiked_cloud(n, p, _signal(alpha, n, p, base), seed)
+            cloud = gen_spiked(n, p, (_signal(alpha, n, p, base),), seed)
             return cloud, _affinity_of(cloud.noisy(), cfg.upsilon, p)
 
         _, W = noisy_affinity(0.2)
@@ -537,7 +531,7 @@ def _run_histogram_bulk(cfg, fast, out):
 
         counts = np.zeros(bins)
         for rep in range(reps):
-            cloud = _spiked_cloud(n, p, lam, first_seed + rep)
+            cloud = gen_spiked(n, p, (lam,), first_seed + rep)
             W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
             counts += esd_histogram(sym_eigs(W).eigenvalues, edges)[1]
         width = edges[1] - edges[0]
@@ -719,7 +713,7 @@ def _run_stieltjes_compare(cfg, fast, out):
     grid = StieltjesGrid.build(n, 1.0, a)
 
     def one(seed):
-        cloud = _spiked_cloud(n, p, lam, seed)
+        cloud = gen_spiked(n, p, (lam,), seed)
         W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
         W1 = _affinity_of(cloud.clean, cfg.upsilon, p)
         Wb1 = w_b1(W1, gram(cloud.noise), cfg.upsilon)
@@ -779,27 +773,18 @@ def _run_d2_comparison(cfg, fast, out):
     start = 10
     curve_rows, summary_rows = [], []
 
-    def one(a1, a2, c, seed):
+    # cached: both_large and large_small share their one-spike clouds
+    @functools.lru_cache(maxsize=None)
+    def spectrum(c, seed, alphas):
         p = int(round(n / c))
-        lam1 = _signal(a1, n, p, base)
-        lam2 = _signal(a2, n, p, base)
-        e1 = sym_eigs(
-            _affinity_of(_spiked_cloud(n, p, lam1, seed).noisy(), cfg.upsilon, p)
-        ).eigenvalues
-        e2 = sym_eigs(
-            _affinity_of(
-                _spiked_cloud(n, p, None, seed, d=2, lambdas=(lam1, lam2)).noisy(),
-                cfg.upsilon,
-                p,
-            )
-        ).eigenvalues
-        return e1, e2
+        lams = tuple(_signal(a, n, p, base) for a in alphas)
+        X = gen_spiked(n, p, lams, seed).noisy()
+        return sym_eigs(_affinity_of(X, cfg.upsilon, p)).eigenvalues
 
     for case, a1, a2, expected in D2_CASES:
         for c in cs:
-            results = [one(a1, a2, c, seed) for seed in seeds]
-            m1 = np.mean([r[0] for r in results], axis=0)
-            m2 = np.mean([r[1] for r in results], axis=0)
+            m1 = np.mean([spectrum(c, seed, (a1,)) for seed in seeds], axis=0)
+            m2 = np.mean([spectrum(c, seed, (a1, a2)) for seed in seeds], axis=0)
             for i in range(start - 1, n):
                 curve_rows.append([case, c, i + 1, m1[i], m2[i]])
             sup = float(np.max(np.abs(m1[start - 1 :] - m2[start - 1 :])))
@@ -857,7 +842,7 @@ def _run_zeroing_comparison(cfg, fast, out):
 
     def one(alpha, seed):
         lam = float(p) ** alpha
-        cloud = _spiked_cloud(n, p, lam, seed)
+        cloud = gen_spiked(n, p, (lam,), seed)
         ref = third_vector_row_stochastic(_affinity_of(cloud.clean, upsilon, p + lam))
         D2 = pairwise_sq_dists(cloud.noisy())
         sel = select_omega(cloud, upsilon, s, D2=D2)
@@ -926,8 +911,6 @@ def run(config, fast=False):
     ``manifest.json``, and a manifest from an earlier run is removed before
     the recipe starts, so a run that fails leaves none.
     """
-    from glspec import __version__
-
     config.validate()
     out = config.output_dir
     os.makedirs(out, exist_ok=True)

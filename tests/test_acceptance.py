@@ -19,7 +19,7 @@ from scipy.special import eval_hermitenorm
 
 from glspec.approximants import mehler_truncation, scaled_hermite, w_a1
 from glspec.bandwidth import resample_threshold, select_omega
-from glspec.datagen import GeneratorConfig, gen_circle, gen_spiked, random_rotation
+from glspec.datagen import gen_circle, gen_spiked, random_rotation
 from glspec.experiments import ExperimentConfig, run
 from glspec.kernels import (
     KernelParams,
@@ -44,7 +44,7 @@ def _report(num, ok, detail):
 def _spiked(n, p, lam, seed, d=1, lambdas=None):
     if lambdas is None:
         lambdas = (lam,)
-    return gen_spiked(GeneratorConfig(n=n, p=p, d=len(lambdas), lambdas=lambdas, seed=seed))
+    return gen_spiked(n, p, lambdas, seed)
 
 
 def _noisy_affinity(cloud, upsilon, h):

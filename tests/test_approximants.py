@@ -16,12 +16,12 @@ from glspec.approximants import (
     w_b1,
     w_tilde_a1,
 )
-from glspec.datagen import GeneratorConfig, gen_spiked
+from glspec.datagen import gen_spiked
 from glspec.kernels import KernelParams, affinity, factor_matrices, gram, pairwise_sq_dists
 
 
 def _cloud(n=15, p=10, lam=4.0, seed=0):
-    return gen_spiked(GeneratorConfig(n=n, p=p, d=1, lambdas=(lam,), seed=seed))
+    return gen_spiked(n, p, (lam,), seed)
 
 
 def test_phi_vector_definition():

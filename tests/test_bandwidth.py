@@ -16,7 +16,7 @@ from glspec.bandwidth import (
     select_omega,
     window_outliers,
 )
-from glspec.datagen import GeneratorConfig, gen_circle, gen_spiked
+from glspec.datagen import gen_circle, gen_spiked
 from glspec.kernels import pairwise_sq_dists
 
 
@@ -159,7 +159,7 @@ def test_select_omega_counts_only_inside_window(monkeypatch):
     n = 40
     eigs = _bottom_gap_spectrum(n, ratio_window(n, n) + 2)
     monkeypatch.setattr(bandwidth, "affinity", lambda D2, params: np.diag(eigs))
-    cloud = gen_spiked(GeneratorConfig(n=n, p=n, d=1, lambdas=(2.0,), seed=0))
+    cloud = gen_spiked(n, n, (2.0,), 0)
     sel = select_omega(cloud, 0.5, s=0.1, grid=(0.1, 0.9, 4))
     assert np.all(sel.k_per_omega == 0)
     assert sel.omega == sel.grid[-1]
@@ -177,7 +177,7 @@ def test_select_omega_and_resample_threshold_share_window(monkeypatch, c):
     n = 40
     p = int(round(n / c))
     s = resample_threshold(c, n, 0.5, reps=2)
-    cloud = gen_spiked(GeneratorConfig(n=n, p=p, d=1, lambdas=(20.0,), seed=0))
+    cloud = gen_spiked(n, p, (20.0,), 0)
     sel = select_omega(cloud, 0.5, s, grid=(0.1, 0.9, 4))
     assert len(seen) == 2 and seen[0] == seen[1]
     assert np.all(sel.k_per_omega <= seen[0])
@@ -209,7 +209,7 @@ def test_resample_threshold_deterministic_and_decreasing_in_n():
 def test_select_omega_constant_profile_returns_upper_end():
     # a huge threshold makes every count zero, so the tie rule must pick
     # the largest grid point
-    cloud = gen_spiked(GeneratorConfig(n=40, p=30, d=1, lambdas=(2.0,), seed=1))
+    cloud = gen_spiked(40, 30, (2.0,), 1)
     sel = select_omega(cloud, 0.5, s=1e6, grid=(0.1, 0.9, 8))
     assert_allclose(sel.omega, 0.9, rtol=1e-12)
     assert np.all(sel.k_per_omega == 0)
@@ -218,7 +218,7 @@ def test_select_omega_constant_profile_returns_upper_end():
 
 
 def test_select_omega_grid_layout_and_monotone_h():
-    cloud = gen_spiked(GeneratorConfig(n=50, p=40, d=1, lambdas=(5.0,), seed=2))
+    cloud = gen_spiked(50, 40, (5.0,), 2)
     sel = select_omega(cloud, 0.5, s=0.2, grid=(0.05, 0.95, 10))
     assert_allclose(sel.grid, 0.05 + np.arange(11) / 10.0 * 0.9, rtol=1e-12)
     hs = [quantile_bandwidth(pairwise_sq_dists(cloud.noisy()), w) for w in sel.grid]
@@ -227,7 +227,7 @@ def test_select_omega_grid_layout_and_monotone_h():
 
 
 def test_select_omega_validates_arguments():
-    cloud = gen_spiked(GeneratorConfig(n=20, p=10, d=1, lambdas=(1.0,), seed=0))
+    cloud = gen_spiked(20, 10, (1.0,), 0)
     with pytest.raises(ValueError):
         select_omega(cloud, 0.5, s=0.2, grid=(0.0, 0.9, 5))
     with pytest.raises(ValueError):
@@ -270,7 +270,7 @@ def test_selected_bandwidth_scale_small_alpha():
     # weak signal keeps the selected bandwidth on the noise scale h ~ p
     n, p = 200, 200
     lam = float(p) ** 0.2
-    cloud = gen_spiked(GeneratorConfig(n=n, p=p, d=1, lambdas=(lam,), seed=0))
+    cloud = gen_spiked(n, p, (lam,), 0)
     s = resample_threshold(1.0, n, 0.5)
     sel = select_omega(cloud, 0.5, s)
     assert 1.0 <= sel.h / p <= 4.0
@@ -282,7 +282,7 @@ def test_selected_bandwidth_scale_large_alpha():
     n = 300
     for alpha in (1.5, 2.0):
         lam = float(n) ** alpha
-        cloud = gen_spiked(GeneratorConfig(n=n, p=n, d=1, lambdas=(lam,), seed=0))
+        cloud = gen_spiked(n, n, (lam,), 0)
         s = resample_threshold(1.0, n, 0.5)
         sel = select_omega(cloud, 0.5, s)
         log_n = np.log(n)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from glspec.cli import main
-from glspec.datagen import GeneratorConfig, gen_spiked, load_cloud_csv, load_cloud_npz
+from glspec.datagen import gen_spiked, load_cloud_csv, load_cloud_npz
 from glspec.kernels import (
     KernelParams,
     affinity,
@@ -74,6 +74,47 @@ def test_gen_circle_requires_strength(tmp_path):
     )
     assert result.exit_code != 0
     assert "--lam or --alpha" in result.output
+
+
+def test_gen_alpha_resolution_base_p_and_n(tmp_path):
+    out = str(tmp_path / "cloud.npz")
+    for base, want in (("p", (20.0, 400.0)), ("n", (10.0, 100.0))):
+        _invoke(["gen", "--n", "100", "--p", "400", "--alpha", "0.5,1",
+                 "--alpha-base", base, "--out", out])
+        assert load_cloud_npz(out).lambdas == want
+    result = CliRunner().invoke(main, ["gen", "--n", "100", "--p", "400", "--alpha", "1",
+                                       "--alpha-base", "q", "--out", out])
+    assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--kind", "spiked", "--lam", "4", "--alpha", "1"],
+        ["--kind", "circle", "--lam", "4", "--alpha", "1"],
+        ["--kind", "spiked"],
+        ["--kind", "circle", "--lam", "4,2"],
+        ["--kind", "circle", "--alpha", "0.5,1"],
+        ["--kind", "spiked", "--lam", ","],
+        ["--kind", "spiked", "--lam", "x"],
+        ["--kind", "spiked", "--lam", "4,-1"],
+        ["--kind", "m1", "--lam", "4"],
+        ["--kind", "kb", "--alpha", "1"],
+    ],
+    ids=lambda args: "-".join(a.lstrip("-") for a in args[1:]),
+)
+def test_gen_rejects_bad_strength_options(tmp_path, monkeypatch, args):
+    def no_draw(seed):
+        raise AssertionError("drew from the streams of seed %d" % seed)
+
+    monkeypatch.setattr("glspec.datagen._streams", no_draw)
+    out = tmp_path / "cloud.csv"
+    result = CliRunner().invoke(
+        main, ["gen", "--n", "12", "--p", "8", *args, "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 def test_run_experiment_flag(tmp_path):
@@ -260,7 +301,7 @@ def test_cli_writers_keep_the_reference_bytes(tmp_path):
          "--seed", "4", "--out", cloud_path]
     )
     ref_path = str(tmp_path / "ref.csv")
-    cloud = gen_spiked(GeneratorConfig(n=30, p=20, lambdas=(5.0,), seed=4))
+    cloud = gen_spiked(30, 20, (5.0,), 4)
     _reference_save_cloud_csv(cloud, ref_path)
     with open(cloud_path, "rb") as got, open(ref_path, "rb") as ref:
         assert got.read() == ref.read()

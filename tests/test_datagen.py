@@ -12,7 +12,6 @@ from glspec.datagen import (
     KLEIN_BOTTLE,
     M1_COV_EIGS,
     SPIKED,
-    GeneratorConfig,
     gen_circle,
     gen_curve_m1,
     gen_klein_bottle,
@@ -26,8 +25,7 @@ from glspec.datagen import (
 
 
 def test_spiked_shapes_and_metadata():
-    cfg = GeneratorConfig(n=40, p=30, d=2, lambdas=(5.0, 2.0), seed=7)
-    cloud = gen_spiked(cfg)
+    cloud = gen_spiked(40, 30, (5.0, 2.0), 7)
     assert cloud.clean.shape == (40, 30)
     assert cloud.noise.shape == (40, 30)
     assert cloud.kind == SPIKED
@@ -37,13 +35,13 @@ def test_spiked_shapes_and_metadata():
 
 
 def test_spiked_zero_strength_is_pure_noise():
-    cloud = gen_spiked(GeneratorConfig(n=10, p=6, d=1, lambdas=(0.0,), seed=1))
+    cloud = gen_spiked(10, 6, (0.0,), 1)
     assert_array_equal(cloud.clean, np.zeros((10, 6)))
     assert_array_equal(cloud.noisy(), cloud.noise)
 
 
 def test_spiked_tail_coordinates_zero_without_rotation():
-    cloud = gen_spiked(GeneratorConfig(n=25, p=12, d=3, lambdas=(4.0, 2.0, 1.0), seed=3))
+    cloud = gen_spiked(25, 12, (4.0, 2.0, 1.0), 3)
     assert_array_equal(cloud.clean[:, 3:], np.zeros((25, 9)))
 
 
@@ -51,14 +49,14 @@ def test_spiked_sample_variance_matches_strength():
     # one spike of strength 4: the sample variance of the spiked coordinate
     # concentrates around 4 with standard error lam*sqrt(2/n)
     n, lam = 1000, 4.0
-    cloud = gen_spiked(GeneratorConfig(n=n, p=1000, d=1, lambdas=(lam,), seed=0))
+    cloud = gen_spiked(n, 1000, (lam,), 0)
     v = np.var(cloud.clean[:, 0])
     assert abs(v - lam) <= 4.0 * np.sqrt(2.0 / n) * lam
 
 
 def test_spiked_clean_covariance_monte_carlo():
     n = 10000
-    cloud = gen_spiked(GeneratorConfig(n=n, p=5, d=2, lambdas=(4.0, 2.0), seed=11))
+    cloud = gen_spiked(n, 5, (4.0, 2.0), 11)
     emp = cloud.clean.T @ cloud.clean / n
     se = np.sqrt(2.0 / n)
     assert abs(emp[0, 0] - 4.0) <= 5.0 * se * 4.0
@@ -69,32 +67,23 @@ def test_spiked_clean_covariance_monte_carlo():
 
 
 def test_noise_variance_is_unit():
-    cloud = gen_spiked(GeneratorConfig(n=300, p=300, d=1, lambdas=(1.0,), seed=5))
+    cloud = gen_spiked(300, 300, (1.0,), 5)
     v = np.var(cloud.noise)
     assert abs(v - 1.0) <= 5.0 * np.sqrt(2.0 / cloud.noise.size)
-
-
-def test_alpha_resolution_base_p_and_n():
-    cfg = GeneratorConfig(n=100, p=400, d=2, alphas=(0.5, 1.0), alpha_base="p")
-    assert cfg.resolve_lambdas() == (20.0, 400.0)
-    cfg = GeneratorConfig(n=100, p=400, d=2, alphas=(0.5, 1.0), alpha_base="n")
-    assert cfg.resolve_lambdas() == (10.0, 100.0)
 
 
 def test_noise_reused_across_signal_strengths():
     # the same seed must draw the same noise whatever the signal strength,
     # so sweeps over lambda vary only the clean part
-    a = gen_spiked(GeneratorConfig(n=30, p=20, d=1, lambdas=(1.0,), seed=9))
-    b = gen_spiked(GeneratorConfig(n=30, p=20, d=1, lambdas=(900.0,), seed=9))
+    a = gen_spiked(30, 20, (1.0,), 9)
+    b = gen_spiked(30, 20, (900.0,), 9)
     assert_array_equal(a.noise, b.noise)
     assert not np.array_equal(a.clean, b.clean)
 
 
 # Each generator as (seed, n, p, strength) -> cloud; p >= 4 suits all four.
 GENERATORS = {
-    "spiked": lambda seed, n, p, lam: gen_spiked(
-        GeneratorConfig(n=n, p=p, d=1, lambdas=(lam,), rotate=True, seed=seed)
-    ),
+    "spiked": lambda seed, n, p, lam: gen_spiked(n, p, (lam,), seed, rotate=True),
     "circle": lambda seed, n, p, lam: gen_circle(n, p, lam, seed),
     "curve_m1": lambda seed, n, p, lam: gen_curve_m1(n, p, lam, seed),
     "klein_bottle": lambda seed, n, p, lam: gen_klein_bottle(n, p, lam, seed),
@@ -130,27 +119,21 @@ def test_shared_noise_goes_with_its_last_cloud(make):
 
 
 def test_determinism_same_seed():
-    cfg = GeneratorConfig(n=15, p=8, d=1, lambdas=(2.0,), rotate=True, seed=42)
-    a, b = gen_spiked(cfg), gen_spiked(cfg)
+    a = gen_spiked(15, 8, (2.0,), 42, rotate=True)
+    b = gen_spiked(15, 8, (2.0,), 42, rotate=True)
     assert_array_equal(a.clean, b.clean)
     assert_array_equal(a.noise, b.noise)
 
 
-def test_config_validation_errors():
-    with pytest.raises(ValueError):
-        gen_spiked(GeneratorConfig(n=1, p=4, d=1, lambdas=(1.0,)))
-    with pytest.raises(ValueError):
-        gen_spiked(GeneratorConfig(n=5, p=2, d=3, lambdas=(1.0, 1.0, 1.0)))
-    with pytest.raises(ValueError):
-        GeneratorConfig(n=5, p=4, d=1).resolve_lambdas()
-    with pytest.raises(ValueError):
-        GeneratorConfig(n=5, p=4, d=1, lambdas=(1.0,), alphas=(1.0,)).resolve_lambdas()
-    with pytest.raises(ValueError):
-        GeneratorConfig(n=5, p=4, d=2, lambdas=(1.0,)).resolve_lambdas()
-    with pytest.raises(ValueError):
-        GeneratorConfig(n=5, p=4, d=1, lambdas=(-1.0,)).resolve_lambdas()
-    with pytest.raises(ValueError):
-        GeneratorConfig(n=5, p=4, d=1, alphas=(1.0,), alpha_base="q").resolve_lambdas()
+def test_spiked_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="n >= 2"):
+        gen_spiked(1, 4, (1.0,), 0)
+    with pytest.raises(ValueError, match="p >= d >= 1"):
+        gen_spiked(5, 2, (1.0, 1.0, 1.0), 0)
+    with pytest.raises(ValueError, match="p >= d >= 1"):
+        gen_spiked(5, 4, (), 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gen_spiked(5, 4, (1.0, -1.0), 0)
 
 
 def test_random_rotation_is_orthogonal():
@@ -159,8 +142,8 @@ def test_random_rotation_is_orthogonal():
 
 
 def test_rotation_preserves_row_norms():
-    plain = gen_spiked(GeneratorConfig(n=20, p=10, d=2, lambdas=(3.0, 1.0), rotate=False, seed=2))
-    spun = gen_spiked(GeneratorConfig(n=20, p=10, d=2, lambdas=(3.0, 1.0), rotate=True, seed=2))
+    plain = gen_spiked(20, 10, (3.0, 1.0), 2, rotate=False)
+    spun = gen_spiked(20, 10, (3.0, 1.0), 2, rotate=True)
     assert_allclose(
         np.linalg.norm(spun.clean, axis=1), np.linalg.norm(plain.clean, axis=1), rtol=1e-9
     )
@@ -248,7 +231,7 @@ def test_manifold_rotation_reproducible():
 
 
 def test_cloud_csv_roundtrip(tmp_path):
-    cloud = gen_spiked(GeneratorConfig(n=9, p=5, d=2, lambdas=(2.5, 0.5), seed=13))
+    cloud = gen_spiked(9, 5, (2.5, 0.5), 13)
     path = tmp_path / "cloud.csv"
     save_cloud_csv(cloud, path)
     back = load_cloud_csv(path)
@@ -278,3 +261,109 @@ def test_load_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_cloud_csv(path)
+
+
+# The generator bodies as they were before the four generators shared one
+# body: the bit-for-bit reference for every generated array.
+def _ref_streams(seed):
+    root = np.random.Philox(key=int(seed))
+    return (
+        np.random.Generator(root),
+        np.random.Generator(root.jumped(1)),
+        np.random.Generator(root.jumped(2)),
+    )
+
+
+def _ref_haar_orthogonal(rng, p):
+    m = rng.standard_normal((p, p))
+    q, r = np.linalg.qr(m)
+    sign = np.sign(np.diag(r))
+    sign[sign == 0] = 1.0
+    return q * sign
+
+
+def _ref_spiked(n, p, lams, seed, rotate):
+    d = len(lams)
+    noise_rng, signal_rng, rot_rng = _ref_streams(seed)
+    noise = noise_rng.standard_normal((n, p))
+    xi = signal_rng.standard_normal((n, d))
+    clean = np.zeros((n, p))
+    clean[:, :d] = xi * np.sqrt(lams)
+    if rotate:
+        clean = clean @ _ref_haar_orthogonal(rot_rng, p).T
+    return clean, noise
+
+
+def _ref_circle(n, p, lam, seed):
+    noise_rng, signal_rng, _ = _ref_streams(seed)
+    noise = noise_rng.standard_normal((n, p))
+    theta = signal_rng.uniform(0.0, 2.0 * np.pi, n)
+    clean = np.zeros((n, p))
+    clean[:, 0] = np.sqrt(lam) * np.cos(theta)
+    clean[:, 1] = np.sqrt(lam) * np.sin(theta)
+    return clean, noise
+
+
+def _ref_curve_m1(n, p, a, seed, rotate):
+    noise_rng, signal_rng, rot_rng = _ref_streams(seed)
+    noise = noise_rng.standard_normal((n, p))
+    u = signal_rng.uniform(0.0, 2.0 * np.pi, n)
+    g = 1.0 - 0.8 * np.exp(-8.0 * np.cos(u) ** 2)
+    phi = np.empty((n, 3))
+    phi[:, 0] = 2.0 * np.cos(u)
+    phi[:, 1] = 3.0 * g * np.cos(u ** 2 / (2.0 * np.pi))
+    phi[:, 2] = g * np.sin(u)
+    clean = np.zeros((n, p))
+    clean[:, :3] = a * phi
+    if rotate:
+        clean = clean @ _ref_haar_orthogonal(rot_rng, p).T
+    return clean, noise
+
+
+def _ref_klein_bottle(n, p, a, seed, rotate):
+    noise_rng, signal_rng, rot_rng = _ref_streams(seed)
+    noise = noise_rng.standard_normal((n, p))
+    u1 = signal_rng.uniform(0.0, 2.0 * np.pi, n)
+    u2 = signal_rng.uniform(0.0, 2.0 * np.pi, n)
+    clean = np.zeros((n, p))
+    ring = 2.0 * np.cos(u1) + 1.0
+    clean[:, 0] = ring * np.cos(u2)
+    clean[:, 1] = ring * np.sin(u2)
+    clean[:, 2] = 2.0 * np.sin(u1) * np.cos(u2 / 2.0)
+    clean[:, 3] = 2.0 * np.sin(u1) * np.sin(u2 / 2.0)
+    clean[:, :4] *= a
+    if rotate:
+        clean = clean @ _ref_haar_orthogonal(rot_rng, p).T
+    return clean, noise
+
+
+# (generator call, reference call), each as (n, p, seed) -> arrays
+REFERENCE_CASES = {
+    "spiked_d1": (lambda n, p, s: gen_spiked(n, p, (7.5,), s),
+                  lambda n, p, s: _ref_spiked(n, p, (7.5,), s, False)),
+    "spiked_d1_rotated": (lambda n, p, s: gen_spiked(n, p, (7.5,), s, rotate=True),
+                          lambda n, p, s: _ref_spiked(n, p, (7.5,), s, True)),
+    "spiked_d3": (lambda n, p, s: gen_spiked(n, p, (40.0, 3.0, 0.25), s),
+                  lambda n, p, s: _ref_spiked(n, p, (40.0, 3.0, 0.25), s, False)),
+    "spiked_d3_rotated": (lambda n, p, s: gen_spiked(n, p, (40.0, 3.0, 0.25), s, rotate=True),
+                          lambda n, p, s: _ref_spiked(n, p, (40.0, 3.0, 0.25), s, True)),
+    "circle": (lambda n, p, s: gen_circle(n, p, 13.0, s),
+               lambda n, p, s: _ref_circle(n, p, 13.0, s)),
+    "curve_m1": (lambda n, p, s: gen_curve_m1(n, p, 2.5, s),
+                 lambda n, p, s: _ref_curve_m1(n, p, 2.5, s, True)),
+    "klein_bottle": (lambda n, p, s: gen_klein_bottle(n, p, 1.5, s),
+                     lambda n, p, s: _ref_klein_bottle(n, p, 1.5, s, True)),
+    "klein_bottle_flat": (lambda n, p, s: gen_klein_bottle(n, p, 1.5, s, rotate=False),
+                          lambda n, p, s: _ref_klein_bottle(n, p, 1.5, s, False)),
+}
+
+
+@pytest.mark.parametrize("make, reference", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+def test_generators_match_their_reference_bodies_bit_for_bit(make, reference):
+    # p >= 40 with n = 6, and p = 150 with n = 120: shapes at which a thin
+    # rotation product z @ R[:, :d].T rounds differently for d >= 3
+    for n, p, seed in ((6, 4, 0), (31, 17, 5), (6, 64, 123), (120, 150, 2**31 + 9)):
+        cloud = make(n, p, seed)
+        clean, noise = reference(n, p, seed)
+        assert cloud.clean.tobytes() == clean.tobytes()
+        assert cloud.noise.tobytes() == noise.tobytes()

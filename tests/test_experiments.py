@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from glspec.datagen import GeneratorConfig, gen_spiked
+from glspec.datagen import gen_spiked
 from glspec.experiments import (
     DEFAULT_SEEDS,
     EXPERIMENT_NAMES,
@@ -155,7 +155,7 @@ def test_phase_sweep_eigencurves_follow_c_grid(tmp_path):
     assert header == ["index", "c2_alpha_0", "c2_alpha_1.5"]
     curves = np.loadtxt(os.path.join(out, "phase_eigencurves.csv"), delimiter=",", skiprows=1)
     # alpha = 0 is lambda = 1 at n = 60, p = 30, bandwidth h = p
-    cloud = gen_spiked(GeneratorConfig(n=60, p=30, d=1, lambdas=(1.0,), seed=0))
+    cloud = gen_spiked(60, 30, (1.0,), 0)
     W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, 30.0))
     assert np.array_equal(curves[:, 1], sym_eigs(W).eigenvalues)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from glspec.datagen import GeneratorConfig, gen_spiked
+from glspec.datagen import gen_spiked
 from glspec.kernels import (
     KernelParams,
     affinity,
@@ -20,7 +20,7 @@ from glspec.kernels import (
 
 def _cloud(n=20, p=10, lam=4.0, seed=0, d=1):
     lams = tuple([lam] * d)
-    return gen_spiked(GeneratorConfig(n=n, p=p, d=d, lambdas=lams, seed=seed))
+    return gen_spiked(n, p, lams, seed)
 
 
 def test_pairwise_sq_dists_against_double_loop():

@@ -233,11 +233,11 @@ def test_cdf_array_matches_scalar_reference_at_the_edges():
 def test_typical_location_matches_large_sample_spectrum():
     # Monte Carlo oracle: the j/n upper quantile of nu_0 should match the
     # corresponding order statistic of a large pure-noise kernel spectrum
-    from glspec.datagen import GeneratorConfig, gen_spiked
+    from glspec.datagen import gen_spiked
     from glspec.kernels import KernelParams, affinity, pairwise_sq_dists
 
     n_big = 2000
-    cloud = gen_spiked(GeneratorConfig(n=n_big, p=n_big, d=1, lambdas=(0.0,), seed=0))
+    cloud = gen_spiked(n_big, n_big, (0.0,), 0)
     W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(n_big)))
     eigs = np.sort(np.linalg.eigvalsh(W))[::-1]
     m = nu0(c=1.0, upsilon=0.5)
@@ -311,7 +311,7 @@ def test_spiked_gram_outlier_value_and_threshold():
 
 
 def test_spiked_gram_outlier_against_sample_spectrum():
-    from glspec.datagen import GeneratorConfig, gen_spiked
+    from glspec.datagen import gen_spiked
     from glspec.kernels import gram
 
     # the per-draw outlier fluctuates with the empirical spike strength
@@ -319,6 +319,6 @@ def test_spiked_gram_outlier_against_sample_spectrum():
     n = 1500
     tops = []
     for seed in range(4):
-        cloud = gen_spiked(GeneratorConfig(n=n, p=n, d=1, lambdas=(4.0,), seed=seed))
+        cloud = gen_spiked(n, n, (4.0,), seed)
         tops.append(np.max(np.linalg.eigvalsh(gram(cloud.noisy()))))
     assert abs(np.mean(tops) - 6.25) <= 0.25

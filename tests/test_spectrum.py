@@ -209,7 +209,7 @@ def test_esd_density_matches_limit_in_probability():
     # limiting bulk density over the 50-bin grid, except the two bins at
     # the lower edge where the c = 1 density diverges like u^{-1/2} and
     # finite-size smearing dominates
-    from glspec.datagen import GeneratorConfig, gen_spiked
+    from glspec.datagen import gen_spiked
     from glspec.kernels import KernelParams, affinity, pairwise_sq_dists
 
     n = 300
@@ -220,7 +220,7 @@ def test_esd_density_matches_limit_in_probability():
     reps = 1000
     total = np.zeros(50)
     for rep in range(reps):
-        cloud = gen_spiked(GeneratorConfig(n=n, p=n, d=1, lambdas=(0.0,), seed=500000 + rep))
+        cloud = gen_spiked(n, n, (0.0,), 500000 + rep)
         W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(n)))
         eigs = np.linalg.eigvalsh(W)
         counts, _ = np.histogram(eigs, bins=bins)
