@@ -45,7 +45,7 @@ def _load_cloud(path):
     return load_cloud_csv(path)
 
 
-def _strengths(kind, n, p, lam, alpha, alpha_base):
+def _strengths(kind, n, p, lam, alpha, alpha_base, scale):
     """Signal strengths from ``--lam`` or ``--alpha`` (base**alpha, base n
     or p): exactly one of them for spiked, one value of it for the circle,
     neither for m1/kb, whose strength is ``--scale``."""
@@ -53,6 +53,8 @@ def _strengths(kind, n, p, lam, alpha, alpha_base):
         if lam is not None or alpha is not None:
             raise click.UsageError("%s takes --scale, not --lam or --alpha" % kind)
         return None
+    if scale is not None:
+        raise click.UsageError("%s takes --lam or --alpha, not --scale" % kind)
     if (lam is None) == (alpha is None):
         raise click.UsageError("%s needs exactly one of --lam or --alpha" % kind)
     name, text = ("--lam", lam) if alpha is None else ("--alpha", alpha)
@@ -105,13 +107,15 @@ def main():
 @click.option("--scale", type=float, default=None,
               help="Manifold scale a (m1/kb); default 20*sqrt(p).")
 @click.option("--rotate/--no-rotate", default=None,
-              help="Random orthogonal map; default on for manifolds.")
+              help="Random orthogonal map (not circle); default on for manifolds.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(),
               help="Output path (.csv or .npz).")
 def gen(kind, n, p, lam, alpha, alpha_base, scale, rotate, seed, out):
     """Generate a point cloud and write it to disk."""
-    lams = _strengths(kind, n, p, lam, alpha, alpha_base)
+    if kind == "circle" and rotate is not None:
+        raise click.UsageError("circle takes no --rotate or --no-rotate: it is never rotated")
+    lams = _strengths(kind, n, p, lam, alpha, alpha_base, scale)
     try:
         if kind == "spiked":
             cloud = gen_spiked(n, p, lams, seed, rotate=bool(rotate))

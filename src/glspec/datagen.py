@@ -8,8 +8,9 @@ noise realization across a whole grid of signal strengths.
 
 A generated cloud's ``noise`` is read-only and is one array shared by every
 live cloud with the same (seed, n, p): it is drawn when no such cloud holds
-it and freed with the last one that does.  Callers copy it before writing.
-Clouds loaded from CSV or NPZ own their arrays.
+it and freed with the last one that does.  Its ``clean`` is read-only too,
+and an unrotated cloud stores only its d nonzero leading columns.  Callers
+copy them before writing.  Clouds loaded from CSV or NPZ own their arrays.
 
 ``write_csv`` here is the one CSV writer of the package: clouds, spectra
 and experiment artifacts all share its number format.
@@ -43,14 +44,16 @@ class PointCloud:
     """A noisy point cloud split into its clean and noise parts.
 
     The observed data is always ``clean + noise`` (see :meth:`noisy`); it is
-    never stored redundantly.  ``lambdas`` holds the spectrum of the clean
-    part's population covariance (the signal strengths), ``d`` its rank.
-    Loaded clouds may carry ``lambdas=None`` when the source format has no
-    strength metadata.  A generated cloud's ``noise`` is read-only and shared
-    with every live cloud of the same (seed, n, p); copy it before writing.
+    never stored redundantly, and ``clean_cols`` holds only the leading
+    columns of ``clean`` before its zero ones: d for an unrotated generated
+    cloud, else p.  ``lambdas`` holds the spectrum of the clean part's
+    population covariance (the signal strengths), ``d`` its rank.  Loaded
+    clouds may carry ``lambdas=None`` when the source format has no strength
+    metadata.  A generated cloud's ``clean`` and ``noise`` are read-only, and
+    its ``noise`` is shared with every live cloud of the same (seed, n, p).
     """
 
-    clean: np.ndarray
+    clean_cols: np.ndarray
     noise: np.ndarray
     n: int
     p: int
@@ -58,6 +61,18 @@ class PointCloud:
     lambdas: tuple
     seed: int
     kind: str
+
+    @property
+    def clean(self):
+        """The n x p clean part: ``clean_cols`` itself when it has p columns,
+        else a fresh copy zero-padded to p, writeable only when it is."""
+        cols = self.clean_cols
+        if cols.shape[1] == self.p:
+            return cols
+        clean = np.zeros((self.n, self.p))
+        clean[:, :cols.shape[1]] = cols
+        clean.flags.writeable = cols.flags.writeable
+        return clean
 
     def noisy(self):
         """Observed matrix x = z + y, one observation per row."""
@@ -119,19 +134,20 @@ def random_rotation(p, seed):
 
 
 def _generate(kind, n, p, seed, lambdas, coords, rotate=False):
-    """The one body behind every generator: the noise of ``seed``, the n x d
-    array ``coords(signal_rng)`` drawn from its signal substream and
-    zero-padded to n x p, then rotated by the Haar matrix of its rotation
-    substream when ``rotate``."""
+    """The one body behind every generator: the noise of ``seed`` and the
+    n x d array ``coords(signal_rng)`` drawn from its signal substream, kept
+    as is, or zero-padded to n x p and rotated by the Haar matrix of its
+    rotation substream when ``rotate`` (the dense product, to the last bit)."""
     noise_rng, signal_rng, rot_rng = _streams(seed)
     noise = _shared_noise(noise_rng, seed, n, p)
     z = coords(signal_rng)
     d = z.shape[1]
-    clean = np.zeros((n, p))
-    clean[:, :d] = z
     if rotate:
-        clean = clean @ _haar_orthogonal(rot_rng, p).T
-    return PointCloud(clean, noise, n, p, d, lambdas, seed, kind)
+        padded = np.zeros((n, p))
+        padded[:, :d] = z
+        z = padded @ _haar_orthogonal(rot_rng, p).T
+    z.flags.writeable = False
+    return PointCloud(z, noise, n, p, d, lambdas, seed, kind)
 
 
 def gen_spiked(n, p, lambdas, seed, rotate=False):

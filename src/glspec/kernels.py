@@ -89,9 +89,9 @@ def factor_matrices(cloud, params):
     cross factor is Wc(i,j) = exp(-2 upsilon (z_i-z_j)^T (y_i-y_j) / h).
     """
     params.validate()
-    w1 = affinity(pairwise_sq_dists(cloud.clean), params)
-    wy = affinity(pairwise_sq_dists(cloud.noise), params)
     z, y = cloud.clean, cloud.noise
+    w1 = affinity(pairwise_sq_dists(z), params)
+    wy = affinity(pairwise_sq_dists(y), params)
     zy = z @ y.T
     # (z_i - z_j)^T (y_i - y_j) = zy(i,i) + zy(j,j) - zy(i,j) - zy(j,i)
     dzy = np.diag(zy)

@@ -100,6 +100,10 @@ def test_gen_alpha_resolution_base_p_and_n(tmp_path):
         ["--kind", "spiked", "--lam", "4,-1"],
         ["--kind", "m1", "--lam", "4"],
         ["--kind", "kb", "--alpha", "1"],
+        ["--kind", "circle", "--lam", "4", "--rotate"],
+        ["--kind", "circle", "--lam", "4", "--no-rotate"],
+        ["--kind", "spiked", "--lam", "4", "--scale", "9"],
+        ["--kind", "circle", "--lam", "4", "--scale", "9"],
     ],
     ids=lambda args: "-".join(a.lstrip("-") for a in args[1:]),
 )

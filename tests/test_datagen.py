@@ -235,9 +235,12 @@ def test_cloud_csv_roundtrip(tmp_path):
     path = tmp_path / "cloud.csv"
     save_cloud_csv(cloud, path)
     back = load_cloud_csv(path)
-    assert_array_equal(back.clean, cloud.clean)
-    assert_array_equal(back.noise, cloud.noise)
-    assert back.noise.flags.writeable  # a loaded cloud owns its arrays
+    assert back.clean.tobytes() == cloud.clean.tobytes()
+    assert back.noise.tobytes() == cloud.noise.tobytes()
+    assert back.noisy().tobytes() == cloud.noisy().tobytes()
+    # a loaded cloud owns its arrays, stored at full width
+    assert back.clean.flags.writeable and back.noise.flags.writeable
+    assert back.clean is back.clean_cols
     assert (back.n, back.p, back.d, back.seed, back.kind) == (9, 5, 2, 13, SPIKED)
     assert back.lambdas is None  # the CSV format has no strength column
     with pytest.raises(ValueError):
@@ -249,9 +252,11 @@ def test_cloud_npz_roundtrip(tmp_path):
     path = tmp_path / "cloud.npz"
     save_cloud_npz(cloud, path)
     back = load_cloud_npz(path)
-    assert_array_equal(back.clean, cloud.clean)
-    assert_array_equal(back.noise, cloud.noise)
-    assert back.noise.flags.writeable
+    assert back.clean.tobytes() == cloud.clean.tobytes()
+    assert back.noise.tobytes() == cloud.noise.tobytes()
+    assert back.noisy().tobytes() == cloud.noisy().tobytes()
+    assert back.clean.flags.writeable and back.noise.flags.writeable
+    assert back.clean is back.clean_cols
     assert back.lambdas == cloud.lambdas
     assert back.kind == CIRCLE
 
@@ -367,3 +372,35 @@ def test_generators_match_their_reference_bodies_bit_for_bit(make, reference):
         clean, noise = reference(n, p, seed)
         assert cloud.clean.tobytes() == clean.tobytes()
         assert cloud.noise.tobytes() == noise.tobytes()
+        assert cloud.noisy().tobytes() == (clean + noise).tobytes()
+
+
+# (generator call as (n, p, seed) -> cloud, stored clean columns)
+STORAGE_CASES = {
+    "spiked_d3": (lambda n, p, s: gen_spiked(n, p, (4.0, 2.0, 1.0), s), 3),
+    "spiked_d3_rotated": (lambda n, p, s: gen_spiked(n, p, (4.0, 2.0, 1.0), s, rotate=True), None),
+    "circle": (lambda n, p, s: gen_circle(n, p, 5.0, s), 2),
+    "curve_m1_flat": (lambda n, p, s: gen_curve_m1(n, p, 2.0, s, rotate=False), 3),
+    "curve_m1": (lambda n, p, s: gen_curve_m1(n, p, 2.0, s), None),
+    "klein_bottle_flat": (lambda n, p, s: gen_klein_bottle(n, p, 1.5, s, rotate=False), 4),
+    "klein_bottle": (lambda n, p, s: gen_klein_bottle(n, p, 1.5, s), None),
+}
+
+
+@pytest.mark.parametrize("make, width", STORAGE_CASES.values(), ids=STORAGE_CASES.keys())
+def test_unrotated_cloud_stores_only_its_nonzero_clean_columns(make, width):
+    n, p = 20, 12
+    cloud = make(n, p, 4)
+    # n*d floats unrotated, n*p rotated
+    assert cloud.clean_cols.size == n * (p if width is None else width)
+    assert cloud.clean.shape == (n, p)
+    assert_array_equal(cloud.clean[:, : cloud.clean_cols.shape[1]], cloud.clean_cols)
+
+
+@pytest.mark.parametrize("make", [make for make, _ in STORAGE_CASES.values()],
+                         ids=STORAGE_CASES.keys())
+def test_generated_clean_is_read_only(make):
+    cloud = make(10, 6, 1)
+    for block in (cloud.clean_cols, cloud.clean):
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
