@@ -40,15 +40,21 @@ from .spectrum import save_spectrum_csv, sym_eigs
 
 
 def _load_cloud(path):
-    if path.endswith(".npz"):
-        return load_cloud_npz(path)
-    return load_cloud_csv(path)
+    """The cloud stored at ``path``; a file the loaders reject (wrong
+    layout, mismatched shapes, NaN or inf) is a usage error."""
+    try:
+        return (load_cloud_npz if path.endswith(".npz") else load_cloud_csv)(path)
+    except ValueError as err:
+        raise click.BadParameter(str(err), param_hint="--cloud") from None
 
 
 def _strengths(kind, n, p, lam, alpha, alpha_base, scale):
-    """Signal strengths from ``--lam`` or ``--alpha`` (base**alpha, base n
-    or p): exactly one of them for spiked, one value of it for the circle,
-    neither for m1/kb, whose strength is ``--scale``."""
+    """Signal strengths from ``--lam`` or ``--alpha`` (base**alpha, base n,
+    or p when ``--alpha-base`` is not given): exactly one of them for
+    spiked, one value of it for the circle, neither for m1/kb, whose
+    strength is ``--scale``."""
+    if alpha_base is not None and alpha is None:
+        raise click.UsageError("--alpha-base applies only with --alpha")
     if kind in ("m1", "kb"):
         if lam is not None or alpha is not None:
             raise click.UsageError("%s takes --scale, not --lam or --alpha" % kind)
@@ -102,8 +108,8 @@ def main():
               help="Comma-separated signal strengths (spiked/circle).")
 @click.option("--alpha", default=None,
               help="Comma-separated exponents; strengths are base**alpha.")
-@click.option("--alpha-base", type=click.Choice(["n", "p"]), default="p",
-              show_default=True)
+@click.option("--alpha-base", type=click.Choice(["n", "p"]), default=None,
+              show_default="p")
 @click.option("--scale", type=float, default=None,
               help="Manifold scale a (m1/kb); default 20*sqrt(p).")
 @click.option("--rotate/--no-rotate", default=None,

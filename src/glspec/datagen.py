@@ -256,6 +256,17 @@ def save_cloud_csv(cloud, path):
     write_csv(path, ["n", "p", "d", "kind", "seed"], [meta, *cloud.clean, *cloud.noise])
 
 
+def _check_loaded(clean, noise):
+    """Reject a stored cloud whose noise and clean parts differ in shape or
+    that holds a NaN or infinite value."""
+    if noise.shape != clean.shape:
+        raise ValueError(
+            "cloud noise has shape %s, clean has %s" % (noise.shape, clean.shape)
+        )
+    if not (np.isfinite(clean).all() and np.isfinite(noise).all()):
+        raise ValueError("cloud holds NaN or infinite values")
+
+
 def load_cloud_csv(path):
     with open(path) as fh:
         header = fh.readline().strip()
@@ -266,6 +277,7 @@ def load_cloud_csv(path):
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (2 * n, p):
         raise ValueError("cloud CSV body has shape %s, expected %s" % (data.shape, (2 * n, p)))
+    _check_loaded(data[:n], data[n:])
     return PointCloud(data[:n], data[n:], n, p, d, None, seed, kind)
 
 
@@ -286,6 +298,7 @@ def load_cloud_npz(path):
     with np.load(path) as z:
         clean = z["clean"]
         noise = z["noise"]
+        _check_loaded(clean, noise)
         n, p = clean.shape
         return PointCloud(
             clean,

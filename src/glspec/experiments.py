@@ -1,10 +1,13 @@
 """Named, reproducible experiment recipes over the library's building blocks.
 
-Each recipe writes plain CSV artifacts plus a small gnuplot script into the
-configured output directory and returns a manifest (config echo, library
+Each recipe is a pure function of (config, fast): it returns its artifacts
+as data, in manifest order (each CSV as a header and rows, its gnuplot
+script as lines), with the seeds it drew and the settings it resolved.
+``run`` is the one writer: it puts every artifact into the configured
+output directory and then saves the manifest (config echo, library
 version, per-run seeds, wall clock, artifact digests).  Artifacts are
-formatted deterministically, so re-running a config reproduces byte-identical
-CSVs.
+formatted deterministically, so re-running a config reproduces
+byte-identical files.
 """
 
 import functools
@@ -226,7 +229,6 @@ def _write_gnuplot(path, lines):
     body.extend(lines)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(body) + "\n")
-    return path
 
 
 def _sha256(path):
@@ -263,7 +265,7 @@ def _affinity_of(X, upsilon, h):
 # recipes
 
 
-def _run_phase_sweep(cfg, fast, out):
+def _run_phase_sweep(cfg, fast):
     """Descending eigenvalue curves per signal strength, plus four tracked
     eigenvalues swept over a fine strength grid with frozen noise.
 
@@ -289,7 +291,6 @@ def _run_phase_sweep(cfg, fast, out):
     curves = [curve(p, alpha) for _, p in aspects for alpha in alphas]
     header = ["index"] + [tag + "alpha_%g" % a for tag, _ in aspects for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
-    f_curves = write_csv(os.path.join(out, "phase_eigencurves.csv"), header, rows)
 
     n2 = 200
     cs = _resolve_c_grid(cfg, n2)
@@ -305,17 +306,13 @@ def _run_phase_sweep(cfg, fast, out):
         eg = sym_eigs(gram(X)).eigenvalues
         return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
 
-    rows = [tracked(c, float(a)) for c in cs for a in fine]
-    f_track = write_csv(
-        os.path.join(out, "phase_tracked.csv"),
-        ["c", "alpha"]
-        + ["w_eig%d" % i for i in track]
-        + ["gram_eig1", "gram_eig2"],
-        rows,
-    )
-    f_gp = _write_gnuplot(
-        os.path.join(out, "phase_sweep.gp"),
-        [
+    files = {
+        "phase_eigencurves.csv": (header, rows),
+        "phase_tracked.csv": (
+            ["c", "alpha"] + ["w_eig%d" % i for i in track] + ["gram_eig1", "gram_eig2"],
+            [tracked(c, float(a)) for c in cs for a in fine],
+        ),
+        "phase_sweep.gp": [
             "set key outside",
             "set xlabel 'index'",
             "set ylabel 'eigenvalue'",
@@ -328,7 +325,7 @@ def _run_phase_sweep(cfg, fast, out):
             "'' using 2:5 skip 1 with lines title 'w eig 8', "
             "'' using 2:6 skip 1 with lines title 'w eig 80'",
         ],
-    )
+    }
     info = {
         "n": n,
         "curve_p": [p for _, p in aspects],
@@ -337,10 +334,10 @@ def _run_phase_sweep(cfg, fast, out):
         "tracked_p": [int(round(n2 / c)) for c in cs],
         "c_grid": list(cs),
     }
-    return [f_curves, f_track, f_gp], [seed], info
+    return files, [seed], info
 
 
-def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
+def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
     """Shared body of the three fixed-strength accuracy experiments.
 
     ``make_reference(n, p, params)`` prepares the per-aspect context and
@@ -372,19 +369,10 @@ def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
             curve_rows.append([c, i + 1, sample[i], limit[i]])
         for seed, r in zip(seeds, results):
             summary_rows.append([c, seed, r[2]])
-    f_curves = write_csv(
-        os.path.join(out, "%s_curves.csv" % tag),
-        ["c", "index", "sample_mean", "limit_mean"],
-        curve_rows,
-    )
-    f_summary = write_csv(
-        os.path.join(out, "%s_summary.csv" % tag),
-        ["c", "seed", "error"],
-        summary_rows,
-    )
-    f_gp = _write_gnuplot(
-        os.path.join(out, "%s.gp" % tag),
-        [
+    files = {
+        "%s_curves.csv" % tag: (["c", "index", "sample_mean", "limit_mean"], curve_rows),
+        "%s_summary.csv" % tag: (["c", "seed", "error"], summary_rows),
+        "%s.gp" % tag: [
             "set xlabel 'index'",
             "set ylabel 'eigenvalue'",
             "plot '%s_curves.csv' using 2:($1==1 ? $3 : 1/0) skip 1 "
@@ -392,9 +380,9 @@ def _accuracy_recipe(cfg, fast, out, tag, alpha, make_reference):
             "'' using 2:($1==1 ? $4 : 1/0) skip 1 with lines title 'limit (c=1)'"
             % tag,
         ],
-    )
+    }
     info = {"n": n, "alpha": alpha, "alpha_base": base, "c_grid": list(cs)}
-    return [f_curves, f_summary, f_gp], list(seeds), info
+    return files, list(seeds), info
 
 
 def _low_snr_error(eigs, measure):
@@ -418,7 +406,7 @@ def _large_snr_error(eigs):
     return float(np.max(np.abs(eigs - 1.0)))
 
 
-def _run_accuracy_low(cfg, fast, out):
+def _run_accuracy_low(cfg, fast):
     """Bulk eigenvalues against shifted MP typical locations at weak signal."""
 
     def make_reference(n, p, params):
@@ -426,10 +414,10 @@ def _run_accuracy_low(cfg, fast, out):
         gammas = typical_location(measure, np.arange(1, n + 1), n)
         return lambda cloud, W, eigs: (gammas, _low_snr_error(eigs, measure))
 
-    return _accuracy_recipe(cfg, fast, out, "accuracy_low", 0.2, make_reference)
+    return _accuracy_recipe(cfg, fast, "accuracy_low", 0.2, make_reference)
 
 
-def _run_accuracy_moderate(cfg, fast, out):
+def _run_accuracy_moderate(cfg, fast):
     """Eigenvalue overlay of W against its scaled-plus-shifted clean limit."""
 
     def make_reference(n, p, params):
@@ -439,20 +427,20 @@ def _run_accuracy_moderate(cfg, fast, out):
 
         return reference
 
-    return _accuracy_recipe(cfg, fast, out, "accuracy_moderate", 1.9, make_reference)
+    return _accuracy_recipe(cfg, fast, "accuracy_moderate", 1.9, make_reference)
 
 
-def _run_accuracy_large(cfg, fast, out):
+def _run_accuracy_large(cfg, fast):
     """Very strong signal: the affinity spectrum collapses to unity."""
 
     def make_reference(n, p, params):
         ones = np.ones(n)
         return lambda cloud, W, eigs: (ones, _large_snr_error(eigs))
 
-    return _accuracy_recipe(cfg, fast, out, "accuracy_large", 5.0, make_reference)
+    return _accuracy_recipe(cfg, fast, "accuracy_large", 5.0, make_reference)
 
 
-def _run_dimension_sweep(cfg, fast, out):
+def _run_dimension_sweep(cfg, fast):
     """Error-versus-n curves for the three accuracy regimes at c = 1."""
     ns = (50, 150, 300) if fast else (50, 100, 150, 200, 250, 300, 400)
     if cfg.alpha_grid is not None:
@@ -478,23 +466,14 @@ def _run_dimension_sweep(cfg, fast, out):
         return [n, seed, err_low, err_mod, err_big]
 
     rows = [one(n, s) for n in ns for s in seeds]
-    f_rows = write_csv(
-        os.path.join(out, "dimension_sweep.csv"),
-        ["n", "seed", "err_low", "err_moderate", "err_large"],
-        rows,
-    )
     means = []
     for n in ns:
         block = np.array([r[2:] for r in rows if r[0] == n])
         means.append([n] + list(block.mean(axis=0)))
-    f_mean = write_csv(
-        os.path.join(out, "dimension_sweep_mean.csv"),
-        ["n", "err_low", "err_moderate", "err_large"],
-        means,
-    )
-    f_gp = _write_gnuplot(
-        os.path.join(out, "dimension_sweep.gp"),
-        [
+    files = {
+        "dimension_sweep.csv": (["n", "seed", "err_low", "err_moderate", "err_large"], rows),
+        "dimension_sweep_mean.csv": (["n", "err_low", "err_moderate", "err_large"], means),
+        "dimension_sweep.gp": [
             "set xlabel 'n'",
             "set ylabel 'error'",
             "set logscale y",
@@ -502,12 +481,12 @@ def _run_dimension_sweep(cfg, fast, out):
             "title 'low snr', '' using 1:3 skip 1 with linespoints title "
             "'moderate snr', '' using 1:4 skip 1 with linespoints title 'large snr'",
         ],
-    )
+    }
     info = {"n_grid": list(ns), "alpha_base": base, "c": 1.0}
-    return [f_rows, f_mean, f_gp], list(seeds), info
+    return files, list(seeds), info
 
 
-def _run_histogram_bulk(cfg, fast, out):
+def _run_histogram_bulk(cfg, fast):
     """Bulk histogram of the weak-signal affinity spectrum against the
     shifted MP density, point mass removed, over many repetitions.
 
@@ -539,14 +518,11 @@ def _run_histogram_bulk(cfg, fast, out):
         theory = np.diff(mp_cdf(edges, measure)) / width
         for k in range(bins):
             rows.append([c, edges[k], edges[k + 1], emp[k], theory[k]])
-    f_hist = write_csv(
-        os.path.join(out, "histogram_bulk.csv"),
-        ["c", "bin_lo", "bin_hi", "empirical_density", "limit_density"],
-        rows,
-    )
-    f_gp = _write_gnuplot(
-        os.path.join(out, "histogram_bulk.gp"),
-        [
+    files = {
+        "histogram_bulk.csv": (
+            ["c", "bin_lo", "bin_hi", "empirical_density", "limit_density"], rows
+        ),
+        "histogram_bulk.gp": [
             "set xlabel 'eigenvalue'",
             "set ylabel 'density'",
             "plot 'histogram_bulk.csv' using (0.5*($2+$3)):($1==1 ? $4 : 1/0) "
@@ -554,12 +530,12 @@ def _run_histogram_bulk(cfg, fast, out):
             "'' using (0.5*($2+$3)):($1==1 ? $5 : 1/0) skip 1 with lines "
             "title 'limit (c=1)'",
         ],
-    )
+    }
     info = {"n": n, "reps": reps, "alpha": 0.2, "alpha_base": base, "c_grid": list(cs)}
-    return [f_hist, f_gp], [first_seed], info
+    return files, [first_seed], info
 
 
-def _run_omega_sweep(cfg, fast, out):
+def _run_omega_sweep(cfg, fast):
     """Selected quantile level against signal strength on noisy circles,
     once from the affinity spectrum and once from the transition spectrum."""
     n = cfg.n if cfg.n is not None else 300
@@ -588,15 +564,12 @@ def _run_omega_sweep(cfg, fast, out):
             sel_a.omega, sel_a.h / p,
         ]
 
-    rows = [one(c, float(a)) for c in cs for a in alphas]
-    f_rows = write_csv(
-        os.path.join(out, "omega_sweep.csv"),
-        ["c", "alpha", "s", "omega_w", "h_over_p_w", "omega_a", "h_over_p_a"],
-        rows,
-    )
-    f_gp = _write_gnuplot(
-        os.path.join(out, "omega_sweep.gp"),
-        [
+    files = {
+        "omega_sweep.csv": (
+            ["c", "alpha", "s", "omega_w", "h_over_p_w", "omega_a", "h_over_p_a"],
+            [one(c, float(a)) for c in cs for a in alphas],
+        ),
+        "omega_sweep.gp": [
             "set xlabel 'alpha'",
             "set ylabel 'selected omega'",
             "set yrange [0:1]",
@@ -605,20 +578,20 @@ def _run_omega_sweep(cfg, fast, out):
             "'' using 2:($1==1 ? $6 : 1/0) skip 1 with linespoints "
             "title 'transition (c=1)'",
         ],
-    )
+    }
     info = {
         "n": n,
         "alpha_base": base,
         "c_grid": list(cs),
         "thresholds": {_fmt(c): thresholds[c] for c in cs},
     }
-    return [f_rows, f_gp], [seed], info
+    return files, [seed], info
 
 
 MANIFOLD_RMSE_SIZES = {"m1": 400, "kb": 800}
 
 
-def _run_manifold_rmse(cfg, fast, out):
+def _run_manifold_rmse(cfg, fast):
     """Eigenvector RMSE of noisy-manifold affinities against the clean
     reference, for the selected, median-quantile, ambient-dimension, and
     signal-matched bandwidths."""
@@ -670,19 +643,12 @@ def _run_manifold_rmse(cfg, fast, out):
                 mean, std = stack.mean(axis=0), stack.std(axis=0)
                 for j in range(top):
                     rmse_rows.append([kind, c, j + 1, tag, mean[j], std[j]])
-    f_rmse = write_csv(
-        os.path.join(out, "manifold_rmse.csv"),
-        ["manifold", "c", "vec_index", "variant", "rmse_mean", "rmse_std"],
-        rmse_rows,
-    )
-    f_omega = write_csv(
-        os.path.join(out, "manifold_omegas.csv"),
-        ["manifold", "c", "seed", "omega", "h_over_p"],
-        omega_rows,
-    )
-    f_gp = _write_gnuplot(
-        os.path.join(out, "manifold_rmse.gp"),
-        [
+    files = {
+        "manifold_rmse.csv": (
+            ["manifold", "c", "vec_index", "variant", "rmse_mean", "rmse_std"], rmse_rows
+        ),
+        "manifold_omegas.csv": (["manifold", "c", "seed", "omega", "h_over_p"], omega_rows),
+        "manifold_rmse.gp": [
             "set xlabel 'eigenvector index'",
             "set ylabel 'rmse'",
             "plot 'manifold_rmse.csv' "
@@ -693,13 +659,12 @@ def _run_manifold_rmse(cfg, fast, out):
             "'' using 3:(strcol(1) eq 'm1' && strcol(4) eq 'hp' ? $5 : 1/0):6 "
             "skip 1 with yerrorlines title 'h=p'",
         ],
-    )
+    }
     info = {"reps": reps, "c_grid": c_grids, "sizes": dict(MANIFOLD_RMSE_SIZES)}
-    seeds = [base_seed + r for r in range(reps)]
-    return [f_rmse, f_omega, f_gp], seeds, info
+    return files, [base_seed + r for r in range(reps)], info
 
 
-def _run_stieltjes_compare(cfg, fast, out):
+def _run_stieltjes_compare(cfg, fast):
     """Stieltjes transforms of W and its Gram-based surrogate over the
     spectral-parameter box, at unit-exponent signal strength."""
     if cfg.c_grid is not None:
@@ -725,35 +690,30 @@ def _run_stieltjes_compare(cfg, fast, out):
         return np.hypot(diff.real, diff.imag)
 
     diffs = np.array([one(seed) for seed in seeds])
-    rows = []
-    for k, z in enumerate(grid.points):
-        rows.append(
-            [z.real, z.imag, diffs[:, k].mean(), diffs[:, k].max()]
-        )
-    f_grid = write_csv(
-        os.path.join(out, "stieltjes_grid.csv"),
-        ["energy", "eta", "mean_absdiff", "max_absdiff"],
-        rows,
-    )
-    f_sup = write_csv(
-        os.path.join(out, "stieltjes_sup.csv"),
-        ["seed", "sup_absdiff", "bound"],
-        [
-            [seed, diffs[i].max(), 2.0 / (np.sqrt(n) * grid.eta_min**2)]
-            for i, seed in enumerate(seeds)
-        ],
-    )
-    f_gp = _write_gnuplot(
-        os.path.join(out, "stieltjes_compare.gp"),
-        [
+    files = {
+        "stieltjes_grid.csv": (
+            ["energy", "eta", "mean_absdiff", "max_absdiff"],
+            [
+                [z.real, z.imag, diffs[:, k].mean(), diffs[:, k].max()]
+                for k, z in enumerate(grid.points)
+            ],
+        ),
+        "stieltjes_sup.csv": (
+            ["seed", "sup_absdiff", "bound"],
+            [
+                [seed, diffs[i].max(), 2.0 / (np.sqrt(n) * grid.eta_min**2)]
+                for i, seed in enumerate(seeds)
+            ],
+        ),
+        "stieltjes_compare.gp": [
             "set xlabel 'energy'",
             "set ylabel '|m_W - m_surrogate|'",
             "plot 'stieltjes_grid.csv' using 1:3 skip 1 with points "
             "title 'mean over seeds'",
         ],
-    )
+    }
     info = {"n": n, "p": p, "lambda": lam, "a": a, "eta_min": grid.eta_min}
-    return [f_grid, f_sup, f_gp], list(seeds), info
+    return files, list(seeds), info
 
 
 D2_CASES = (
@@ -763,7 +723,7 @@ D2_CASES = (
 )
 
 
-def _run_d2_comparison(cfg, fast, out):
+def _run_d2_comparison(cfg, fast):
     """Bulk spectra of one- against two-spike clouds in the three printed
     strength pairings, from the tenth eigenvalue on."""
     n = cfg.n if cfg.n is not None else 200
@@ -789,19 +749,10 @@ def _run_d2_comparison(cfg, fast, out):
                 curve_rows.append([case, c, i + 1, m1[i], m2[i]])
             sup = float(np.max(np.abs(m1[start - 1 :] - m2[start - 1 :])))
             summary_rows.append([case, c, sup, expected])
-    f_curves = write_csv(
-        os.path.join(out, "d2_curves.csv"),
-        ["case", "c", "index", "eig_d1_mean", "eig_d2_mean"],
-        curve_rows,
-    )
-    f_summary = write_csv(
-        os.path.join(out, "d2_summary.csv"),
-        ["case", "c", "sup_absdiff", "expectation"],
-        summary_rows,
-    )
-    f_gp = _write_gnuplot(
-        os.path.join(out, "d2_comparison.gp"),
-        [
+    files = {
+        "d2_curves.csv": (["case", "c", "index", "eig_d1_mean", "eig_d2_mean"], curve_rows),
+        "d2_summary.csv": (["case", "c", "sup_absdiff", "expectation"], summary_rows),
+        "d2_comparison.gp": [
             "set xlabel 'index'",
             "set ylabel 'eigenvalue'",
             "plot 'd2_curves.csv' "
@@ -810,12 +761,12 @@ def _run_d2_comparison(cfg, fast, out):
             "'' using 3:(strcol(1) eq 'low_pair' && $2==1 ? $5 : 1/0) skip 1 "
             "with points title 'two spikes'",
         ],
-    )
+    }
     info = {"n": n, "alpha_base": base, "c_grid": list(cs), "start_index": start}
-    return [f_curves, f_summary, f_gp], list(seeds), info
+    return files, list(seeds), info
 
 
-def _run_zeroing_comparison(cfg, fast, out):
+def _run_zeroing_comparison(cfg, fast):
     """Third-eigenvector recovery of the plain against the zero-diagonal
     transition matrix across signal strengths.
 
@@ -859,23 +810,16 @@ def _run_zeroing_comparison(cfg, fast, out):
         return [alpha, seed, r[0], r[1], r[2], sel.omega]
 
     rows = [one(float(a), s_) for a in alphas for s_ in seeds]
-    f_rows = write_csv(
-        os.path.join(out, "zeroing.csv"),
-        ["alpha", "seed", "rmse_adap", "rmse_zero", "rmse_baseline", "omega"],
-        rows,
-    )
     means = []
     for alpha in alphas:
         block = np.array([r[2:5] for r in rows if r[0] == float(alpha)])
         means.append([float(alpha)] + list(block.mean(axis=0)))
-    f_means = write_csv(
-        os.path.join(out, "zeroing_mean.csv"),
-        ["alpha", "rmse_adap", "rmse_zero", "rmse_baseline"],
-        means,
-    )
-    f_gp = _write_gnuplot(
-        os.path.join(out, "zeroing.gp"),
-        [
+    files = {
+        "zeroing.csv": (
+            ["alpha", "seed", "rmse_adap", "rmse_zero", "rmse_baseline", "omega"], rows
+        ),
+        "zeroing_mean.csv": (["alpha", "rmse_adap", "rmse_zero", "rmse_baseline"], means),
+        "zeroing.gp": [
             "set xlabel 'alpha'",
             "set ylabel 'third-eigenvector rmse'",
             "plot 'zeroing_mean.csv' using 1:2 skip 1 with linespoints "
@@ -883,9 +827,9 @@ def _run_zeroing_comparison(cfg, fast, out):
             "title 'zeroed diagonal', '' using 1:4 skip 1 with lines "
             "title 'random baseline'",
         ],
-    )
+    }
     info = {"n": n, "p": p, "h_zero": h_zero, "s": s, "alphas": list(alphas)}
-    return [f_rows, f_means, f_gp], list(seeds), info
+    return files, list(seeds), info
 
 
 _RUNNERS = {
@@ -904,12 +848,16 @@ _RUNNERS = {
 
 
 def run(config, fast=False):
-    """Execute one named experiment and return its manifest.
+    """Execute one named experiment, write its artifacts and return its
+    manifest.
 
-    Artifacts (CSV files plus a gnuplot script) land in
-    ``config.output_dir``; the manifest is written there last, as
-    ``manifest.json``, and a manifest from an earlier run is removed before
-    the recipe starts, so a run that fails leaves none.
+    The recipe only computes: it returns its files in manifest order, each
+    CSV as (header, rows) and the gnuplot script as its lines.  ``run`` is
+    the only code that writes under ``config.output_dir``.  It removes a
+    manifest from an earlier run before the recipe starts, writes each file
+    once the recipe has returned, and writes ``manifest.json`` last.  So a
+    run that fails leaves no manifest, and a recipe that raises leaves the
+    earlier artifacts as they were.
     """
     config.validate()
     out = config.output_dir
@@ -919,7 +867,13 @@ def run(config, fast=False):
     try:
         if os.path.exists(manifest_path):
             os.remove(manifest_path)
-        files, seeds, info = _RUNNERS[config.name](config, fast, out)
+        files, seeds, info = _RUNNERS[config.name](config, fast)
+        for name, body in files.items():
+            path = os.path.join(out, name)
+            if name.endswith(".gp"):
+                _write_gnuplot(path, body)
+            else:
+                write_csv(path, *body)
     except OSError as err:
         raise OSError(
             "experiment %s failed writing under %r: %s" % (config.name, out, err)
@@ -933,8 +887,7 @@ def run(config, fast=False):
         resolved=info,
         wall_clock_s=round(time.perf_counter() - started, 3),
         files=[
-            {"path": os.path.basename(path), "sha256": _sha256(path)}
-            for path in files
+            {"path": name, "sha256": _sha256(os.path.join(out, name))} for name in files
         ],
     )
     manifest.save(manifest_path)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from glspec.cli import main
-from glspec.datagen import gen_spiked, load_cloud_csv, load_cloud_npz
+from glspec.datagen import gen_spiked, load_cloud_csv, load_cloud_npz, save_cloud_csv
 from glspec.kernels import (
     KernelParams,
     affinity,
@@ -104,6 +104,8 @@ def test_gen_alpha_resolution_base_p_and_n(tmp_path):
         ["--kind", "circle", "--lam", "4", "--no-rotate"],
         ["--kind", "spiked", "--lam", "4", "--scale", "9"],
         ["--kind", "circle", "--lam", "4", "--scale", "9"],
+        ["--kind", "m1", "--alpha-base", "n"],
+        ["--kind", "spiked", "--lam", "3", "--alpha-base", "n"],
     ],
     ids=lambda args: "-".join(a.lstrip("-") for a in args[1:]),
 )
@@ -339,4 +341,27 @@ def test_omega_rejects_a_malformed_grid(tmp_path, grid):
     )
     assert result.exit_code == 2, result.output
     assert "--grid" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["omega"], ["omega", "--s", "0.2"], ["spectra"]],
+    ids=lambda args: "-".join(a.lstrip("-") for a in args),
+)
+def test_non_finite_cloud_is_a_usage_error(tmp_path, monkeypatch, args):
+    cloud_path = tmp_path / "nan.csv"
+    save_cloud_csv(gen_spiked(30, 20, (3.0,), 0), cloud_path)
+    lines = cloud_path.read_text().splitlines()
+    lines[5] = "nan," + lines[5].split(",", 1)[1]
+    cloud_path.write_text("\n".join(lines) + "\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a rejected cloud")
+
+    monkeypatch.setattr("glspec.cli.resample_threshold", no_work)
+    monkeypatch.setattr("glspec.cli.sym_eigs", no_work)
+    result = CliRunner().invoke(main, [*args, "--cloud", str(cloud_path)])
+    assert result.exit_code == 2, result.output
+    assert "NaN" in result.output
     assert "Traceback" not in result.output

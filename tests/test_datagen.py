@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -266,6 +267,30 @@ def test_load_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_cloud_csv(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loaders_reject_non_finite_values(tmp_path, bad):
+    cloud = gen_spiked(6, 4, (2.0,), 1)
+    noise = cloud.noise.copy()
+    noise[2, 3] = bad
+    cloud = dataclasses.replace(cloud, noise=noise)
+    csv_path = tmp_path / "cloud.csv"
+    save_cloud_csv(cloud, csv_path)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        load_cloud_csv(csv_path)
+    npz_path = tmp_path / "cloud.npz"
+    save_cloud_npz(cloud, npz_path)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        load_cloud_npz(npz_path)
+
+
+def test_npz_loader_rejects_mismatched_noise(tmp_path):
+    path = tmp_path / "cloud.npz"
+    np.savez(path, clean=np.zeros((6, 4)), noise=np.zeros((6, 3)), d=1, lambdas=[2.0],
+             seed=1, kind=SPIKED)
+    with pytest.raises(ValueError, match="shape"):
+        load_cloud_npz(path)
 
 
 # The generator bodies as they were before the four generators shared one

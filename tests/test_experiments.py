@@ -200,8 +200,8 @@ def test_unserialisable_manifest_leaves_no_file(tmp_path, monkeypatch):
     out = str(tmp_path)
     inner = experiments._RUNNERS["AccuracyLarge"]
 
-    def runner(cfg, fast, out):
-        files, seeds, info = inner(cfg, fast, out)
+    def runner(cfg, fast):
+        files, seeds, info = inner(cfg, fast)
         return files, seeds, dict(info, bad=object())
 
     monkeypatch.setitem(experiments._RUNNERS, "AccuracyLarge", runner)
@@ -210,6 +210,28 @@ def test_unserialisable_manifest_leaves_no_file(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(out, "accuracy_large_summary.csv"))
     assert not os.path.exists(os.path.join(out, "manifest.json"))
     assert not os.path.exists(os.path.join(out, "manifest.json.tmp"))
+
+
+def test_failed_recipe_leaves_earlier_artifacts_untouched(tmp_path, monkeypatch):
+    import glspec.experiments as experiments
+
+    out = str(tmp_path)
+    settings = dict(name="PhaseSweep", n=30, c_grid=(1.0,), alpha_grid=(0.0,), output_dir=out)
+    run(ExperimentConfig(seeds=(0,), **settings), fast=True)
+    curves = os.path.join(out, "phase_eigencurves.csv")
+    with open(curves, "rb") as fh:
+        before = fh.read()
+
+    def broken_gram(X):
+        raise RuntimeError("gram failed")
+
+    # the eigencurves are computed first; only the tracked half calls gram
+    monkeypatch.setattr(experiments, "gram", broken_gram)
+    with pytest.raises(RuntimeError, match="gram failed"):
+        run(ExperimentConfig(seeds=(1,), **settings), fast=True)
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    with open(curves, "rb") as fh:
+        assert fh.read() == before
 
 
 def test_accuracy_low_errors_small(tmp_path):
