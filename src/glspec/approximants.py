@@ -1,30 +1,27 @@
 """Theory-predicted matrices the kernel affinity W is compared against:
-the second-order kernel expansion K_d, the clean-signal surrogates W_a1,
-W~_a1, W_b1, W_a2, and the Mehler rank-one expansion of the clean affinity
-matrix (exponential kernel, one signal coordinate)."""
+the second-order kernel expansion K_d, the clean-signal surrogates W_a1 and
+W_b1, and the Mehler rank-one expansion of the clean affinity matrix
+(exponential kernel, one signal coordinate).
+
+At the adaptive bandwidth h = lam + p the clean-signal surrogate is
+``w_a1(W1_h, upsilon * p / h)``: the same form at the rescaled decay.
+"""
 
 from dataclasses import dataclass
-from math import lgamma
 
 import numpy as np
 
 from .kernels import gram
 
 
-@dataclass
-class PhiVector:
-    """Centered squared-norm profile phi_i = ||x_i||^2/p - (1 + sum_l lambda_l/p)."""
-
-    phi: np.ndarray
-
-
 def phi_vector(cloud, lambdas=None):
+    """Centered squared-norm profile phi_i = ||x_i||^2/p - (1 + sum_l lambda_l/p)."""
     if lambdas is None:
         lambdas = cloud.lambdas
     X = cloud.noisy()
     p = cloud.p
     center = 1.0 + sum(lambdas) / p
-    return PhiVector(np.einsum("ij,ij->i", X, X) / p - center)
+    return np.einsum("ij,ij->i", X, X) / p - center
 
 
 def kd_matrix(cloud, params, lambdas=None):
@@ -57,7 +54,7 @@ def kd_matrix(cloud, params, lambdas=None):
 
     X = cloud.noisy()
     G = gram(X)
-    phi = phi_vector(cloud, lambdas).phi
+    phi = phi_vector(cloud, lambdas)
     n = cloud.n
     ones = np.ones(n)
     phi2 = phi * phi
@@ -84,13 +81,6 @@ def w_a1(W1, upsilon):
     return out
 
 
-def w_tilde_a1(W1, Wc, upsilon):
-    """W_a1 with the noise-signal cross factor folded in entrywise."""
-    if np.shape(W1) != np.shape(Wc):
-        raise ValueError("shape mismatch")
-    return w_a1(W1, upsilon) * np.asarray(Wc, dtype=float)
-
-
 def w_b1(W1, noise_gram, upsilon):
     """Clean affinity modulated by the noise Gram fluctuation."""
     if np.shape(W1) != np.shape(noise_gram):
@@ -99,15 +89,6 @@ def w_b1(W1, noise_gram, upsilon):
     inner = scale * np.asarray(noise_gram, dtype=float)
     inner[np.diag_indices_from(inner)] += 2.0 * upsilon * np.exp(-4.0 * upsilon)
     return inner * np.asarray(W1, dtype=float)
-
-
-def w_a2(W1_h, p, lam, upsilon):
-    """Clean-affinity surrogate at the adaptive bandwidth h = lam + p."""
-    h = lam + p
-    scale = np.exp(-2.0 * p * upsilon / h)
-    out = scale * np.asarray(W1_h, dtype=float)
-    out[np.diag_indices_from(out)] += 1.0 - scale
-    return out
 
 
 # -- Mehler expansion ------------------------------------------------------
@@ -140,23 +121,23 @@ def mehler_t0(beta, upsilon):
 class MehlerExpansion:
     """Rank-(M+1) expansion of the clean affinity in Hermite factors.
 
-    ``terms[m]`` is the vector H_m = w o H~_m(z) with weights
-    w_i = exp(((3 t0^2 - 2)/(2 (1 - t0^2))) z_i^2); the represented matrix
-    is prefactor * sum_m (t0^m / m!) H_m H_m^T.
+    With weights w_i = exp(((3 t0^2 - 2)/(2 (1 - t0^2))) z_i^2) and the
+    vectors H_m = w o H~_m(z), the represented matrix is
+    prefactor * sum_{m <= M} (t0^m / m!) H_m H_m^T.
     """
 
     t0: float
     beta: float
-    terms: list
+    M: int
     prefactor: float
 
     # standardized coordinates and weights, kept for the overflow-free
     # matrix assembly (orthonormalized recurrence, fixed summation order)
-    _coords: np.ndarray = None
-    _weights: np.ndarray = None
+    _coords: np.ndarray
+    _weights: np.ndarray
 
     def order(self):
-        return len(self.terms) - 1
+        return self.M
 
     def matrix(self, M=None):
         """Assemble the truncated matrix at order M (default: all terms).
@@ -166,8 +147,8 @@ class MehlerExpansion:
         printed coefficients but never overflows.
         """
         if M is None:
-            M = self.order()
-        if not 0 <= M <= self.order():
+            M = self.M
+        if not 0 <= M <= self.M:
             raise ValueError("M out of range")
         z = self._coords
         w = self._weights
@@ -203,24 +184,4 @@ def mehler_truncation(clean_coords, beta, upsilon, M):
     t0 = mehler_t0(beta, upsilon)
     g = (3.0 * t0 * t0 - 2.0) / (2.0 * (1.0 - t0 * t0))
     w = np.exp(g * z * z)
-    terms = []
-    prev = np.ones_like(z)
-    cur = None
-    for m in range(M + 1):
-        if m == 0:
-            val = prev
-        elif m == 1:
-            cur = z.copy()
-            val = cur
-        else:
-            prev, cur = cur, z * cur - (m - 1) * prev
-            val = cur
-        terms.append(w * val)
-    return MehlerExpansion(
-        float(t0), float(beta), terms, float(np.sqrt(1.0 - t0 * t0)), z, w
-    )
-
-
-def mehler_coefficient(t0, m):
-    """t0^m / m! evaluated in log space."""
-    return np.exp(m * np.log(t0) - lgamma(m + 1))
+    return MehlerExpansion(float(t0), float(beta), M, float(np.sqrt(1.0 - t0 * t0)), z, w)

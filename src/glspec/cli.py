@@ -8,6 +8,7 @@ import numpy as np
 
 from .bandwidth import (
     omega_grid,
+    quantile_bandwidth,
     resample_threshold,
     save_selection_json,
     select_omega,
@@ -192,12 +193,20 @@ def run_cmd(experiment, config_path, out, fast):
 def omega(cloud_path, upsilon, threshold, grid, matrix, seed, out):
     """Pick the bandwidth quantile that maximizes the outlier count."""
     cloud = _load_cloud(cloud_path)
+    D2 = pairwise_sq_dists(cloud.noisy())
+    try:
+        # the bandwidth grows with omega, so the grid's bottom decides
+        quantile_bandwidth(D2, grid[0])
+    except ValueError as err:
+        raise click.BadParameter(
+            "%s at omega_L = %g" % (err, grid[0]), param_hint="--cloud"
+        ) from None
     if threshold is None:
         threshold = resample_threshold(
             cloud.n / float(cloud.p), cloud.n, upsilon, seed=seed
         )
         click.echo("resampled s = %.4f" % threshold)
-    sel = select_omega(cloud, upsilon, threshold, grid=grid, matrix=matrix)
+    sel = select_omega(cloud, upsilon, threshold, grid=grid, matrix=matrix, D2=D2)
     click.echo(
         "omega = %.4f, h = %.6g (h/p = %.4g), outliers = %d"
         % (sel.omega, sel.h, sel.h / cloud.p, int(sel.k_per_omega.max()))

@@ -1,24 +1,13 @@
 """Analytic spectral measures: the Marchenko-Pastur family with a point
-mass, shifted variants describing kernel-matrix bulks, typical eigenvalue
+mass, shifted to describe kernel-matrix bulks, typical eigenvalue
 locations, and the spiked-Gram outlier location.
 
-Conventions
------------
 A measure is ``point_mass_at_zero * delta_0 + bulk`` pushed forward by the
 shift ``x -> x + shift``.  The point mass is the rank-consistent
 ``(1 - 1/c)_+`` (an n x n companion Gram matrix with n > p has exactly
-n - p zero eigenvalues).  Two bulk-edge conventions exist:
-
-* ``"scaled"`` (default): support ``sigma2 * (1 +/- sqrt(c))^2``, the
-  pushforward of the unit MP law under ``x -> sigma2 * x``.  Total mass is
-  one for every sigma2, so quantiles are defined on the whole index range.
-* ``"printed"``: support ``(1 +/- sigma2*sqrt(c))^2`` with the same density
-  formula.  For sigma2 != 1 this does not integrate to one (the bulk mass
-  is sigma2 * min(1, 1/c)); it is kept for cross-checking the edge formula
-  and refuses quantile queries beyond its actual mass.
-
-Both coincide at sigma2 = 1.  Empirical spectra side with "scaled"; see the
-acceptance suite's bulk-rigidity checks.
+n - p zero eigenvalues).  The bulk is supported on
+``sigma2 * (1 +/- sqrt(c))^2``, the pushforward of the unit MP law under
+``x -> sigma2 * x``, so the total mass is one for every sigma2.
 """
 
 from dataclasses import dataclass
@@ -43,26 +32,18 @@ class MpMeasure:
     c: float
     sigma2: float
     shift: float = 0.0
-    point_mass_at_zero: float = None
-    edge_convention: str = "scaled"
 
     def __post_init__(self):
         if self.c <= 0 or self.sigma2 <= 0:
             raise ValueError("need c > 0 and sigma2 > 0")
-        if self.point_mass_at_zero is None:
-            self.point_mass_at_zero = max(0.0, 1.0 - 1.0 / self.c)
-        if self.edge_convention == "scaled":
-            lo = self.sigma2 * (1.0 - np.sqrt(self.c)) ** 2
-            hi = self.sigma2 * (1.0 + np.sqrt(self.c)) ** 2
-        elif self.edge_convention == "printed":
-            lo = (1.0 - self.sigma2 * np.sqrt(self.c)) ** 2
-            hi = (1.0 + self.sigma2 * np.sqrt(self.c)) ** 2
-        else:
-            raise ValueError("edge_convention must be 'scaled' or 'printed'")
-        self.bulk_lo = lo
-        self.bulk_hi = hi
+        self.point_mass_at_zero = max(0.0, 1.0 - 1.0 / self.c)
+        self.bulk_lo = lo = self.sigma2 * (1.0 - np.sqrt(self.c)) ** 2
+        self.bulk_hi = hi = self.sigma2 * (1.0 + np.sqrt(self.c)) ** 2
         self._center = 0.5 * (lo + hi)
         self._radius = 0.5 * (hi - lo)
+        if self._radius ** 2 < np.finfo(float).tiny:
+            # the integrand's numerator and denominator would both underflow
+            raise ValueError("sigma2 = %g is too small to integrate" % self.sigma2)
         self._build_cdf_cache()
 
     # -- bulk integration ------------------------------------------------
@@ -107,14 +88,6 @@ class MpMeasure:
         k = np.clip(k, 0, _CACHE_INTERVALS - 1)
         out[inside] = self._cache_cum[k] + self._panels(self._cache_t[k], t)
         return out if out.ndim else float(out)
-
-
-def mp_edges(c, sigma2):
-    """Bulk edges in the printed convention (1 +/- sigma2*sqrt(c))^2."""
-    if c <= 0 or sigma2 <= 0:
-        raise ValueError("need c > 0 and sigma2 > 0")
-    root = sigma2 * np.sqrt(c)
-    return (1.0 - root) ** 2, (1.0 + root) ** 2
 
 
 def mp_density(x, measure):
@@ -206,35 +179,6 @@ def nu_lambda(c, p, lam, upsilon):
 def nu0(c, upsilon):
     """nu_lambda at lam = 0 (p drops out)."""
     return nu_lambda(c, 1.0, 0.0, upsilon)
-
-
-def nu_tilde0(c, p, lam, upsilon):
-    """Bulk law of W at the signal-adaptive bandwidth h = lam + p."""
-    if lam < 0:
-        raise ValueError("need lam >= 0")
-    h = lam + p
-    eta = (2.0 * p * upsilon / h) * np.exp(-2.0 * p * upsilon / h)
-    tau = 2.0 * (lam / p + 1.0)
-    decay_tau = np.exp(-upsilon * tau * p / h)
-    shift = 1.0 - (2.0 * upsilon * p / h) * decay_tau - decay_tau
-    return MpMeasure(c, eta, shift)
-
-
-def nu_check0(c, lam, upsilon, p=None):
-    """Bulk law of the scaled transition matrix nA in the bounded regimes.
-
-    The scale divides -2 f'(tau(0)) by f(tau(lam)); tau(lam) needs the
-    ambient dimension, so p is required whenever lam > 0.
-    """
-    if lam < 0:
-        raise ValueError("need lam >= 0")
-    if lam > 0 and p is None:
-        raise ValueError("p is required when lam > 0")
-    tau_lam = 2.0 if lam == 0 else 2.0 * (lam / p + 1.0)
-    decay0 = np.exp(-2.0 * upsilon)
-    sigma2 = 2.0 * upsilon * decay0 / np.exp(-upsilon * tau_lam)
-    shift = 1.0 - 2.0 * upsilon * decay0 - decay0
-    return MpMeasure(c, sigma2, shift)
 
 
 def spiked_gram_outlier(lam, c):

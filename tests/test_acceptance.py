@@ -30,7 +30,7 @@ from glspec.kernels import (
     transition,
     zeroed_transition,
 )
-from glspec.mplaw import MpMeasure, nu0, typical_location
+from glspec.mplaw import MpMeasure, nu0, spiked_gram_outlier, typical_location
 from glspec.spectrum import StieltjesGrid, bulk_rigidity, op_norm_diff, stieltjes_compare
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -232,9 +232,12 @@ def test_criterion_08_spiked_outlier():
     for seed in range(10):
         cloud = _spiked(n, n, 4.0, seed)
         tops.append(float(np.max(np.linalg.eigvalsh(gram(cloud.noisy())))))
-    dev = abs(float(np.mean(tops)) - 6.25)
-    ok = dev <= 0.15
-    _report(8, ok, "10-rep mean top Gram eigenvalue %.4f (target 6.25, tol 0.15)" % np.mean(tops))
+    target = spiked_gram_outlier(4.0, 1.0)
+    ok = abs(float(np.mean(tops)) - target) <= 0.15
+    _report(
+        8, ok,
+        "10-rep mean top Gram eigenvalue %.4f (target %g, tol 0.15)" % (np.mean(tops), target),
+    )
 
 
 def test_criterion_09_bandwidth_algorithm():

@@ -6,15 +6,12 @@ from scipy.special import eval_hermitenorm, factorial
 from glspec.approximants import (
     MehlerExpansion,
     kd_matrix,
-    mehler_coefficient,
     mehler_t0,
     mehler_truncation,
     phi_vector,
     scaled_hermite,
     w_a1,
-    w_a2,
     w_b1,
-    w_tilde_a1,
 )
 from glspec.datagen import gen_spiked
 from glspec.kernels import KernelParams, affinity, factor_matrices, gram, pairwise_sq_dists
@@ -26,12 +23,12 @@ def _cloud(n=15, p=10, lam=4.0, seed=0):
 
 def test_phi_vector_definition():
     cloud = _cloud()
-    phi = phi_vector(cloud).phi
+    phi = phi_vector(cloud)
     X = cloud.noisy()
     ref = np.array([x @ x for x in X]) / cloud.p - (1.0 + 4.0 / cloud.p)
     assert_allclose(phi, ref, atol=1e-12)
     # strengths can be overridden
-    phi2 = phi_vector(cloud, lambdas=(0.0,)).phi
+    phi2 = phi_vector(cloud, lambdas=(0.0,))
     assert_allclose(phi2, phi + 4.0 / cloud.p, atol=1e-12)
 
 
@@ -47,15 +44,6 @@ def test_w_a1_formula():
     assert_allclose(np.diag(got), np.ones(cloud.n), atol=1e-14)
 
 
-def test_w_tilde_a1_folds_cross_factor():
-    cloud = _cloud(seed=4)
-    params = KernelParams(0.5, float(cloud.p))
-    W1, _, Wc = factor_matrices(cloud, params)
-    assert_allclose(w_tilde_a1(W1, Wc, 0.5), w_a1(W1, 0.5) * Wc, atol=1e-14)
-    with pytest.raises(ValueError):
-        w_tilde_a1(W1, Wc[:3, :3], 0.5)
-
-
 def test_w_b1_formula():
     cloud = _cloud(seed=5)
     params = KernelParams(0.5, float(cloud.p))
@@ -69,20 +57,14 @@ def test_w_b1_formula():
         w_b1(W1, Gy[:3, :3], 0.5)
 
 
-def test_w_a2_reduces_to_w_a1_without_signal():
-    cloud = _cloud(lam=0.0, seed=6)
-    p = float(cloud.p)
-    W1, _, _ = factor_matrices(cloud, KernelParams(0.5, p))
-    assert_allclose(w_a2(W1, p, 0.0, 0.5), w_a1(W1, 0.5), atol=1e-14)
-
-
 def test_w_a2_scale_at_adaptive_bandwidth():
+    # the surrogate at h = lam + p is w_a1 at the rescaled decay upsilon p/h
     cloud = _cloud(lam=30.0, seed=7)
     p = float(cloud.p)
     lam = 30.0
     h = lam + p
     W1_h = affinity(pairwise_sq_dists(cloud.clean), KernelParams(0.5, h))
-    got = w_a2(W1_h, p, lam, 0.5)
+    got = w_a1(W1_h, 0.5 * p / h)
     scale = np.exp(-2.0 * p * 0.5 / h)
     ref = scale * W1_h + (1.0 - scale) * np.eye(cloud.n)
     assert_allclose(got, ref, atol=1e-14)
@@ -162,14 +144,6 @@ def test_mehler_t0_closed_form_at_unit():
     assert_allclose(mehler_t0(1.0, 1.0), (np.sqrt(17.0) - 1.0) / 4.0, rtol=1e-14)
 
 
-def test_mehler_coefficient_log_space():
-    t0 = 0.7
-    for m in (0, 1, 5, 20):
-        assert_allclose(mehler_coefficient(t0, m), t0 ** m / factorial(m), rtol=1e-12)
-    # large order stays finite where the naive ratio would overflow
-    assert np.isfinite(mehler_coefficient(0.99, 400))
-
-
 def test_mehler_expansion_exact_at_unit_parameters():
     # at upsilon = beta = 1 the expansion converges to the one-coordinate
     # clean affinity exp(-(z_i - z_j)^2)
@@ -205,13 +179,17 @@ def test_mehler_diagonal_converges_to_one():
 
 def test_mehler_matrix_matches_printed_coefficients():
     # the orthonormalized assembly must agree with the printed form
-    # prefactor * sum_m (t0^m / m!) H_m H_m^T at small orders
+    # prefactor * sum_m (t0^m / m!) H_m H_m^T at small orders, where
+    # H_m = w o H~_m(z) with w = exp(((3 t0^2 - 2)/(2 (1 - t0^2))) z^2)
     rng = np.random.Generator(np.random.Philox(key=14))
     z = rng.standard_normal(12)
     exp = mehler_truncation(z, beta=0.8, upsilon=1.2, M=12)
+    t0 = exp.t0
+    w = np.exp((3.0 * t0 * t0 - 2.0) / (2.0 * (1.0 - t0 * t0)) * z * z)
     direct = np.zeros((12, 12))
-    for m, term in enumerate(exp.terms):
-        direct += mehler_coefficient(exp.t0, m) * np.outer(term, term)
+    for m in range(13):
+        term = w * eval_hermitenorm(m, z)
+        direct += t0 ** m / factorial(m) * np.outer(term, term)
     direct *= exp.prefactor
     assert_allclose(exp.matrix(), direct, atol=1e-12)
     with pytest.raises(ValueError):
@@ -229,4 +207,4 @@ def test_mehler_expansion_dataclass_fields():
     t0 = mehler_t0(1.0, 1.0)
     assert_allclose(exp.t0, t0, rtol=1e-14)
     assert_allclose(exp.prefactor, np.sqrt(1.0 - t0 * t0), rtol=1e-14)
-    assert len(exp.terms) == 3
+    assert exp.order() == 2

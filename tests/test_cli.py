@@ -365,3 +365,23 @@ def test_non_finite_cloud_is_a_usage_error(tmp_path, monkeypatch, args):
     assert result.exit_code == 2, result.output
     assert "NaN" in result.output
     assert "Traceback" not in result.output
+
+
+def test_omega_rejects_identical_points_before_resampling(tmp_path, monkeypatch):
+    # every pairwise distance is zero, so the bandwidth at the bottom of
+    # the grid is zero: a usage error before the threshold is resampled
+    cloud_path = tmp_path / "same.npz"
+    zeros = np.zeros((30, 20))
+    np.savez(cloud_path, clean=zeros, noise=zeros, d=1, lambdas=np.zeros(1), seed=0,
+             kind="spiked")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a rejected cloud")
+
+    monkeypatch.setattr("glspec.cli.resample_threshold", no_work)
+    monkeypatch.setattr("glspec.cli.select_omega", no_work)
+    result = CliRunner().invoke(main, ["omega", "--cloud", str(cloud_path)])
+    assert result.exit_code == 2, result.output
+    assert "not positive" in result.output
+    assert "resampled s" not in result.output
+    assert "Traceback" not in result.output

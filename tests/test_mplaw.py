@@ -9,11 +9,8 @@ from glspec.mplaw import (
     MpMeasure,
     mp_cdf,
     mp_density,
-    mp_edges,
     nu0,
-    nu_check0,
     nu_lambda,
-    nu_tilde0,
     spiked_gram_outlier,
     typical_location,
 )
@@ -26,22 +23,21 @@ def test_edges_scaled_convention():
     assert_allclose(m.bulk_hi, 2.0 * (1.0 + root) ** 2, rtol=1e-15)
 
 
-def test_edges_printed_convention():
-    lo, hi = mp_edges(c=0.5, sigma2=2.0)
-    root = 2.0 * np.sqrt(0.5)
-    assert_allclose(lo, (1.0 - root) ** 2, rtol=1e-15)
-    assert_allclose(hi, (1.0 + root) ** 2, rtol=1e-15)
-    m = MpMeasure(c=0.5, sigma2=2.0, edge_convention="printed")
-    assert_allclose((m.bulk_lo, m.bulk_hi), (lo, hi), rtol=1e-15)
-    with pytest.raises(ValueError):
-        MpMeasure(c=1.0, sigma2=1.0, edge_convention="other")
-
-
 def test_construction_rejects_bad_parameters():
     with pytest.raises(ValueError):
         MpMeasure(c=0.0, sigma2=1.0)
     with pytest.raises(ValueError):
         MpMeasure(c=1.0, sigma2=-1.0)
+    # the point mass follows from c; it is not a constructor argument
+    with pytest.raises(TypeError):
+        MpMeasure(2.0, 1.0, 0.0, 0.25)
+
+
+def test_construction_refuses_an_underflowing_scale():
+    # tau = 1202 gives sigma2 = e^{-601} ~ 9.75e-262: the bulk integrand's
+    # numerator and denominator would both underflow to zero
+    with pytest.raises(ValueError, match="sigma2 = 9.7"):
+        nu_lambda(0.5, 600, 600 ** 2, 0.5)
 
 
 @pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0, 4.0])
@@ -277,30 +273,6 @@ def test_nu_lambda_converges_to_nu0():
     assert abs(far.sigma2 - base.sigma2) > 0.1
 
 
-def test_nu_tilde0_adaptive_bandwidth_scale():
-    c, p, lam, ups = 1.0, 100.0, 300.0, 0.5
-    h = lam + p
-    m = nu_tilde0(c, p, lam, ups)
-    eta = (2.0 * p * ups / h) * np.exp(-2.0 * p * ups / h)
-    assert_allclose(m.sigma2, eta, rtol=1e-15)
-    # at lam = 0 the adaptive bandwidth is h = p and the law is nu_0
-    m0 = nu_tilde0(c, p, 0.0, ups)
-    base = nu0(c, ups)
-    assert_allclose((m0.sigma2, m0.shift), (base.sigma2, base.shift), rtol=1e-14)
-
-
-def test_nu_check0_requires_p_only_with_signal():
-    m = nu_check0(1.0, 0.0, 0.5)
-    base = nu0(1.0, 0.5)
-    # at lam = 0 the rescaling by f(tau) cancels the decay in the scale
-    assert_allclose(m.sigma2, 2.0 * 0.5, rtol=1e-14)
-    assert_allclose(m.shift, base.shift, rtol=1e-14)
-    with pytest.raises(ValueError):
-        nu_check0(1.0, 5.0, 0.5)
-    m2 = nu_check0(1.0, 5.0, 0.5, p=100.0)
-    assert m2.sigma2 > 0.0
-
-
 def test_spiked_gram_outlier_value_and_threshold():
     assert_allclose(spiked_gram_outlier(4.0, 1.0), 6.25, rtol=1e-15)
     assert_allclose(spiked_gram_outlier(2.0, 0.5), 3.0 * 1.0, rtol=1e-15)
@@ -308,17 +280,3 @@ def test_spiked_gram_outlier_value_and_threshold():
         spiked_gram_outlier(1.0, 1.0)
     with pytest.raises(ValueError):
         spiked_gram_outlier(0.5, 1.0)
-
-
-def test_spiked_gram_outlier_against_sample_spectrum():
-    from glspec.datagen import gen_spiked
-    from glspec.kernels import gram
-
-    # the per-draw outlier fluctuates with the empirical spike strength
-    # (scale lam*sqrt(2/n) ~ 0.15), so average a few seeds
-    n = 1500
-    tops = []
-    for seed in range(4):
-        cloud = gen_spiked(n, n, (4.0,), seed)
-        tops.append(np.max(np.linalg.eigvalsh(gram(cloud.noisy()))))
-    assert abs(np.mean(tops) - 6.25) <= 0.25
