@@ -144,6 +144,25 @@ def test_mehler_t0_closed_form_at_unit():
     assert_allclose(mehler_t0(1.0, 1.0), (np.sqrt(17.0) - 1.0) / 4.0, rtol=1e-14)
 
 
+def test_mehler_coefficient_log_space():
+    # the order-m term that matrix() adds carries the coefficient t0^m / m!
+    z = np.array([-1.3, -0.4, 0.9, 1.7])
+    exp = mehler_truncation(z, beta=0.7, upsilon=1.0, M=20)
+    t0 = exp.t0
+    w = np.exp((3.0 * t0 * t0 - 2.0) / (2.0 * (1.0 - t0 * t0)) * z * z)
+    for m in (0, 1, 5, 20):
+        term = exp.matrix(m) - (exp.matrix(m - 1) if m else 0.0)
+        h = w * eval_hermitenorm(m, z)
+        ref = exp.prefactor * t0 ** m / factorial(m) * np.outer(h, h)
+        # the recurrence and scipy's Hermite values part by ~2e-11 at m = 20
+        assert_allclose(term, ref, rtol=1e-10)
+    # large order stays finite where the naive ratio t0^m / m! would overflow
+    beta = 0.99 / (2.0 * (1.0 - 0.99 ** 2))  # t0 = 0.99 at upsilon = 1
+    big = mehler_truncation(z, beta=beta, upsilon=1.0, M=400)
+    assert_allclose(big.t0, 0.99, rtol=1e-12)
+    assert np.all(np.isfinite(big.matrix()))
+
+
 def test_mehler_expansion_exact_at_unit_parameters():
     # at upsilon = beta = 1 the expansion converges to the one-coordinate
     # clean affinity exp(-(z_i - z_j)^2)
