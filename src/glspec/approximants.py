@@ -24,12 +24,11 @@ def phi_vector(cloud, lambdas=None):
     return np.einsum("ij,ij->i", X, X) / p - center
 
 
-def kd_matrix(cloud, params, lambdas=None):
+def kd_matrix(cloud, upsilon, lambdas=None):
     """Second-order expansion of W around the typical squared distance.
 
-    Built for the fixed bandwidth h = p (the regime where the expansion is
-    stated); pass params accordingly.  With tau = 2(sum_l lambda_l/p + 1)
-    and f = exp(-upsilon x):
+    Built for the fixed bandwidth h = p, the regime where the expansion is
+    stated.  With tau = 2(sum_l lambda_l/p + 1) and f = exp(-upsilon x):
 
         K = -2 f'(tau) G + varsigma I + f(tau) 11^T
             + f'(tau)(1 Phi^T + Phi 1^T)
@@ -38,18 +37,16 @@ def kd_matrix(cloud, params, lambdas=None):
 
     where G = (1/p) X X^T and varsigma = f(0) + 2 f'(tau) - f(tau).
     """
-    params.validate()
+    if upsilon <= 0:
+        raise ValueError("need upsilon > 0")
     if lambdas is None:
         lambdas = cloud.lambdas
     p = cloud.p
-    if abs(params.h - p) > 1e-9 * p:
-        raise ValueError("the expansion is defined at bandwidth h = p")
-    ups = params.upsilon
     lam_sum = float(sum(lambdas))
     tau = 2.0 * (lam_sum / p + 1.0)
-    f_tau = np.exp(-ups * tau)
-    fp_tau = -ups * f_tau
-    fpp_tau = ups * ups * f_tau
+    f_tau = np.exp(-upsilon * tau)
+    fp_tau = -upsilon * f_tau
+    fpp_tau = upsilon * upsilon * f_tau
     varsigma = 1.0 + 2.0 * fp_tau - f_tau
 
     X = cloud.noisy()

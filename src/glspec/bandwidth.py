@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelParams, affinity, pairwise_sq_dists, sym_normalized
+from .kernels import affinity, pairwise_sq_dists, sym_normalized
 from .spectrum import sym_eigs
 
 
@@ -179,7 +179,7 @@ def select_omega(cloud, upsilon, s, grid=None, matrix="affinity", D2=None):
     counts = np.empty(omegas.size, dtype=int)
     hs = quantile_bandwidth(D2, omegas)
     for i, h in enumerate(hs):
-        W = affinity(D2, KernelParams(upsilon, h))
+        W = affinity(D2, upsilon, h)
         if matrix == "transition":
             W = sym_normalized(W)
         counts[i] = window_outliers(sym_eigs(W).eigenvalues, s, k_hi)

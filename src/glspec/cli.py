@@ -30,7 +30,6 @@ from .experiments import (
     run as run_experiment,
 )
 from .kernels import (
-    KernelParams,
     affinity,
     gram,
     off_diagonal,
@@ -241,7 +240,7 @@ def spectra(cloud_path, which, upsilon, bandwidth, clean, top, out):
         M = gram(X)
     else:
         # the row-normalized matrices are similar to D^{-1/2} W D^{-1/2}
-        W = affinity(pairwise_sq_dists(X), KernelParams(upsilon, h))
+        W = affinity(pairwise_sq_dists(X), upsilon, h)
         if which == "affinity":
             M = W
         else:

@@ -28,8 +28,6 @@ CIRCLE = "circle"
 CURVE_M1 = "curve_m1"
 KLEIN_BOTTLE = "klein_bottle"
 
-KINDS = (SPIKED, CIRCLE, CURVE_M1, KLEIN_BOTTLE)
-
 # Centered covariance spectrum of the M1 curve parametrization (unit scale),
 # frozen from an adaptive quadrature of its second moments over one period.
 M1_COV_EIGS = (4.111805200191003, 1.2132851412757304, 0.04452553286536444)

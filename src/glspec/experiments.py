@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .datagen import (
     write_csv,
 )
 from .kernels import (
-    KernelParams,
     affinity,
     degree,
     gram,
@@ -48,20 +47,6 @@ from .spectrum import (
     op_norm_diff,
     stieltjes,
     sym_eigs,
-)
-
-EXPERIMENT_NAMES = (
-    "PhaseSweep",
-    "AccuracyLowSNR",
-    "AccuracyModerate",
-    "AccuracyLarge",
-    "DimensionSweep",
-    "HistogramBulk",
-    "OmegaSweep",
-    "ManifoldRmse",
-    "StieltjesCompare",
-    "D2Comparison",
-    "ZeroingComparison",
 )
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -119,20 +104,11 @@ class ExperimentConfig:
         return self
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "n": self.n,
-            "p": self.p,
-            "c_grid": None if self.c_grid is None else list(self.c_grid),
-            "alpha_grid": None
-            if self.alpha_grid is None
-            else [float(a) for a in self.alpha_grid],
-            "upsilon": self.upsilon,
-            "seeds": list(self.seeds),
-            "reps": self.reps,
-            "output_dir": self.output_dir,
-            "alpha_base": self.alpha_base,
-        }
+        """Every field, JSON-ready: tuples as lists, ``alpha_grid`` as floats."""
+        d = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        if self.alpha_grid is not None:
+            d["alpha_grid"] = [float(a) for a in self.alpha_grid]
+        return d
 
 
 def _json_scalar(value):
@@ -159,18 +135,8 @@ class RunManifest:
     files: list = field(default_factory=list)
 
     def save(self, path):
-        payload = {
-            "config": self.config,
-            "version": self.version,
-            "experiment": self.experiment,
-            "fast": self.fast,
-            "seeds": self.seeds,
-            "resolved": self.resolved,
-            "wall_clock_s": self.wall_clock_s,
-            "files": self.files,
-        }
         # serialise first and swap the finished file in: no partial manifest
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar)
+        text = json.dumps(asdict(self), indent=2, sort_keys=True, default=_json_scalar)
         tmp = os.fspath(path) + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(text + "\n")
@@ -180,9 +146,10 @@ class RunManifest:
 def parse_config_file(path, default_name=None):
     """Read a flat key = value config file into an ExperimentConfig.
 
-    Lines are ``key = value``; ``#`` starts a comment.  List values are
-    comma-separated.  Keys match the ExperimentConfig fields; ``name`` may
-    be omitted when ``default_name`` supplies it.
+    Lines are ``key = value``; ``#`` starts a comment.  Keys match the
+    ExperimentConfig fields, and each value is read as its field's type
+    (a tuple field as comma-separated numbers); ``name`` may be omitted
+    when ``default_name`` supplies it.
     """
     raw = {}
     with open(path) as fh:
@@ -205,18 +172,12 @@ def parse_config_file(path, default_name=None):
     def as_tuple(text):
         return tuple(as_number(v.strip()) for v in text.split(",") if v.strip())
 
-    kwargs = {"name": raw.pop("name")}
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    kwargs = {}
     for key, value in raw.items():
-        if key in ("c_grid", "alpha_grid", "seeds"):
-            kwargs[key] = as_tuple(value)
-        elif key in ("n", "p", "reps"):
-            kwargs[key] = int(value)
-        elif key == "upsilon":
-            kwargs[key] = float(value)
-        elif key in ("output_dir", "alpha_base"):
-            kwargs[key] = value
-        else:
+        if key not in types:
             raise ValueError("unknown config key %r in %s" % (key, path))
+        kwargs[key] = as_tuple(value) if types[key] is tuple else types[key](value)
     return ExperimentConfig(**kwargs).validate()
 
 
@@ -239,14 +200,22 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _resolve_c_grid(cfg, n, default=(0.5, 1.0, 2.0)):
-    """Aspect ratios c = n/p for a recipe that draws n points; a fixed
-    ``cfg.p`` becomes the one c with round(n/c) = p."""
+def _aspects(cfg, n, default=(0.5, 1.0, 2.0)):
+    """Pairs (c, p = round(n/c)) for a recipe that draws n points, one per
+    c of ``cfg.c_grid`` or of ``default``; a fixed ``cfg.p`` becomes the
+    one c = n/p."""
     if cfg.c_grid is not None:
-        return tuple(float(c) for c in cfg.c_grid)
-    if cfg.p is not None:
-        return (n / float(cfg.p),)
-    return default
+        cs = cfg.c_grid
+    elif cfg.p is not None:
+        cs = (n / float(cfg.p),)
+    else:
+        cs = default
+    return [(c, int(round(n / c))) for c in map(float, cs)]
+
+
+def _run_seeds(cfg, fast):
+    """The seeds a per-seed recipe draws: the first two in fast mode."""
+    return list(cfg.seeds[:2] if fast else cfg.seeds)
 
 
 def _resolve_base(cfg, default):
@@ -258,7 +227,14 @@ def _signal(alpha, n, p, base):
 
 
 def _affinity_of(X, upsilon, h):
-    return affinity(pairwise_sq_dists(X), KernelParams(upsilon, float(h)))
+    return affinity(pairwise_sq_dists(X), upsilon, float(h))
+
+
+def _spiked_affinity(cfg, n, p, seed, alphas, base):
+    """A spiked cloud of strengths base**alpha, one per alpha of ``alphas``,
+    and its noisy affinity at h = p."""
+    cloud = gen_spiked(n, p, tuple(_signal(a, n, p, base) for a in alphas), seed)
+    return cloud, _affinity_of(cloud.noisy(), cfg.upsilon, p)
 
 
 # ---------------------------------------------------------------------------
@@ -275,42 +251,38 @@ def _run_phase_sweep(cfg, fast):
     if cfg.c_grid is None:
         aspects = [("", cfg.p if cfg.p is not None else n)]
     else:
-        aspects = [("c%g_" % c, int(round(n / c))) for c in cfg.c_grid]
+        aspects = [("c%g_" % c, p) for c, p in _aspects(cfg, n)]
     base = _resolve_base(cfg, "p")
     seed = cfg.seeds[0]
     alphas = cfg.alpha_grid if cfg.alpha_grid is not None else (
         0.0, 0.3, 0.45, 0.6, 0.8, 1.5, 2.5,
     )
 
-    def curve(p, alpha):
-        lam = _signal(alpha, n, p, base)
-        cloud = gen_spiked(n, p, (lam,), seed)
-        W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
-        return sym_eigs(W).eigenvalues
-
-    curves = [curve(p, alpha) for _, p in aspects for alpha in alphas]
+    curves = [
+        sym_eigs(_spiked_affinity(cfg, n, p, seed, (alpha,), base)[1]).eigenvalues
+        for _, p in aspects
+        for alpha in alphas
+    ]
     header = ["index"] + [tag + "alpha_%g" % a for tag, _ in aspects for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
 
     n2 = 200
-    cs = _resolve_c_grid(cfg, n2)
+    pairs = _aspects(cfg, n2)
     step = 0.1 if fast else 0.05
     fine = np.round(np.arange(0.0, 2.5 + 1e-9, step), 10)
     track = (1, 2, 8, 80)
 
-    def tracked(c, alpha):
-        p2 = int(round(n2 / c))
-        lam = _signal(alpha, n2, p2, base)
-        X = gen_spiked(n2, p2, (lam,), seed).noisy()
-        ew = sym_eigs(_affinity_of(X, cfg.upsilon, p2)).eigenvalues
-        eg = sym_eigs(gram(X)).eigenvalues
+    def tracked(c, p2, alpha):
+        cloud, W = _spiked_affinity(cfg, n2, p2, seed, (alpha,), base)
+        ew = sym_eigs(W).eigenvalues
+        eg = sym_eigs(gram(cloud.noisy())).eigenvalues
         return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
 
     files = {
         "phase_eigencurves.csv": (header, rows),
         "phase_tracked.csv": (
             ["c", "alpha"] + ["w_eig%d" % i for i in track] + ["gram_eig1", "gram_eig2"],
-            [tracked(c, float(a)) for c in cs for a in fine],
+            [tracked(c, p2, float(a)) for c, p2 in pairs for a in fine],
         ),
         "phase_sweep.gp": [
             "set key outside",
@@ -331,8 +303,8 @@ def _run_phase_sweep(cfg, fast):
         "curve_p": [p for _, p in aspects],
         "alpha_base": base,
         "tracked_n": n2,
-        "tracked_p": [int(round(n2 / c)) for c in cs],
-        "c_grid": list(cs),
+        "tracked_p": [p2 for _, p2 in pairs],
+        "c_grid": [c for c, _ in pairs],
     }
     return files, [seed], info
 
@@ -340,25 +312,21 @@ def _run_phase_sweep(cfg, fast):
 def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
     """Shared body of the three fixed-strength accuracy experiments.
 
-    ``make_reference(n, p, params)`` prepares the per-aspect context and
+    ``make_reference(n, p)`` prepares the per-aspect context at h = p and
     returns a function mapping (cloud, W, descending eigenvalues of W) to
     (limit eigenvalues, error scalar).  The per-c CSVs carry the mean
     sample and limit curves, the summary carries the per-seed error.
     """
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
-    cs = _resolve_c_grid(cfg, n)
-    seeds = cfg.seeds[:2] if fast else cfg.seeds
+    aspects = _aspects(cfg, n)
+    seeds = _run_seeds(cfg, fast)
     curve_rows, summary_rows = [], []
-    for c in cs:
-        p = int(round(n / c))
-        lam = _signal(alpha, n, p, base)
-        params = KernelParams(cfg.upsilon, float(p))
-        reference = make_reference(n, p, params)
+    for c, p in aspects:
+        reference = make_reference(n, p)
 
         def one(seed):
-            cloud = gen_spiked(n, p, (lam,), seed)
-            W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
+            cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,), base)
             eigs = sym_eigs(W).eigenvalues
             return (eigs,) + reference(cloud, W, eigs)
 
@@ -381,8 +349,8 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
             % tag,
         ],
     }
-    info = {"n": n, "alpha": alpha, "alpha_base": base, "c_grid": list(cs)}
-    return files, list(seeds), info
+    info = {"n": n, "alpha": alpha, "alpha_base": base, "c_grid": [c for c, _ in aspects]}
+    return files, seeds, info
 
 
 def _low_snr_error(eigs, measure):
@@ -391,9 +359,9 @@ def _low_snr_error(eigs, measure):
     return bulk_rigidity(eigs, measure, skip=9, eps=0.1)
 
 
-def _clean_surrogate(cloud, params):
-    """The moderate-signal reference W_a1 built from the clean rows."""
-    return w_a1(_affinity_of(cloud.clean, params.upsilon, params.h), params.upsilon)
+def _clean_surrogate(cloud, upsilon):
+    """The moderate-signal reference W_a1 built from the clean rows at h = p."""
+    return w_a1(_affinity_of(cloud.clean, upsilon, cloud.p), upsilon)
 
 
 def _moderate_snr_error(W, Wa1):
@@ -409,8 +377,8 @@ def _large_snr_error(eigs):
 def _run_accuracy_low(cfg, fast):
     """Bulk eigenvalues against shifted MP typical locations at weak signal."""
 
-    def make_reference(n, p, params):
-        measure = nu0(n / float(p), params.upsilon)
+    def make_reference(n, p):
+        measure = nu0(n / float(p), cfg.upsilon)
         gammas = typical_location(measure, np.arange(1, n + 1), n)
         return lambda cloud, W, eigs: (gammas, _low_snr_error(eigs, measure))
 
@@ -420,9 +388,9 @@ def _run_accuracy_low(cfg, fast):
 def _run_accuracy_moderate(cfg, fast):
     """Eigenvalue overlay of W against its scaled-plus-shifted clean limit."""
 
-    def make_reference(n, p, params):
+    def make_reference(n, p):
         def reference(cloud, W, eigs):
-            Wa1 = _clean_surrogate(cloud, params)
+            Wa1 = _clean_surrogate(cloud, cfg.upsilon)
             return sym_eigs(Wa1).eigenvalues, _moderate_snr_error(W, Wa1)
 
         return reference
@@ -433,7 +401,7 @@ def _run_accuracy_moderate(cfg, fast):
 def _run_accuracy_large(cfg, fast):
     """Very strong signal: the affinity spectrum collapses to unity."""
 
-    def make_reference(n, p, params):
+    def make_reference(n, p):
         ones = np.ones(n)
         return lambda cloud, W, eigs: (ones, _large_snr_error(eigs))
 
@@ -442,26 +410,23 @@ def _run_accuracy_large(cfg, fast):
 
 def _run_dimension_sweep(cfg, fast):
     """Error-versus-n curves for the three accuracy regimes at c = 1."""
+    for name in ("n", "p", "c_grid", "alpha_grid"):
+        if getattr(cfg, name) is not None:
+            raise ValueError(
+                "DimensionSweep takes no %s: it fixes its n grid, c = 1 and "
+                "its three alpha values" % name
+            )
     ns = (50, 150, 300) if fast else (50, 100, 150, 200, 250, 300, 400)
-    if cfg.alpha_grid is not None:
-        raise ValueError("DimensionSweep fixes its three alpha values")
     base = _resolve_base(cfg, "p")
-    seeds = cfg.seeds[:2] if fast else cfg.seeds
+    seeds = _run_seeds(cfg, fast)
     law = nu0(1.0, cfg.upsilon)
 
     def one(n, seed):
-        p = n
-        params = KernelParams(cfg.upsilon, float(p))
-
-        def noisy_affinity(alpha):
-            cloud = gen_spiked(n, p, (_signal(alpha, n, p, base),), seed)
-            return cloud, _affinity_of(cloud.noisy(), cfg.upsilon, p)
-
-        _, W = noisy_affinity(0.2)
+        _, W = _spiked_affinity(cfg, n, n, seed, (0.2,), base)
         err_low = _low_snr_error(sym_eigs(W).eigenvalues, law)
-        cloud, W = noisy_affinity(1.9)
-        err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, params))
-        _, W = noisy_affinity(5.0)
+        cloud, W = _spiked_affinity(cfg, n, n, seed, (1.9,), base)
+        err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, cfg.upsilon))
+        _, W = _spiked_affinity(cfg, n, n, seed, (5.0,), base)
         err_big = _large_snr_error(sym_eigs(W).eigenvalues)
         return [n, seed, err_low, err_mod, err_big]
 
@@ -483,7 +448,7 @@ def _run_dimension_sweep(cfg, fast):
         ],
     }
     info = {"n_grid": list(ns), "alpha_base": base, "c": 1.0}
-    return files, list(seeds), info
+    return files, seeds, info
 
 
 def _run_histogram_bulk(cfg, fast):
@@ -495,14 +460,12 @@ def _run_histogram_bulk(cfg, fast):
     """
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
-    cs = _resolve_c_grid(cfg, n)
+    aspects = _aspects(cfg, n)
     reps = cfg.reps if cfg.reps is not None else (100 if fast else 1000)
     first_seed = 100000 * (cfg.seeds[0] + 1)
     bins = 50
     rows = []
-    for c in cs:
-        p = int(round(n / c))
-        lam = _signal(0.2, n, p, base)
+    for c, p in aspects:
         measure = nu0(n / float(p), cfg.upsilon)
         lo = measure.shift + measure.bulk_lo
         hi = measure.shift + measure.bulk_hi
@@ -510,8 +473,7 @@ def _run_histogram_bulk(cfg, fast):
 
         counts = np.zeros(bins)
         for rep in range(reps):
-            cloud = gen_spiked(n, p, (lam,), first_seed + rep)
-            W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
+            _, W = _spiked_affinity(cfg, n, p, first_seed + rep, (0.2,), base)
             counts += esd_histogram(sym_eigs(W).eigenvalues, edges)[1]
         width = edges[1] - edges[0]
         emp = counts / (reps * n * width)
@@ -531,7 +493,8 @@ def _run_histogram_bulk(cfg, fast):
             "title 'limit (c=1)'",
         ],
     }
-    info = {"n": n, "reps": reps, "alpha": 0.2, "alpha_base": base, "c_grid": list(cs)}
+    cs = [c for c, _ in aspects]
+    info = {"n": n, "reps": reps, "alpha": 0.2, "alpha_base": base, "c_grid": cs}
     return files, [first_seed], info
 
 
@@ -540,17 +503,16 @@ def _run_omega_sweep(cfg, fast):
     once from the affinity spectrum and once from the transition spectrum."""
     n = cfg.n if cfg.n is not None else 300
     base = _resolve_base(cfg, "n")
-    cs = _resolve_c_grid(cfg, n)
+    aspects = _aspects(cfg, n)
     alphas = cfg.alpha_grid if cfg.alpha_grid is not None else (
         0.2, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0,
     )
     if fast:
         alphas = tuple(alphas)[::2]
     seed = cfg.seeds[0]
-    thresholds = {c: resample_threshold(c, n, cfg.upsilon, seed=seed) for c in cs}
+    thresholds = {c: resample_threshold(c, n, cfg.upsilon, seed=seed) for c, _ in aspects}
 
-    def one(c, alpha):
-        p = int(round(n / c))
+    def one(c, p, alpha):
         lam = _signal(alpha, n, p, base)
         cloud = gen_circle(n, p, lam, seed)
         D2 = pairwise_sq_dists(cloud.noisy())
@@ -567,7 +529,7 @@ def _run_omega_sweep(cfg, fast):
     files = {
         "omega_sweep.csv": (
             ["c", "alpha", "s", "omega_w", "h_over_p_w", "omega_a", "h_over_p_a"],
-            [one(c, float(a)) for c in cs for a in alphas],
+            [one(c, p, float(a)) for c, p in aspects for a in alphas],
         ),
         "omega_sweep.gp": [
             "set xlabel 'alpha'",
@@ -582,8 +544,8 @@ def _run_omega_sweep(cfg, fast):
     info = {
         "n": n,
         "alpha_base": base,
-        "c_grid": list(cs),
-        "thresholds": {_fmt(c): thresholds[c] for c in cs},
+        "c_grid": [c for c, _ in aspects],
+        "thresholds": {_fmt(c): s for c, s in thresholds.items()},
     }
     return files, [seed], info
 
@@ -602,10 +564,9 @@ def _run_manifold_rmse(cfg, fast):
     rmse_rows, omega_rows, c_grids = [], [], {}
     for kind, n_kind in MANIFOLD_RMSE_SIZES.items():
         n = n_kind if cfg.n is None else cfg.n
-        cs = _resolve_c_grid(cfg, n, default=(1.0,))
-        c_grids[kind] = list(cs)
-        for ci, c in enumerate(cs):
-            p = int(round(n / c))
+        aspects = _aspects(cfg, n, default=(1.0,))
+        c_grids[kind] = [c for c, _ in aspects]
+        for ci, (c, p) in enumerate(aspects):
             a = 20.0 * np.sqrt(p)
             s = resample_threshold(c, n, upsilon, seed=base_seed)
 
@@ -629,9 +590,7 @@ def _run_manifold_rmse(cfg, fast):
                 }
                 rmse = {}
                 for tag, h in variants.items():
-                    vecs = sym_eigs(
-                        affinity(D2, KernelParams(upsilon, h)), want_vectors=top
-                    ).eigenvectors
+                    vecs = sym_eigs(affinity(D2, upsilon, h), want_vectors=top).eigenvectors
                     rmse[tag] = eigvec_rmse(ref, vecs)
                 return seed, sel, rmse
 
@@ -672,14 +631,12 @@ def _run_stieltjes_compare(cfg, fast):
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
     a = 0.2
-    seeds = cfg.seeds[:2] if fast else cfg.seeds
+    seeds = _run_seeds(cfg, fast)
     p = cfg.p if cfg.p is not None else n
-    lam = _signal(1.0, n, p, base)
     grid = StieltjesGrid.build(n, 1.0, a)
 
     def one(seed):
-        cloud = gen_spiked(n, p, (lam,), seed)
-        W = _affinity_of(cloud.noisy(), cfg.upsilon, p)
+        cloud, W = _spiked_affinity(cfg, n, p, seed, (1.0,), base)
         W1 = _affinity_of(cloud.clean, cfg.upsilon, p)
         Wb1 = w_b1(W1, gram(cloud.noise), cfg.upsilon)
         # ascending: the last bits of each Stieltjes mean depend on the order
@@ -712,8 +669,8 @@ def _run_stieltjes_compare(cfg, fast):
             "title 'mean over seeds'",
         ],
     }
-    info = {"n": n, "p": p, "lambda": lam, "a": a, "eta_min": grid.eta_min}
-    return files, list(seeds), info
+    info = {"n": n, "p": p, "lambda": _signal(1.0, n, p, base), "a": a, "eta_min": grid.eta_min}
+    return files, seeds, info
 
 
 D2_CASES = (
@@ -728,23 +685,20 @@ def _run_d2_comparison(cfg, fast):
     strength pairings, from the tenth eigenvalue on."""
     n = cfg.n if cfg.n is not None else 200
     base = _resolve_base(cfg, "p")
-    cs = _resolve_c_grid(cfg, n)
-    seeds = cfg.seeds[:2] if fast else cfg.seeds
+    aspects = _aspects(cfg, n)
+    seeds = _run_seeds(cfg, fast)
     start = 10
     curve_rows, summary_rows = [], []
 
     # cached: both_large and large_small share their one-spike clouds
     @functools.lru_cache(maxsize=None)
-    def spectrum(c, seed, alphas):
-        p = int(round(n / c))
-        lams = tuple(_signal(a, n, p, base) for a in alphas)
-        X = gen_spiked(n, p, lams, seed).noisy()
-        return sym_eigs(_affinity_of(X, cfg.upsilon, p)).eigenvalues
+    def spectrum(p, seed, alphas):
+        return sym_eigs(_spiked_affinity(cfg, n, p, seed, alphas, base)[1]).eigenvalues
 
     for case, a1, a2, expected in D2_CASES:
-        for c in cs:
-            m1 = np.mean([spectrum(c, seed, (a1,)) for seed in seeds], axis=0)
-            m2 = np.mean([spectrum(c, seed, (a1, a2)) for seed in seeds], axis=0)
+        for c, p in aspects:
+            m1 = np.mean([spectrum(p, seed, (a1,)) for seed in seeds], axis=0)
+            m2 = np.mean([spectrum(p, seed, (a1, a2)) for seed in seeds], axis=0)
             for i in range(start - 1, n):
                 curve_rows.append([case, c, i + 1, m1[i], m2[i]])
             sup = float(np.max(np.abs(m1[start - 1 :] - m2[start - 1 :])))
@@ -762,8 +716,8 @@ def _run_d2_comparison(cfg, fast):
             "with points title 'two spikes'",
         ],
     }
-    info = {"n": n, "alpha_base": base, "c_grid": list(cs), "start_index": start}
-    return files, list(seeds), info
+    info = {"n": n, "alpha_base": base, "c_grid": [c for c, _ in aspects], "start_index": start}
+    return files, seeds, info
 
 
 def _run_zeroing_comparison(cfg, fast):
@@ -778,10 +732,11 @@ def _run_zeroing_comparison(cfg, fast):
     n = cfg.n if cfg.n is not None else 400
     p = cfg.p if cfg.p is not None else 200
     upsilon = cfg.upsilon
+    base = _resolve_base(cfg, "p")
     alphas = cfg.alpha_grid if cfg.alpha_grid is not None else (
         0.3, 0.5, 0.6, 0.8, 1.0, 1.2,
     )
-    seeds = cfg.seeds[:2] if fast else cfg.seeds
+    seeds = _run_seeds(cfg, fast)
     h_zero = 35.0
     s = resample_threshold(n / float(p), n, upsilon, seed=seeds[0])
 
@@ -792,15 +747,13 @@ def _run_zeroing_comparison(cfg, fast):
         return vec / np.linalg.norm(vec)
 
     def one(alpha, seed):
-        lam = float(p) ** alpha
+        lam = _signal(alpha, n, p, base)
         cloud = gen_spiked(n, p, (lam,), seed)
         ref = third_vector_row_stochastic(_affinity_of(cloud.clean, upsilon, p + lam))
         D2 = pairwise_sq_dists(cloud.noisy())
         sel = select_omega(cloud, upsilon, s, D2=D2)
-        adap = third_vector_row_stochastic(affinity(D2, KernelParams(upsilon, sel.h)))
-        zeroed = third_vector_row_stochastic(
-            off_diagonal(affinity(D2, KernelParams(upsilon, h_zero)))
-        )
+        adap = third_vector_row_stochastic(affinity(D2, upsilon, sel.h))
+        zeroed = third_vector_row_stochastic(off_diagonal(affinity(D2, upsilon, h_zero)))
         rng = np.random.Generator(np.random.Philox(key=seed + 991))
         noise_vec = rng.standard_normal(n)
         noise_vec /= np.linalg.norm(noise_vec)
@@ -828,8 +781,10 @@ def _run_zeroing_comparison(cfg, fast):
             "title 'random baseline'",
         ],
     }
-    info = {"n": n, "p": p, "h_zero": h_zero, "s": s, "alphas": list(alphas)}
-    return files, list(seeds), info
+    info = {
+        "n": n, "p": p, "alpha_base": base, "h_zero": h_zero, "s": s, "alphas": list(alphas),
+    }
+    return files, seeds, info
 
 
 _RUNNERS = {
@@ -845,6 +800,8 @@ _RUNNERS = {
     "D2Comparison": _run_d2_comparison,
     "ZeroingComparison": _run_zeroing_comparison,
 }
+
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run(config, fast=False):

@@ -2,23 +2,7 @@
 its symmetric form D^{-1/2} W D^{-1/2}, graph Laplacian L, the
 zeroed-diagonal variant, and the clean/noise/cross factor matrices."""
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class KernelParams:
-    """Kernel decay upsilon and bandwidth h for W(i,j) = exp(-upsilon d2/h)."""
-
-    upsilon: float
-    h: float
-
-    def validate(self):
-        if self.upsilon <= 0:
-            raise ValueError("need upsilon > 0")
-        if self.h <= 0:
-            raise ValueError("need h > 0")
 
 
 def pairwise_sq_dists(X):
@@ -35,10 +19,13 @@ def pairwise_sq_dists(X):
     return d2
 
 
-def affinity(D2, params):
+def affinity(D2, upsilon, h):
     """W(i,j) = exp(-upsilon * D2(i,j) / h); unit diagonal."""
-    params.validate()
-    return np.exp(D2 * (-params.upsilon / params.h))
+    if upsilon <= 0:
+        raise ValueError("need upsilon > 0")
+    if h <= 0:
+        raise ValueError("need h > 0")
+    return np.exp(D2 * (-upsilon / h))
 
 
 def degree(W):
@@ -82,21 +69,20 @@ def sym_normalized(W):
     return W / np.outer(root, root)
 
 
-def factor_matrices(cloud, params):
+def factor_matrices(cloud, upsilon, h):
     """Clean, noise and cross factors (W1, Wy, Wc) with W = W1 o Wy o Wc.
 
     W1 and Wy are plain affinity matrices of the clean and noise parts; the
     cross factor is Wc(i,j) = exp(-2 upsilon (z_i-z_j)^T (y_i-y_j) / h).
     """
-    params.validate()
     z, y = cloud.clean, cloud.noise
-    w1 = affinity(pairwise_sq_dists(z), params)
-    wy = affinity(pairwise_sq_dists(y), params)
+    w1 = affinity(pairwise_sq_dists(z), upsilon, h)
+    wy = affinity(pairwise_sq_dists(y), upsilon, h)
     zy = z @ y.T
     # (z_i - z_j)^T (y_i - y_j) = zy(i,i) + zy(j,j) - zy(i,j) - zy(j,i)
     dzy = np.diag(zy)
     cross = dzy[:, None] + dzy[None, :] - zy - zy.T
-    wc = np.exp(cross * (-2.0 * params.upsilon / params.h))
+    wc = np.exp(cross * (-2.0 * upsilon / h))
     return w1, wy, wc
 
 

@@ -22,7 +22,6 @@ from glspec.bandwidth import resample_threshold, select_omega
 from glspec.datagen import gen_circle, gen_spiked, random_rotation
 from glspec.experiments import ExperimentConfig, run
 from glspec.kernels import (
-    KernelParams,
     affinity,
     factor_matrices,
     gram,
@@ -48,7 +47,7 @@ def _spiked(n, p, lam, seed, d=1, lambdas=None):
 
 
 def _noisy_affinity(cloud, upsilon, h):
-    return affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(upsilon, h))
+    return affinity(pairwise_sq_dists(cloud.noisy()), upsilon, h)
 
 
 def test_criterion_01_bulk_rigidity_low_snr():
@@ -85,7 +84,7 @@ def test_criterion_02_moderate_snr_closeness():
     for seed in SEEDS:
         cloud = _spiked(n, n, lam, seed)
         W = _noisy_affinity(cloud, upsilon, n)
-        W1 = affinity(pairwise_sq_dists(cloud.clean), KernelParams(upsilon, float(n)))
+        W1 = affinity(pairwise_sq_dists(cloud.clean), upsilon, float(n))
         Wa1 = w_a1(W1, upsilon)
         op_devs.append(op_norm_diff(W, Wa1) / n)
         ew = np.linalg.eigvalsh(W)
@@ -151,7 +150,7 @@ def test_criterion_04_spectral_tail_triviality():
     devs = []
     for seed in SEEDS:
         cloud = _spiked(n, n, lam, seed)
-        W1 = affinity(pairwise_sq_dists(cloud.clean), KernelParams(upsilon, float(n)))
+        W1 = affinity(pairwise_sq_dists(cloud.clean), upsilon, float(n))
         eigs = np.linalg.eigvalsh(w_a1(W1, upsilon))[::-1]
         devs.append(float(np.max(np.abs(eigs[i0 - 1 :] - (1.0 - np.exp(-1.0))))))
     ok = max(devs) <= 1e-6
@@ -190,9 +189,8 @@ def test_criterion_06_kd_expansion():
         devs = []
         for seed in SEEDS:
             cloud = _spiked(n, n, lam, seed)
-            params = KernelParams(upsilon, float(n))
             W = _noisy_affinity(cloud, upsilon, n)
-            devs.append(op_norm_diff(W, kd_matrix(cloud, params)))
+            devs.append(op_norm_diff(W, kd_matrix(cloud, upsilon)))
         means[n] = float(np.mean(devs))
     ok = means[400] < means[200] and means[300] <= 0.75
     _report(
@@ -336,7 +334,7 @@ def test_criterion_12_stieltjes_comparison():
     for seed in SEEDS:
         cloud = _spiked(n, n, lam, seed)
         W = _noisy_affinity(cloud, upsilon, n)
-        W1 = affinity(pairwise_sq_dists(cloud.clean), KernelParams(upsilon, float(n)))
+        W1 = affinity(pairwise_sq_dists(cloud.clean), upsilon, float(n))
         Wb1 = w_b1(W1, gram(cloud.noise), upsilon)
         sups.append(stieltjes_compare(W, Wb1, grid))
     ok = max(sups) <= bound
@@ -350,7 +348,6 @@ def test_criterion_12_stieltjes_comparison():
 def test_criterion_13_property_suite(tmp_path):
     checks = {}
     cloud = _spiked(80, 60, 5.0, 7)
-    params = KernelParams(0.5, 60.0)
     W = _noisy_affinity(cloud, 0.5, 60.0)
 
     A = transition(W)
@@ -360,7 +357,7 @@ def test_criterion_13_property_suite(tmp_path):
         and np.max(np.abs(A0.sum(axis=1) - 1.0)) <= 1e-12
     )
 
-    W1, Wy, Wc = factor_matrices(cloud, params)
+    W1, Wy, Wc = factor_matrices(cloud, 0.5, 60.0)
     checks["factorization"] = np.max(np.abs(W1 * Wy * Wc - W)) <= 1e-12
 
     checks["near_psd"] = np.linalg.eigvalsh(W)[0] >= -1e-9 * cloud.n

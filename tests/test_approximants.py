@@ -14,7 +14,7 @@ from glspec.approximants import (
     w_b1,
 )
 from glspec.datagen import gen_spiked
-from glspec.kernels import KernelParams, affinity, factor_matrices, gram, pairwise_sq_dists
+from glspec.kernels import affinity, factor_matrices, gram, pairwise_sq_dists
 
 
 def _cloud(n=15, p=10, lam=4.0, seed=0):
@@ -34,8 +34,7 @@ def test_phi_vector_definition():
 
 def test_w_a1_formula():
     cloud = _cloud(seed=3)
-    params = KernelParams(0.5, float(cloud.p))
-    W1, _, _ = factor_matrices(cloud, params)
+    W1, _, _ = factor_matrices(cloud, 0.5, float(cloud.p))
     got = w_a1(W1, 0.5)
     scale = np.exp(-1.0)
     ref = scale * W1 + (1.0 - scale) * np.eye(cloud.n)
@@ -46,8 +45,7 @@ def test_w_a1_formula():
 
 def test_w_b1_formula():
     cloud = _cloud(seed=5)
-    params = KernelParams(0.5, float(cloud.p))
-    W1, _, _ = factor_matrices(cloud, params)
+    W1, _, _ = factor_matrices(cloud, 0.5, float(cloud.p))
     Gy = gram(cloud.noise)
     got = w_b1(W1, Gy, 0.5)
     ups = 0.5
@@ -63,24 +61,17 @@ def test_w_a2_scale_at_adaptive_bandwidth():
     p = float(cloud.p)
     lam = 30.0
     h = lam + p
-    W1_h = affinity(pairwise_sq_dists(cloud.clean), KernelParams(0.5, h))
+    W1_h = affinity(pairwise_sq_dists(cloud.clean), 0.5, h)
     got = w_a1(W1_h, 0.5 * p / h)
     scale = np.exp(-2.0 * p * 0.5 / h)
     ref = scale * W1_h + (1.0 - scale) * np.eye(cloud.n)
     assert_allclose(got, ref, atol=1e-14)
 
 
-def test_kd_matrix_requires_bandwidth_p():
-    cloud = _cloud()
-    with pytest.raises(ValueError):
-        kd_matrix(cloud, KernelParams(0.5, float(cloud.p) + 1.0))
-
-
 def test_kd_matrix_scalar_reconstruction():
     # rebuild one entry with plain floats, term by term
     cloud = _cloud(n=6, p=8, lam=2.0, seed=8)
-    params = KernelParams(0.5, 8.0)
-    K = kd_matrix(cloud, params)
+    K = kd_matrix(cloud, 0.5)
     X = cloud.noisy()
     p, ups = 8, 0.5
     tau = 2.0 * (2.0 / p + 1.0)
@@ -104,9 +95,8 @@ def test_kd_matrix_scalar_reconstruction():
 def test_kd_matrix_tracks_affinity_at_unit_strength():
     # at lam of order one the second-order expansion tracks W itself
     cloud = _cloud(n=200, p=200, lam=1.0, seed=9)
-    params = KernelParams(0.5, 200.0)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), params)
-    K = kd_matrix(cloud, params)
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, 200.0)
+    K = kd_matrix(cloud, 0.5)
     from glspec.spectrum import op_norm_diff
 
     assert op_norm_diff(W, K) / 200.0 <= 0.05

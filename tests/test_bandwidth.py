@@ -158,7 +158,7 @@ def test_select_omega_counts_only_inside_window(monkeypatch):
     # the calibration window: the selection path must count nothing
     n = 40
     eigs = _bottom_gap_spectrum(n, ratio_window(n, n) + 2)
-    monkeypatch.setattr(bandwidth, "affinity", lambda D2, params: np.diag(eigs))
+    monkeypatch.setattr(bandwidth, "affinity", lambda D2, upsilon, h: np.diag(eigs))
     cloud = gen_spiked(n, n, (2.0,), 0)
     sel = select_omega(cloud, 0.5, s=0.1, grid=(0.1, 0.9, 4))
     assert np.all(sel.k_per_omega == 0)

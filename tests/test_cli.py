@@ -8,7 +8,6 @@ from click.testing import CliRunner
 from glspec.cli import main
 from glspec.datagen import gen_spiked, load_cloud_csv, load_cloud_npz, save_cloud_csv
 from glspec.kernels import (
-    KernelParams,
     affinity,
     laplacian,
     pairwise_sq_dists,
@@ -264,7 +263,7 @@ def test_spectra_row_normalized_matrices_match_reference(tmp_path):
     )
     cloud = load_cloud_npz(cloud_path)
     h = 7.0
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, h))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, h)
     references = {
         "transition": transition(W),
         "laplacian": laplacian(W, h),
@@ -312,7 +311,7 @@ def test_cli_writers_keep_the_reference_bytes(tmp_path):
     with open(cloud_path, "rb") as got, open(ref_path, "rb") as ref:
         assert got.read() == ref.read()
     cloud = load_cloud_csv(cloud_path)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, 20.0))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, 20.0)
     spectra = {
         "affinity": sym_eigs(W).eigenvalues,
         "laplacian": (1.0 - sym_eigs(sym_normalized(W)).eigenvalues[::-1]) / 20.0,

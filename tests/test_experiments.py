@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from glspec.experiments import (
     parse_config_file,
     run,
 )
-from glspec.kernels import KernelParams, affinity, pairwise_sq_dists
+from glspec.kernels import affinity, pairwise_sq_dists
 from glspec.spectrum import sym_eigs
 
 
@@ -88,6 +89,15 @@ def test_parse_config_file(tmp_path):
     assert cfg.seeds == (0, 7)
     assert cfg.output_dir == "somewhere"
     assert cfg.alpha_base == "n"
+    # the two fields the file above leaves out, and the echo of every field
+    other = tmp_path / "other.cfg"
+    other.write_text("name = HistogramBulk\np = 90\nreps = 7\nupsilon = 2\n")
+    cfg = parse_config_file(other)
+    assert (cfg.p, cfg.reps, cfg.upsilon) == (90, 7, 2.0)
+    assert isinstance(cfg.upsilon, float)
+    d = cfg.to_dict()
+    assert set(d) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert (d["p"], d["reps"], d["seeds"]) == (90, 7, list(DEFAULT_SEEDS))
 
 
 def test_parse_config_file_default_name_and_errors(tmp_path):
@@ -156,7 +166,7 @@ def test_phase_sweep_eigencurves_follow_c_grid(tmp_path):
     curves = np.loadtxt(os.path.join(out, "phase_eigencurves.csv"), delimiter=",", skiprows=1)
     # alpha = 0 is lambda = 1 at n = 60, p = 30, bandwidth h = p
     cloud = gen_spiked(60, 30, (1.0,), 0)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, 30.0))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, 30.0)
     assert np.array_equal(curves[:, 1], sym_eigs(W).eigenvalues)
 
 
@@ -410,9 +420,15 @@ def test_stieltjes_compare_sup_below_bound(tmp_path):
     assert np.all(grid_rows[:, 2] <= grid_rows[:, 3] + 1e-12)
 
 
-def test_stieltjes_compare_rejects_c_grid(tmp_path):
-    cfg = ExperimentConfig(name="StieltjesCompare", c_grid=(2.0,), output_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="StieltjesCompare.*c_grid"):
+@pytest.mark.parametrize(
+    "name, field",
+    [("StieltjesCompare", "c_grid"), ("ZeroingComparison", "c_grid")]
+    + [("DimensionSweep", field) for field in ("n", "p", "c_grid", "alpha_grid")],
+)
+def test_recipe_refuses_a_field_it_fixes(tmp_path, name, field):
+    value = 100 if field in ("n", "p") else (2.0,)
+    cfg = ExperimentConfig(name=name, output_dir=str(tmp_path), **{field: value})
+    with pytest.raises(ValueError, match="%s.*%s" % (name, field)):
         run(cfg, fast=True)
     assert os.listdir(str(tmp_path)) == []
 
@@ -452,11 +468,17 @@ def zeroing_run(tmp_path_factory):
     return out, manifest
 
 
-def test_zeroing_comparison_rejects_c_grid(tmp_path):
-    cfg = ExperimentConfig(name="ZeroingComparison", c_grid=(2.0,), output_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="ZeroingComparison.*c_grid"):
-        run(cfg, fast=True)
-    assert os.listdir(str(tmp_path)) == []
+def test_zeroing_comparison_follows_alpha_base(tmp_path):
+    settings = dict(name="ZeroingComparison", n=60, p=30, alpha_grid=(1.0,), seeds=(0,))
+    digests = {}
+    for base in (None, "p", "n"):
+        out = str(tmp_path / str(base))
+        manifest = run(ExperimentConfig(output_dir=out, alpha_base=base, **settings))
+        assert manifest.resolved["alpha_base"] == (base or "p")
+        digests[base] = {f["path"]: f["sha256"] for f in manifest.files}["zeroing.csv"]
+    # p is the default base; with n != p the strength n**alpha is another cloud
+    assert digests[None] == digests["p"]
+    assert digests["n"] != digests["p"]
 
 
 def test_zeroing_comparison_strength_windows(zeroing_run):

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from glspec.datagen import gen_spiked
 from glspec.kernels import (
-    KernelParams,
     affinity,
     degree,
     factor_matrices,
@@ -50,7 +49,7 @@ def test_affinity_two_point_example():
     # the two rows sit at squared distance 25; at upsilon=1, h=25 the
     # off-diagonal weight is exactly exp(-1)
     X = np.array([[0.0, 0.0], [3.0, 4.0]])
-    W = affinity(pairwise_sq_dists(X), KernelParams(upsilon=1.0, h=25.0))
+    W = affinity(pairwise_sq_dists(X), 1.0, 25.0)
     assert_allclose(W, np.array([[1.0, np.exp(-1.0)], [np.exp(-1.0), 1.0]]), rtol=1e-15)
 
 
@@ -58,34 +57,33 @@ def test_affinity_entrywise_formula():
     rng = np.random.Generator(np.random.Philox(key=3))
     X = rng.standard_normal((11, 6))
     D2 = pairwise_sq_dists(X)
-    params = KernelParams(upsilon=0.5, h=6.0)
-    W = affinity(D2, params)
-    ref = np.exp(-params.upsilon * D2 / params.h)
+    W = affinity(D2, 0.5, 6.0)
+    ref = np.exp(-0.5 * D2 / 6.0)
     assert_allclose(W, ref, atol=1e-12)
     assert_array_equal(np.diag(W), np.ones(11))
 
 
 def test_kernel_params_validation():
-    with pytest.raises(ValueError):
-        KernelParams(upsilon=0.0, h=1.0).validate()
-    with pytest.raises(ValueError):
-        KernelParams(upsilon=0.5, h=0.0).validate()
-    with pytest.raises(ValueError):
-        affinity(np.zeros((3, 3)), KernelParams(upsilon=-1.0, h=2.0))
+    # the decay and the bandwidth are plain arguments, checked where W is built
+    D2 = np.zeros((3, 3))
+    for upsilon, h, field in ((0.0, 1.0, "upsilon"), (-1.0, 2.0, "upsilon"),
+                              (0.5, 0.0, "h"), (0.5, -3.0, "h")):
+        with pytest.raises(ValueError, match="need %s > 0" % field):
+            affinity(D2, upsilon, h)
 
 
 def test_scaling_coords_and_bandwidth_leaves_affinity_unchanged():
     rng = np.random.Generator(np.random.Philox(key=4))
     X = rng.standard_normal((10, 5))
     s = 3.7
-    W = affinity(pairwise_sq_dists(X), KernelParams(0.5, 2.0))
-    Ws = affinity(pairwise_sq_dists(s * X), KernelParams(0.5, 2.0 * s * s))
+    W = affinity(pairwise_sq_dists(X), 0.5, 2.0)
+    Ws = affinity(pairwise_sq_dists(s * X), 0.5, 2.0 * s * s)
     assert_allclose(Ws, W, atol=1e-12)
 
 
 def test_transition_rows_sum_to_one():
     cloud = _cloud(n=30)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(cloud.p)))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, float(cloud.p))
     A = transition(W)
     assert_allclose(A.sum(axis=1), np.ones(30), atol=1e-12)
     assert np.all(A > 0.0)
@@ -93,7 +91,7 @@ def test_transition_rows_sum_to_one():
 
 def test_transition_spectrum_matches_symmetrized_form():
     cloud = _cloud(n=25, seed=2)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(cloud.p)))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, float(cloud.p))
     A = transition(W)
     deg = degree(W)
     S = W / np.sqrt(np.outer(deg, deg))
@@ -104,7 +102,7 @@ def test_transition_spectrum_matches_symmetrized_form():
 
 def test_transition_top_eigenvalue_is_one():
     cloud = _cloud(n=40, seed=6)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(cloud.p)))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, float(cloud.p))
     A = transition(W)
     top = np.max(np.linalg.eigvals(A).real)
     assert abs(top - 1.0) <= 1e-10
@@ -113,7 +111,7 @@ def test_transition_top_eigenvalue_is_one():
 def test_laplacian_identity():
     cloud = _cloud(n=12, seed=1)
     h = float(cloud.p)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, h))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, h)
     L = laplacian(W, h)
     assert_allclose(L, (np.eye(12) - transition(W)) / h, atol=1e-14)
 
@@ -127,7 +125,7 @@ def test_zeroed_transition_all_ones_case():
 
 def test_zeroed_transition_rows_sum_to_one():
     cloud = _cloud(n=18, seed=3)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(cloud.p)))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, float(cloud.p))
     A0 = zeroed_transition(W)
     assert_array_equal(np.diag(A0), np.zeros(18))
     assert_allclose(A0.sum(axis=1), np.ones(18), atol=1e-12)
@@ -135,7 +133,7 @@ def test_zeroed_transition_rows_sum_to_one():
 
 def test_sym_normalized_formula_and_spectrum():
     cloud = _cloud(n=16, seed=5)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(cloud.p)))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, float(cloud.p))
     root = np.sqrt(W.sum(axis=1))
     assert_array_equal(sym_normalized(W), W / np.outer(root, root))
     off = W.copy()
@@ -164,18 +162,18 @@ def test_affinity_factorizes_over_signal_noise_cross():
     # W = W1 o Wy o Wc entrywise, the three factors built from the clean
     # part, the noise part, and the cross term
     cloud = _cloud(n=16, p=12, lam=6.0, seed=5)
-    params = KernelParams(0.5, float(cloud.p))
-    W = affinity(pairwise_sq_dists(cloud.noisy()), params)
-    W1, Wy, Wc = factor_matrices(cloud, params)
+    h = float(cloud.p)
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, h)
+    W1, Wy, Wc = factor_matrices(cloud, 0.5, h)
     assert_allclose(W1 * Wy * Wc, W, atol=1e-12)
     # the clean and noise factors are themselves affinities
-    assert_allclose(W1, affinity(pairwise_sq_dists(cloud.clean), params), atol=1e-14)
-    assert_allclose(Wy, affinity(pairwise_sq_dists(cloud.noise), params), atol=1e-14)
+    assert_allclose(W1, affinity(pairwise_sq_dists(cloud.clean), 0.5, h), atol=1e-14)
+    assert_allclose(Wy, affinity(pairwise_sq_dists(cloud.noise), 0.5, h), atol=1e-14)
 
 
 def test_cross_factor_has_unit_diagonal():
     cloud = _cloud(n=9, seed=8)
-    _, _, Wc = factor_matrices(cloud, KernelParams(0.5, float(cloud.p)))
+    _, _, Wc = factor_matrices(cloud, 0.5, float(cloud.p))
     assert_allclose(np.diag(Wc), np.ones(9), atol=1e-15)
     assert_allclose(Wc, Wc.T, atol=1e-14)
 
@@ -188,6 +186,6 @@ def test_gram_matches_definition():
 
 def test_affinity_never_indefinite_beyond_roundoff():
     cloud = _cloud(n=60, p=40, lam=2.0, seed=10)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, 40.0))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, 40.0)
     eigs = np.linalg.eigvalsh(W)
     assert eigs[0] >= -1e-9 * 60

@@ -230,11 +230,11 @@ def test_typical_location_matches_large_sample_spectrum():
     # Monte Carlo oracle: the j/n upper quantile of nu_0 should match the
     # corresponding order statistic of a large pure-noise kernel spectrum
     from glspec.datagen import gen_spiked
-    from glspec.kernels import KernelParams, affinity, pairwise_sq_dists
+    from glspec.kernels import affinity, pairwise_sq_dists
 
     n_big = 2000
     cloud = gen_spiked(n_big, n_big, (0.0,), 0)
-    W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(n_big)))
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, float(n_big))
     eigs = np.sort(np.linalg.eigvalsh(W))[::-1]
     m = nu0(c=1.0, upsilon=0.5)
     # skip the top eigenvalue (the row-sum spike detaches from the bulk)

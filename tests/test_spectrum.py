@@ -210,7 +210,7 @@ def test_esd_density_matches_limit_in_probability():
     # the lower edge where the c = 1 density diverges like u^{-1/2} and
     # finite-size smearing dominates
     from glspec.datagen import gen_spiked
-    from glspec.kernels import KernelParams, affinity, pairwise_sq_dists
+    from glspec.kernels import affinity, pairwise_sq_dists
 
     n = 300
     m = nu0(1.0, 0.5)
@@ -221,7 +221,7 @@ def test_esd_density_matches_limit_in_probability():
     total = np.zeros(50)
     for rep in range(reps):
         cloud = gen_spiked(n, n, (0.0,), 500000 + rep)
-        W = affinity(pairwise_sq_dists(cloud.noisy()), KernelParams(0.5, float(n)))
+        W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, float(n))
         eigs = np.linalg.eigvalsh(W)
         counts, _ = np.histogram(eigs, bins=bins)
         total += counts
