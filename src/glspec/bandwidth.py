@@ -96,7 +96,7 @@ def window_outliers(eigs, s, k_hi):
     return int(wide[-1]) + 1 if wide.size else 0
 
 
-def resample_threshold(c, n, upsilon, reps=50, quantile_level=0.99, seed=0):
+def resample_threshold(c, n, upsilon, reps=50, seed=0):
     """Calibrate the relative-gap threshold s on pure-noise clouds.
 
     Draws ``reps`` standard Gaussian n x p clouds with p = round(n/c) and
@@ -106,8 +106,8 @@ def resample_threshold(c, n, upsilon, reps=50, quantile_level=0.99, seed=0):
     the spectrum is left out, and ``select_omega`` counts on the same
     ``_bulk_ratios`` window.  The top ratio k = 1 is an edge spacing of the
     null, not a bulk one, so the calibration starts at k = 2 while the count
-    starts at the top.  Returns the ``quantile_level`` quantile of the
-    per-rep maxima, minus one.
+    starts at the top.  Returns the 0.99 quantile of the per-rep maxima,
+    minus one.
 
     ``upsilon`` is accepted for interface uniformity with the selection
     routines; the null calibration itself is kernel-free.
@@ -122,7 +122,7 @@ def resample_threshold(c, n, upsilon, reps=50, quantile_level=0.99, seed=0):
         X = rng.standard_normal((n, p))
         eigs = sym_eigs(X @ X.T / p).eigenvalues
         ratios[r] = np.max(_bulk_ratios(eigs, k_hi)[1:])
-    return float(np.quantile(ratios, quantile_level)) - 1.0
+    return float(np.quantile(ratios, 0.99)) - 1.0
 
 
 def omega_grid(grid):

@@ -1,8 +1,6 @@
 """Command-line front end: generate point clouds, run named experiments,
 select bandwidth quantiles, and dump spectra."""
 
-import dataclasses
-
 import click
 import numpy as np
 
@@ -153,14 +151,16 @@ def gen(kind, n, p, lam, alpha, alpha_base, scale, rotate, seed, out):
 @click.option("--fast", is_flag=True, help="Reduced grids and repetitions.")
 def run_cmd(experiment, config_path, out, fast):
     """Run a named experiment and write CSV + gnuplot artifacts."""
-    if config_path is not None:
-        cfg = parse_config_file(config_path, default_name=experiment)
-        if experiment is not None:
-            cfg = dataclasses.replace(cfg, name=experiment)
-    else:
+    if config_path is None:
         if experiment is None:
             raise click.UsageError("give --experiment or --config")
         cfg = ExperimentConfig(name=experiment)
+    else:
+        # a refused config is a usage error, raised before anything is written
+        try:
+            cfg = parse_config_file(config_path, name=experiment)
+        except ValueError as err:
+            raise click.BadParameter(str(err), param_hint="--config") from None
     if out is not None:
         cfg.output_dir = out
     manifest = run_experiment(cfg, fast=fast)

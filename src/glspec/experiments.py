@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,12 +56,11 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 class ExperimentConfig:
     """Settings for one named experiment run.
 
-    ``p`` and ``c_grid`` are mutually exclusive ways to fix the ambient
-    dimension; most recipes default to the aspect-ratio grid (0.5, 1, 2)
-    when both are left unset.  ``alpha_base`` selects the signal-strength
-    base (lambda = base**alpha); it defaults per experiment (n for
-    OmegaSweep, p everywhere else) and the resolved value is echoed into
-    the manifest.  Every field lands in the run manifest.
+    The fields that default to ``None`` are optional: ``_RUNNERS`` lists
+    the ones each recipe reads, with their defaults, and ``validate``
+    refuses the others.  ``p`` and ``c_grid`` are mutually exclusive ways
+    to fix the ambient dimension; ``alpha_base`` is the base of the signal
+    strength lambda = base**alpha.  Every field lands in the run manifest.
     """
 
     name: str
@@ -101,6 +100,12 @@ class ExperimentConfig:
             raise ValueError("need reps >= 1")
         if self.alpha_base not in (None, "n", "p"):
             raise ValueError("alpha_base must be 'n' or 'p'")
+        reads = _RUNNERS[self.name][1]
+        for f in fields(self):
+            if f.default is None and getattr(self, f.name) is not None and f.name not in reads:
+                raise ValueError(
+                    "%s does not read %s; it reads only %s" % (self.name, f.name, ", ".join(reads))
+                )
         return self
 
     def to_dict(self):
@@ -143,13 +148,13 @@ class RunManifest:
         os.replace(tmp, path)
 
 
-def parse_config_file(path, default_name=None):
+def parse_config_file(path, name=None):
     """Read a flat key = value config file into an ExperimentConfig.
 
     Lines are ``key = value``; ``#`` starts a comment.  Keys match the
     ExperimentConfig fields, and each value is read as its field's type
-    (a tuple field as comma-separated numbers); ``name`` may be omitted
-    when ``default_name`` supplies it.
+    (a tuple field as comma-separated numbers).  A given ``name`` replaces
+    the file's ``name`` key before the config is validated.
     """
     raw = {}
     with open(path) as fh:
@@ -161,10 +166,10 @@ def parse_config_file(path, default_name=None):
                 raise ValueError("%s:%d: expected key = value" % (path, lineno))
             key, value = (part.strip() for part in line.split("=", 1))
             raw[key] = value
-    if "name" not in raw:
-        if default_name is None:
-            raise ValueError("config file %s has no 'name' key" % path)
-        raw["name"] = default_name
+    if name is not None:
+        raw["name"] = name
+    elif "name" not in raw:
+        raise ValueError("config file %s has no 'name' key" % path)
 
     def as_number(text):
         return int(text) if text.lstrip("+-").isdigit() else float(text)
@@ -177,7 +182,10 @@ def parse_config_file(path, default_name=None):
     for key, value in raw.items():
         if key not in types:
             raise ValueError("unknown config key %r in %s" % (key, path))
-        kwargs[key] = as_tuple(value) if types[key] is tuple else types[key](value)
+        try:
+            kwargs[key] = as_tuple(value) if types[key] is tuple else types[key](value)
+        except ValueError as err:
+            raise ValueError("bad value for %s in %s: %s" % (key, path, err)) from None
     return ExperimentConfig(**kwargs).validate()
 
 
@@ -218,10 +226,6 @@ def _run_seeds(cfg, fast):
     return list(cfg.seeds[:2] if fast else cfg.seeds)
 
 
-def _resolve_base(cfg, default):
-    return cfg.alpha_base if cfg.alpha_base is not None else default
-
-
 def _signal(alpha, n, p, base):
     return float(n) ** alpha if base == "n" else float(p) ** alpha
 
@@ -230,10 +234,10 @@ def _affinity_of(X, upsilon, h):
     return affinity(pairwise_sq_dists(X), upsilon, float(h))
 
 
-def _spiked_affinity(cfg, n, p, seed, alphas, base):
-    """A spiked cloud of strengths base**alpha, one per alpha of ``alphas``,
-    and its noisy affinity at h = p."""
-    cloud = gen_spiked(n, p, tuple(_signal(a, n, p, base) for a in alphas), seed)
+def _spiked_affinity(cfg, n, p, seed, alphas):
+    """A spiked cloud of strengths base**alpha (base ``cfg.alpha_base``),
+    one per alpha of ``alphas``, and its noisy affinity at h = p."""
+    cloud = gen_spiked(n, p, tuple(_signal(a, n, p, cfg.alpha_base) for a in alphas), seed)
     return cloud, _affinity_of(cloud.noisy(), cfg.upsilon, p)
 
 
@@ -247,19 +251,14 @@ def _run_phase_sweep(cfg, fast):
 
     The curves run at p = ``cfg.p`` (default n), or at p = round(n/c) for
     each c of ``cfg.c_grid``, one ``c*_alpha_*`` column per pair."""
-    n = cfg.n if cfg.n is not None else 300
+    n, alphas, seed = cfg.n, cfg.alpha_grid, cfg.seeds[0]
     if cfg.c_grid is None:
         aspects = [("", cfg.p if cfg.p is not None else n)]
     else:
         aspects = [("c%g_" % c, p) for c, p in _aspects(cfg, n)]
-    base = _resolve_base(cfg, "p")
-    seed = cfg.seeds[0]
-    alphas = cfg.alpha_grid if cfg.alpha_grid is not None else (
-        0.0, 0.3, 0.45, 0.6, 0.8, 1.5, 2.5,
-    )
 
     curves = [
-        sym_eigs(_spiked_affinity(cfg, n, p, seed, (alpha,), base)[1]).eigenvalues
+        sym_eigs(_spiked_affinity(cfg, n, p, seed, (alpha,))[1]).eigenvalues
         for _, p in aspects
         for alpha in alphas
     ]
@@ -273,7 +272,7 @@ def _run_phase_sweep(cfg, fast):
     track = (1, 2, 8, 80)
 
     def tracked(c, p2, alpha):
-        cloud, W = _spiked_affinity(cfg, n2, p2, seed, (alpha,), base)
+        cloud, W = _spiked_affinity(cfg, n2, p2, seed, (alpha,))
         ew = sym_eigs(W).eigenvalues
         eg = sym_eigs(gram(cloud.noisy())).eigenvalues
         return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
@@ -299,9 +298,7 @@ def _run_phase_sweep(cfg, fast):
         ],
     }
     info = {
-        "n": n,
         "curve_p": [p for _, p in aspects],
-        "alpha_base": base,
         "tracked_n": n2,
         "tracked_p": [p2 for _, p2 in pairs],
         "c_grid": [c for c, _ in pairs],
@@ -317,8 +314,7 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
     (limit eigenvalues, error scalar).  The per-c CSVs carry the mean
     sample and limit curves, the summary carries the per-seed error.
     """
-    n = cfg.n if cfg.n is not None else 200
-    base = _resolve_base(cfg, "p")
+    n = cfg.n
     aspects = _aspects(cfg, n)
     seeds = _run_seeds(cfg, fast)
     curve_rows, summary_rows = [], []
@@ -326,7 +322,7 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
         reference = make_reference(n, p)
 
         def one(seed):
-            cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,), base)
+            cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
             eigs = sym_eigs(W).eigenvalues
             return (eigs,) + reference(cloud, W, eigs)
 
@@ -349,7 +345,7 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
             % tag,
         ],
     }
-    info = {"n": n, "alpha": alpha, "alpha_base": base, "c_grid": [c for c, _ in aspects]}
+    info = {"alpha": alpha, "c_grid": [c for c, _ in aspects]}
     return files, seeds, info
 
 
@@ -410,23 +406,16 @@ def _run_accuracy_large(cfg, fast):
 
 def _run_dimension_sweep(cfg, fast):
     """Error-versus-n curves for the three accuracy regimes at c = 1."""
-    for name in ("n", "p", "c_grid", "alpha_grid"):
-        if getattr(cfg, name) is not None:
-            raise ValueError(
-                "DimensionSweep takes no %s: it fixes its n grid, c = 1 and "
-                "its three alpha values" % name
-            )
     ns = (50, 150, 300) if fast else (50, 100, 150, 200, 250, 300, 400)
-    base = _resolve_base(cfg, "p")
     seeds = _run_seeds(cfg, fast)
     law = nu0(1.0, cfg.upsilon)
 
     def one(n, seed):
-        _, W = _spiked_affinity(cfg, n, n, seed, (0.2,), base)
+        _, W = _spiked_affinity(cfg, n, n, seed, (0.2,))
         err_low = _low_snr_error(sym_eigs(W).eigenvalues, law)
-        cloud, W = _spiked_affinity(cfg, n, n, seed, (1.9,), base)
+        cloud, W = _spiked_affinity(cfg, n, n, seed, (1.9,))
         err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, cfg.upsilon))
-        _, W = _spiked_affinity(cfg, n, n, seed, (5.0,), base)
+        _, W = _spiked_affinity(cfg, n, n, seed, (5.0,))
         err_big = _large_snr_error(sym_eigs(W).eigenvalues)
         return [n, seed, err_low, err_mod, err_big]
 
@@ -447,7 +436,7 @@ def _run_dimension_sweep(cfg, fast):
             "'moderate snr', '' using 1:4 skip 1 with linespoints title 'large snr'",
         ],
     }
-    info = {"n_grid": list(ns), "alpha_base": base, "c": 1.0}
+    info = {"n_grid": list(ns), "c": 1.0}
     return files, seeds, info
 
 
@@ -458,8 +447,7 @@ def _run_histogram_bulk(cfg, fast):
     Repetition r draws seed 100000 (seeds[0] + 1) + r, so distinct first
     seeds give disjoint repetitions.
     """
-    n = cfg.n if cfg.n is not None else 200
-    base = _resolve_base(cfg, "p")
+    n = cfg.n
     aspects = _aspects(cfg, n)
     reps = cfg.reps if cfg.reps is not None else (100 if fast else 1000)
     first_seed = 100000 * (cfg.seeds[0] + 1)
@@ -473,7 +461,7 @@ def _run_histogram_bulk(cfg, fast):
 
         counts = np.zeros(bins)
         for rep in range(reps):
-            _, W = _spiked_affinity(cfg, n, p, first_seed + rep, (0.2,), base)
+            _, W = _spiked_affinity(cfg, n, p, first_seed + rep, (0.2,))
             counts += esd_histogram(sym_eigs(W).eigenvalues, edges)[1]
         width = edges[1] - edges[0]
         emp = counts / (reps * n * width)
@@ -493,28 +481,20 @@ def _run_histogram_bulk(cfg, fast):
             "title 'limit (c=1)'",
         ],
     }
-    cs = [c for c, _ in aspects]
-    info = {"n": n, "reps": reps, "alpha": 0.2, "alpha_base": base, "c_grid": cs}
+    info = {"reps": reps, "alpha": 0.2, "c_grid": [c for c, _ in aspects]}
     return files, [first_seed], info
 
 
 def _run_omega_sweep(cfg, fast):
     """Selected quantile level against signal strength on noisy circles,
     once from the affinity spectrum and once from the transition spectrum."""
-    n = cfg.n if cfg.n is not None else 300
-    base = _resolve_base(cfg, "n")
+    n, seed = cfg.n, cfg.seeds[0]
     aspects = _aspects(cfg, n)
-    alphas = cfg.alpha_grid if cfg.alpha_grid is not None else (
-        0.2, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0,
-    )
-    if fast:
-        alphas = tuple(alphas)[::2]
-    seed = cfg.seeds[0]
+    alphas = tuple(cfg.alpha_grid)[::2] if fast else cfg.alpha_grid
     thresholds = {c: resample_threshold(c, n, cfg.upsilon, seed=seed) for c, _ in aspects}
 
     def one(c, p, alpha):
-        lam = _signal(alpha, n, p, base)
-        cloud = gen_circle(n, p, lam, seed)
+        cloud = gen_circle(n, p, _signal(alpha, n, p, cfg.alpha_base), seed)
         D2 = pairwise_sq_dists(cloud.noisy())
         sel_w = select_omega(cloud, cfg.upsilon, thresholds[c], D2=D2)
         sel_a = select_omega(
@@ -542,8 +522,7 @@ def _run_omega_sweep(cfg, fast):
         ],
     }
     info = {
-        "n": n,
-        "alpha_base": base,
+        "alpha_grid": [float(a) for a in alphas],
         "c_grid": [c for c, _ in aspects],
         "thresholds": {_fmt(c): s for c, s in thresholds.items()},
     }
@@ -561,9 +540,9 @@ def _run_manifold_rmse(cfg, fast):
     reps = cfg.reps if cfg.reps is not None else (5 if fast else 20)
     base_seed = cfg.seeds[0]
     top = 9
-    rmse_rows, omega_rows, c_grids = [], [], {}
+    rmse_rows, omega_rows, c_grids, sizes = [], [], {}, {}
     for kind, n_kind in MANIFOLD_RMSE_SIZES.items():
-        n = n_kind if cfg.n is None else cfg.n
+        n = sizes[kind] = n_kind if cfg.n is None else cfg.n
         aspects = _aspects(cfg, n, default=(1.0,))
         c_grids[kind] = [c for c, _ in aspects]
         for ci, (c, p) in enumerate(aspects):
@@ -619,24 +598,20 @@ def _run_manifold_rmse(cfg, fast):
             "skip 1 with yerrorlines title 'h=p'",
         ],
     }
-    info = {"reps": reps, "c_grid": c_grids, "sizes": dict(MANIFOLD_RMSE_SIZES)}
+    info = {"reps": reps, "c_grid": c_grids, "sizes": sizes}
     return files, [base_seed + r for r in range(reps)], info
 
 
 def _run_stieltjes_compare(cfg, fast):
     """Stieltjes transforms of W and its Gram-based surrogate over the
     spectral-parameter box, at unit-exponent signal strength."""
-    if cfg.c_grid is not None:
-        raise ValueError("StieltjesCompare takes p, not c_grid")
-    n = cfg.n if cfg.n is not None else 200
-    base = _resolve_base(cfg, "p")
-    a = 0.2
+    n, a = cfg.n, 0.2
     seeds = _run_seeds(cfg, fast)
     p = cfg.p if cfg.p is not None else n
     grid = StieltjesGrid.build(n, 1.0, a)
 
     def one(seed):
-        cloud, W = _spiked_affinity(cfg, n, p, seed, (1.0,), base)
+        cloud, W = _spiked_affinity(cfg, n, p, seed, (1.0,))
         W1 = _affinity_of(cloud.clean, cfg.upsilon, p)
         Wb1 = w_b1(W1, gram(cloud.noise), cfg.upsilon)
         # ascending: the last bits of each Stieltjes mean depend on the order
@@ -669,7 +644,7 @@ def _run_stieltjes_compare(cfg, fast):
             "title 'mean over seeds'",
         ],
     }
-    info = {"n": n, "p": p, "lambda": _signal(1.0, n, p, base), "a": a, "eta_min": grid.eta_min}
+    info = {"p": p, "lambda": _signal(1.0, n, p, cfg.alpha_base), "a": a, "eta_min": grid.eta_min}
     return files, seeds, info
 
 
@@ -683,8 +658,7 @@ D2_CASES = (
 def _run_d2_comparison(cfg, fast):
     """Bulk spectra of one- against two-spike clouds in the three printed
     strength pairings, from the tenth eigenvalue on."""
-    n = cfg.n if cfg.n is not None else 200
-    base = _resolve_base(cfg, "p")
+    n = cfg.n
     aspects = _aspects(cfg, n)
     seeds = _run_seeds(cfg, fast)
     start = 10
@@ -693,7 +667,7 @@ def _run_d2_comparison(cfg, fast):
     # cached: both_large and large_small share their one-spike clouds
     @functools.lru_cache(maxsize=None)
     def spectrum(p, seed, alphas):
-        return sym_eigs(_spiked_affinity(cfg, n, p, seed, alphas, base)[1]).eigenvalues
+        return sym_eigs(_spiked_affinity(cfg, n, p, seed, alphas)[1]).eigenvalues
 
     for case, a1, a2, expected in D2_CASES:
         for c, p in aspects:
@@ -716,26 +690,16 @@ def _run_d2_comparison(cfg, fast):
             "with points title 'two spikes'",
         ],
     }
-    info = {"n": n, "alpha_base": base, "c_grid": [c for c, _ in aspects], "start_index": start}
+    info = {"c_grid": [c for c, _ in aspects], "start_index": start}
     return files, seeds, info
 
 
 def _run_zeroing_comparison(cfg, fast):
     """Third-eigenvector recovery of the plain against the zero-diagonal
-    transition matrix across signal strengths.
-
-    The recipe defaults to p = 200, n = 400 with the zero-diagonal variant
-    at bandwidth 35 and the plain variant at the selected bandwidth.
+    transition matrix across signal strengths: the zero-diagonal variant
+    at bandwidth 35, the plain variant at the selected bandwidth.
     """
-    if cfg.c_grid is not None:
-        raise ValueError("ZeroingComparison takes p, not c_grid")
-    n = cfg.n if cfg.n is not None else 400
-    p = cfg.p if cfg.p is not None else 200
-    upsilon = cfg.upsilon
-    base = _resolve_base(cfg, "p")
-    alphas = cfg.alpha_grid if cfg.alpha_grid is not None else (
-        0.3, 0.5, 0.6, 0.8, 1.0, 1.2,
-    )
+    n, p, upsilon, alphas = cfg.n, cfg.p, cfg.upsilon, cfg.alpha_grid
     seeds = _run_seeds(cfg, fast)
     h_zero = 35.0
     s = resample_threshold(n / float(p), n, upsilon, seed=seeds[0])
@@ -747,7 +711,7 @@ def _run_zeroing_comparison(cfg, fast):
         return vec / np.linalg.norm(vec)
 
     def one(alpha, seed):
-        lam = _signal(alpha, n, p, base)
+        lam = _signal(alpha, n, p, cfg.alpha_base)
         cloud = gen_spiked(n, p, (lam,), seed)
         ref = third_vector_row_stochastic(_affinity_of(cloud.clean, upsilon, p + lam))
         D2 = pairwise_sq_dists(cloud.noisy())
@@ -781,24 +745,33 @@ def _run_zeroing_comparison(cfg, fast):
             "title 'random baseline'",
         ],
     }
-    info = {
-        "n": n, "p": p, "alpha_base": base, "h_zero": h_zero, "s": s, "alphas": list(alphas),
-    }
+    info = {"h_zero": h_zero, "s": s}
     return files, seeds, info
 
 
+# name: (recipe, reads).  ``reads`` maps each optional ExperimentConfig field
+# the recipe uses to its default; None means the recipe works the value out
+# itself (the c grid of ``_aspects``, the fast-dependent reps, p = n), and
+# ``validate`` refuses every other optional field.
+_ASPECTS = dict(n=200, p=None, c_grid=None, alpha_base="p")
 _RUNNERS = {
-    "PhaseSweep": _run_phase_sweep,
-    "AccuracyLowSNR": _run_accuracy_low,
-    "AccuracyModerate": _run_accuracy_moderate,
-    "AccuracyLarge": _run_accuracy_large,
-    "DimensionSweep": _run_dimension_sweep,
-    "HistogramBulk": _run_histogram_bulk,
-    "OmegaSweep": _run_omega_sweep,
-    "ManifoldRmse": _run_manifold_rmse,
-    "StieltjesCompare": _run_stieltjes_compare,
-    "D2Comparison": _run_d2_comparison,
-    "ZeroingComparison": _run_zeroing_comparison,
+    "PhaseSweep": (_run_phase_sweep, dict(
+        _ASPECTS, n=300, alpha_grid=(0.0, 0.3, 0.45, 0.6, 0.8, 1.5, 2.5)
+    )),
+    "AccuracyLowSNR": (_run_accuracy_low, _ASPECTS),
+    "AccuracyModerate": (_run_accuracy_moderate, _ASPECTS),
+    "AccuracyLarge": (_run_accuracy_large, _ASPECTS),
+    "DimensionSweep": (_run_dimension_sweep, dict(alpha_base="p")),
+    "HistogramBulk": (_run_histogram_bulk, dict(_ASPECTS, reps=None)),
+    "OmegaSweep": (_run_omega_sweep, dict(
+        _ASPECTS, n=300, alpha_grid=(0.2, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0), alpha_base="n"
+    )),
+    "ManifoldRmse": (_run_manifold_rmse, dict(n=None, p=None, c_grid=None, reps=None)),
+    "StieltjesCompare": (_run_stieltjes_compare, dict(n=200, p=None, alpha_base="p")),
+    "D2Comparison": (_run_d2_comparison, _ASPECTS),
+    "ZeroingComparison": (_run_zeroing_comparison, dict(
+        n=400, p=200, alpha_grid=(0.3, 0.5, 0.6, 0.8, 1.0, 1.2), alpha_base="p"
+    )),
 }
 
 EXPERIMENT_NAMES = tuple(_RUNNERS)
@@ -808,15 +781,20 @@ def run(config, fast=False):
     """Execute one named experiment, write its artifacts and return its
     manifest.
 
-    The recipe only computes: it returns its files in manifest order, each
-    CSV as (header, rows) and the gnuplot script as its lines.  ``run`` is
-    the only code that writes under ``config.output_dir``.  It removes a
+    The recipe gets the config with its defaults filled in and only
+    computes: it returns its files in manifest order, each CSV as (header,
+    rows) and the gnuplot script as its lines, and the settings it derived.
+    The manifest's ``resolved`` holds every field the recipe reads that has
+    a value, merged with those settings.  ``run`` is the only code that
+    writes under ``config.output_dir``.  It removes a
     manifest from an earlier run before the recipe starts, writes each file
     once the recipe has returned, and writes ``manifest.json`` last.  So a
     run that fails leaves no manifest, and a recipe that raises leaves the
     earlier artifacts as they were.
     """
     config.validate()
+    recipe, reads = _RUNNERS[config.name]
+    cfg = replace(config, **{k: v for k, v in reads.items() if getattr(config, k) is None})
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     manifest_path = os.path.join(out, "manifest.json")
@@ -824,7 +802,7 @@ def run(config, fast=False):
     try:
         if os.path.exists(manifest_path):
             os.remove(manifest_path)
-        files, seeds, info = _RUNNERS[config.name](config, fast)
+        files, seeds, derived = recipe(cfg, fast)
         for name, body in files.items():
             path = os.path.join(out, name)
             if name.endswith(".gp"):
@@ -835,13 +813,14 @@ def run(config, fast=False):
         raise OSError(
             "experiment %s failed writing under %r: %s" % (config.name, out, err)
         ) from err
+    echo = {k: v for k, v in cfg.to_dict().items() if k in reads and v is not None}
     manifest = RunManifest(
         config=config.to_dict(),
         version=__version__,
         experiment=config.name,
         fast=bool(fast),
         seeds=[int(s) for s in seeds],
-        resolved=info,
+        resolved=dict(echo, **derived),
         wall_clock_s=round(time.perf_counter() - started, 3),
         files=[
             {"path": name, "sha256": _sha256(os.path.join(out, name))} for name in files

@@ -90,23 +90,23 @@ def stieltjes(eigs, z):
 
 @dataclass
 class StieltjesGrid:
-    """Spectral-parameter box: E linear in [a, 1/a], eta log-spaced in
-    [n^{-1/2 + alpha/4 + a}, 1/a]."""
+    """Spectral-parameter box: 16 values of E linear in [a, 1/a] by 8 of eta
+    log-spaced in [n^{-1/2 + alpha/4 + a}, 1/a]."""
 
     a: float
     alpha: float
     points: np.ndarray
 
     @classmethod
-    def build(cls, n, alpha, a, n_e=16, n_eta=8):
+    def build(cls, n, alpha, a):
         if not 0 < a < 1:
             raise ValueError("need a in (0, 1)")
         eta_min = float(n) ** (-0.5 + alpha / 4.0 + a)
         eta_max = 1.0 / a
         if eta_min >= eta_max:
             raise ValueError("empty eta range: eta_min %g >= 1/a" % eta_min)
-        es = np.linspace(a, 1.0 / a, n_e)
-        etas = np.geomspace(eta_min, eta_max, n_eta)
+        es = np.linspace(a, 1.0 / a, 16)
+        etas = np.geomspace(eta_min, eta_max, 8)
         pts = (es[:, None] + 1j * etas[None, :]).ravel()
         return cls(a, alpha, pts)
 

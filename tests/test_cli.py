@@ -147,7 +147,7 @@ def test_run_with_config_file(tmp_path):
 
 def test_run_experiment_overrides_config_name(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("name = HistogramBulk\nreps = 5\n")
+    cfg.write_text("name = HistogramBulk\nn = 60\n")
     out = str(tmp_path / "override")
     result = _invoke(
         ["run", "--experiment", "StieltjesCompare", "--config", str(cfg),
@@ -155,6 +155,51 @@ def test_run_experiment_overrides_config_name(tmp_path):
     )
     assert "StieltjesCompare finished" in result.output
     assert os.path.exists(os.path.join(out, "stieltjes_grid.csv"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name = AccuracyLarge\nbandwidth = 3\n", "unknown config key 'bandwidth'"),
+        ("name = AccuracyLarge\nn = abc\n", "bad value for n"),
+        ("name = AccuracyLarge\nupsilon = 0\n", "need upsilon > 0"),
+        ("name = AccuracyLarge\nalpha_grid = 1\n", "AccuracyLarge does not read alpha_grid"),
+        ("name = DimensionSweep\nn = 60\n", "DimensionSweep does not read n"),
+    ],
+    ids=["unknown-key", "malformed-value", "bad-value", "unread-field", "unread-n"],
+)
+def test_run_rejects_a_config_as_usage_error(tmp_path, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(out), "--fast"])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_experiment_override_is_validated_against_its_name(tmp_path):
+    # DimensionSweep does not read n; AccuracyLowSNR does
+    fixed = tmp_path / "fixed.cfg"
+    fixed.write_text("name = DimensionSweep\nn = 60\nseeds = 0\n")
+    out = tmp_path / "low"
+    result = _invoke(
+        ["run", "--experiment", "AccuracyLowSNR", "--config", str(fixed), "--out", str(out),
+         "--fast"]
+    )
+    assert "AccuracyLowSNR finished" in result.output
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["resolved"]["n"] == 60
+    sized = tmp_path / "sized.cfg"
+    sized.write_text("name = AccuracyLowSNR\nn = 60\n")
+    out = tmp_path / "dim"
+    result = CliRunner().invoke(
+        main, ["run", "--experiment", "DimensionSweep", "--config", str(sized), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "DimensionSweep does not read n" in result.output
+    assert not out.exists()
 
 
 def test_run_zeroing_comparison(tmp_path):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import glspec.experiments as experiments
 from glspec.datagen import gen_spiked
 from glspec.experiments import (
     DEFAULT_SEEDS,
@@ -105,7 +106,7 @@ def test_parse_config_file_default_name_and_errors(tmp_path):
     bare.write_text("n = 50\n")
     with pytest.raises(ValueError):
         parse_config_file(bare)
-    cfg = parse_config_file(bare, default_name="PhaseSweep")
+    cfg = parse_config_file(bare, name="PhaseSweep")
     assert cfg.name == "PhaseSweep"
     bad_key = tmp_path / "bad.cfg"
     bad_key.write_text("name = PhaseSweep\nbandwidth = 3\n")
@@ -208,13 +209,13 @@ def test_unserialisable_manifest_leaves_no_file(tmp_path, monkeypatch):
     import glspec.experiments as experiments
 
     out = str(tmp_path)
-    inner = experiments._RUNNERS["AccuracyLarge"]
+    inner, reads = experiments._RUNNERS["AccuracyLarge"]
 
     def runner(cfg, fast):
         files, seeds, info = inner(cfg, fast)
         return files, seeds, dict(info, bad=object())
 
-    monkeypatch.setitem(experiments._RUNNERS, "AccuracyLarge", runner)
+    monkeypatch.setitem(experiments._RUNNERS, "AccuracyLarge", (runner, reads))
     with pytest.raises(TypeError):
         run(ExperimentConfig(name="AccuracyLarge", n=40, seeds=(0,), output_dir=out), fast=True)
     assert os.path.exists(os.path.join(out, "accuracy_large_summary.csv"))
@@ -420,17 +421,56 @@ def test_stieltjes_compare_sup_below_bound(tmp_path):
     assert np.all(grid_rows[:, 2] <= grid_rows[:, 3] + 1e-12)
 
 
+# a valid value for each optional field, the ones that default to None
+OPTIONAL_VALUES = {
+    "n": 100, "p": 100, "c_grid": (2.0,), "alpha_grid": (2.0,), "reps": 3, "alpha_base": "n",
+}
+
+
 @pytest.mark.parametrize(
     "name, field",
-    [("StieltjesCompare", "c_grid"), ("ZeroingComparison", "c_grid")]
-    + [("DimensionSweep", field) for field in ("n", "p", "c_grid", "alpha_grid")],
+    [
+        (name, field)
+        for name, (_, reads) in experiments._RUNNERS.items()
+        for field in (f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None)
+        if field not in reads
+    ],
 )
 def test_recipe_refuses_a_field_it_fixes(tmp_path, name, field):
-    value = 100 if field in ("n", "p") else (2.0,)
-    cfg = ExperimentConfig(name=name, output_dir=str(tmp_path), **{field: value})
+    cfg = ExperimentConfig(name=name, output_dir=str(tmp_path), **{field: OPTIONAL_VALUES[field]})
     with pytest.raises(ValueError, match="%s.*%s" % (name, field)):
         run(cfg, fast=True)
     assert os.listdir(str(tmp_path)) == []
+
+
+# small settings, so that every recipe runs in about a second
+SMALL_SETTINGS = {
+    "PhaseSweep": dict(n=30, c_grid=(1.0,), alpha_grid=(0.0,)),
+    "AccuracyLowSNR": dict(n=40, c_grid=(1.0,)),
+    "AccuracyModerate": dict(n=40, c_grid=(1.0,)),
+    "AccuracyLarge": dict(n=40, c_grid=(1.0,)),
+    "DimensionSweep": dict(alpha_base="n"),
+    "HistogramBulk": dict(n=40, c_grid=(1.0,), reps=2),
+    "OmegaSweep": dict(n=40, c_grid=(1.0,), alpha_grid=(1.0,)),
+    "ManifoldRmse": dict(n=40, c_grid=(1.0,), reps=1),
+    "StieltjesCompare": dict(n=40),
+    "D2Comparison": dict(n=40, c_grid=(1.0,)),
+    "ZeroingComparison": dict(n=40, p=20, alpha_grid=(1.0,)),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_resolved_echoes_every_field_the_recipe_reads(tmp_path, name):
+    settings = SMALL_SETTINGS[name]
+    cfg = ExperimentConfig(name=name, seeds=(0,), output_dir=str(tmp_path), **settings)
+    resolved = run(cfg, fast=True).resolved
+    for field, default in experiments._RUNNERS[name][1].items():
+        value = settings.get(field, default)
+        if value is None:
+            continue
+        assert field in resolved
+        if not isinstance(value, tuple):
+            assert resolved[field] == value
 
 
 def test_d2_comparison_printed_cases(tmp_path):

@@ -135,7 +135,7 @@ def test_stieltjes_array_matches_per_point_loop():
 
 def test_stieltjes_grid_build():
     n, alpha, a = 200, 1.0, 0.2
-    grid = StieltjesGrid.build(n, alpha, a, n_e=16, n_eta=8)
+    grid = StieltjesGrid.build(n, alpha, a)
     assert grid.points.size == 16 * 8
     ref_eta_min = float(n) ** (-0.5 + alpha / 4.0 + a)
     assert_allclose(grid.eta_min, ref_eta_min, rtol=1e-12)
