@@ -133,9 +133,6 @@ class MehlerExpansion:
     _coords: np.ndarray
     _weights: np.ndarray
 
-    def order(self):
-        return self.M
-
     def matrix(self, M=None):
         """Assemble the truncated matrix at order M (default: all terms).
 

@@ -13,6 +13,7 @@ byte-identical files.
 import functools
 import hashlib
 import json
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -43,7 +44,6 @@ from .spectrum import (
     StieltjesGrid,
     bulk_rigidity,
     eigvec_rmse,
-    esd_histogram,
     op_norm_diff,
     stieltjes,
     sym_eigs,
@@ -84,10 +84,14 @@ class ExperimentConfig:
             raise ValueError("give either p or c_grid, not both")
         if self.n is not None and self.n < 2:
             raise ValueError("need n >= 2")
+        if self.p is not None and self.p < 1:
+            raise ValueError("need p >= 1")
         if self.upsilon <= 0:
             raise ValueError("need upsilon > 0")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not all(isinstance(seed, numbers.Integral) for seed in self.seeds):
+            raise ValueError("seeds must be integers")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError("seeds must be nonnegative")
         if self.c_grid is not None and not self.c_grid:
@@ -462,7 +466,7 @@ def _run_histogram_bulk(cfg, fast):
         counts = np.zeros(bins)
         for rep in range(reps):
             _, W = _spiked_affinity(cfg, n, p, first_seed + rep, (0.2,))
-            counts += esd_histogram(sym_eigs(W).eigenvalues, edges)[1]
+            counts += np.histogram(sym_eigs(W).eigenvalues, bins=edges)[0]
         width = edges[1] - edges[0]
         emp = counts / (reps * n * width)
         theory = np.diff(mp_cdf(edges, measure)) / width

@@ -7,17 +7,13 @@ shift ``x -> x + shift``.  The point mass is the rank-consistent
 ``(1 - 1/c)_+`` (an n x n companion Gram matrix with n > p has exactly
 n - p zero eigenvalues).  The bulk is supported on
 ``sigma2 * (1 +/- sqrt(c))^2``, the pushforward of the unit MP law under
-``x -> sigma2 * x``, so the total mass is one for every sigma2.
+``x -> sigma2 * x``, so the total mass is one for every sigma2.  The bulk's
+mass ``min(1, 1/c)`` and its CDF are closed forms.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-# 5-point Gauss-Legendre rule on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-
-_CACHE_INTERVALS = 4096
 
 
 @dataclass
@@ -25,8 +21,7 @@ class MpMeasure:
     """Shifted Marchenko-Pastur law with variance scale sigma2.
 
     ``mp_density`` / ``mp_cdf`` / ``typical_location`` below are the query
-    operations.  The cumulative table over the bulk is built eagerly at
-    construction, so instances are immutable and safe to share.
+    operations; instances are immutable and safe to share.
     """
 
     c: float
@@ -37,57 +32,29 @@ class MpMeasure:
         if self.c <= 0 or self.sigma2 <= 0:
             raise ValueError("need c > 0 and sigma2 > 0")
         self.point_mass_at_zero = max(0.0, 1.0 - 1.0 / self.c)
-        self.bulk_lo = lo = self.sigma2 * (1.0 - np.sqrt(self.c)) ** 2
-        self.bulk_hi = hi = self.sigma2 * (1.0 + np.sqrt(self.c)) ** 2
-        self._center = 0.5 * (lo + hi)
-        self._radius = 0.5 * (hi - lo)
-        if self._radius ** 2 < np.finfo(float).tiny:
-            # the integrand's numerator and denominator would both underflow
-            raise ValueError("sigma2 = %g is too small to integrate" % self.sigma2)
-        self._build_cdf_cache()
-
-    # -- bulk integration ------------------------------------------------
-
-    def _integrand(self, t):
-        # After x = center + radius*sin t the bulk density integrates as
-        # radius^2 cos^2 t / (2 pi sigma2 c x(t)) dt, smooth on [-pi/2, pi/2]
-        # (the edge square-root singularities cancel against dx).
-        # x(t) rounds to 0 only beside a lower edge at 0 (c = 1); there
-        # (radius cos t)^2 / x = radius (1 - sin t), which tends to 2 radius.
-        x = self._center + self._radius * np.sin(t)
-        edge = x == 0.0
-        num = np.where(edge, 2.0 * self._radius, (self._radius * np.cos(t)) ** 2)
-        return num / (2.0 * np.pi * self.sigma2 * self.c * np.where(edge, 1.0, x))
-
-    def _panels(self, a, b):
-        # 5-point Gauss-Legendre integral of the integrand over each panel
-        # [a, b], elementwise
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes = mid[..., None] + half[..., None] * _GL_NODES
-        return (self._integrand(nodes) * _GL_WEIGHTS).sum(axis=-1) * half
-
-    def _build_cdf_cache(self):
-        ts = np.linspace(-0.5 * np.pi, 0.5 * np.pi, _CACHE_INTERVALS + 1)
-        panel = self._panels(ts[:-1], ts[1:])
-        self._cache_t = ts
-        self._cache_cum = np.concatenate([[0.0], np.cumsum(panel)])
-        self.bulk_mass = float(self._cache_cum[-1])
+        self.bulk_lo = self.sigma2 * (1.0 - np.sqrt(self.c)) ** 2
+        self.bulk_hi = self.sigma2 * (1.0 + np.sqrt(self.c)) ** 2
+        self.bulk_mass = min(1.0, 1.0 / self.c)
 
     def total_mass(self):
         return self.point_mass_at_zero + self.bulk_mass
 
-    def _bulk_cdf_raw(self, x):
-        """Bulk mass of (-inf, x] in unshifted coordinates, elementwise;
-        a scalar x gives a float."""
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.bulk_hi, self.bulk_mass, 0.0)
-        inside = (x > self.bulk_lo) & (x < self.bulk_hi)
-        t = np.arcsin(np.clip((x[inside] - self._center) / self._radius, -1.0, 1.0))
-        k = np.searchsorted(self._cache_t, t, side="right") - 1
-        k = np.clip(k, 0, _CACHE_INTERVALS - 1)
-        out[inside] = self._cache_cum[k] + self._panels(self._cache_t[k], t)
-        return out if out.ndim else float(out)
+    def _bulk_cdf(self, u):
+        """Bulk mass of (-inf, u] in unshifted coordinates, elementwise.
+
+        The exact antiderivative of the density, in a = sqrt(u - lo) and
+        b = sqrt(hi - u) so that it keeps its relative accuracy at both
+        edges; the arctan term drops out at c = 1 without a branch.
+        """
+        c, root = self.c, np.sqrt(self.c)
+        u = np.clip(u, self.bulk_lo, self.bulk_hi)
+        a, b = np.sqrt(u - self.bulk_lo), np.sqrt(self.bulk_hi - u)
+        mass = (
+            2.0 * (1.0 + c) * np.arctan2(a, b)
+            + a * b / self.sigma2
+            - 2.0 * abs(1.0 - c) * np.arctan2((1.0 + root) * a, abs(1.0 - root) * b)
+        ) / (2.0 * np.pi * c)
+        return np.where(u == self.bulk_hi, self.bulk_mass, np.clip(mass, 0.0, self.bulk_mass))
 
 
 def mp_density(x, measure):
@@ -104,10 +71,10 @@ def mp_density(x, measure):
 
 
 def mp_cdf(x, measure):
-    """Full CDF (point mass plus bulk integral), monotone in x.  Elementwise
+    """Full CDF (point mass plus bulk mass), monotone in x.  Elementwise
     over an array x; a scalar x gives a float."""
     u = np.asarray(x, dtype=float) - measure.shift
-    out = np.where(u >= 0.0, measure.point_mass_at_zero, 0.0) + measure._bulk_cdf_raw(u)
+    out = np.where(u >= 0.0, measure.point_mass_at_zero, 0.0) + measure._bulk_cdf(u)
     return out if out.ndim else float(out)
 
 
@@ -115,10 +82,9 @@ def typical_location(measure, j, n):
     """Location gamma with mass j/n above it (upper-quantile convention).
 
     Elementwise over an array of indices j; a scalar j gives a float.
-    Bisection on the cached bulk CDF, tolerance 1e-9 in mass and 1e-8 in
-    location, each element stopping on its own.  When j/n exceeds the bulk
-    mass the answer is the atom location (the largest admissible gamma,
-    right-continuous convention).
+    Inside the bulk, 60 halvings of [bulk_lo, bulk_hi] invert the exact
+    bulk CDF.  When j/n exceeds the bulk mass the answer is the atom
+    location (the largest admissible gamma, right-continuous convention).
     """
     j = np.asarray(j)
     if np.any((j < 1) | (j > n)):
@@ -135,24 +101,15 @@ def typical_location(measure, j, n):
     out = np.where(
         q <= measure.bulk_mass + 1e-9, measure.shift + measure.bulk_lo, measure.shift
     )
-    todo = np.flatnonzero(q < measure.bulk_mass)
+    todo = q < measure.bulk_mass
     target = measure.bulk_mass - q[todo]  # bulk CDF values sought
-    lo = np.full(todo.size, measure.bulk_lo)
-    hi = np.full(todo.size, measure.bulk_hi)
-    for _ in range(200):
-        if not todo.size:
-            break
+    lo = np.full(target.size, measure.bulk_lo)
+    hi = np.full(target.size, measure.bulk_hi)
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fmid = measure._bulk_cdf_raw(mid)
-        hit = (np.abs(fmid - target) < 1e-9) & (hi - lo < 1e-8)
-        out[todo[hit]] = measure.shift + mid[hit]
-        below = fmid < target
+        below = measure._bulk_cdf(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        busy = ~hit & (hi - lo >= 1e-12)
-        done = ~hit & ~busy
-        out[todo[done]] = measure.shift + 0.5 * (lo[done] + hi[done])
-        todo, target, lo, hi = todo[busy], target[busy], lo[busy], hi[busy]
     out[todo] = measure.shift + 0.5 * (lo + hi)
     return out.reshape(j.shape) if j.ndim else float(out[0])
 

@@ -1,7 +1,6 @@
 """Eigen-decompositions and spectral diagnostics: descending spectra,
 operator-norm differences, bulk rigidity against analytic measures,
-Stieltjes transforms over a spectral-parameter box, eigenvector RMSE, and
-ESD histograms."""
+Stieltjes transforms over a spectral-parameter box, and eigenvector RMSE."""
 
 from dataclasses import dataclass
 
@@ -17,10 +16,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray = None
-
-    @property
-    def n(self):
-        return self.eigenvalues.size
 
 
 def sym_eigs(M, want_vectors=0):
@@ -136,13 +131,6 @@ def eigvec_rmse(U, V):
     minus = np.linalg.norm(U - V, axis=0)
     plus = np.linalg.norm(U + V, axis=0)
     return np.minimum(minus, plus) / np.sqrt(U.shape[0])
-
-
-def esd_histogram(eigs, bins):
-    """Histogram of an empirical spectrum.  Returns (edges, counts)."""
-    eigs = np.asarray(eigs, dtype=float)
-    counts, edges = np.histogram(eigs, bins=bins)
-    return edges, counts
 
 
 def save_spectrum_csv(eigs, path):

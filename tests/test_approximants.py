@@ -160,7 +160,7 @@ def test_mehler_expansion_exact_at_unit_parameters():
     z = rng.standard_normal(40)
     target = np.exp(-np.subtract.outer(z, z) ** 2)
     exp = mehler_truncation(z, beta=1.0, upsilon=1.0, M=80)
-    assert exp.order() == 80
+    assert exp.M == 80
     got = exp.matrix()
     assert np.max(np.abs(got - target)) <= 1e-8
 
@@ -216,4 +216,4 @@ def test_mehler_expansion_dataclass_fields():
     t0 = mehler_t0(1.0, 1.0)
     assert_allclose(exp.t0, t0, rtol=1e-14)
     assert_allclose(exp.prefactor, np.sqrt(1.0 - t0 * t0), rtol=1e-14)
-    assert exp.order() == 2
+    assert exp.M == 2

@@ -165,8 +165,11 @@ def test_run_experiment_overrides_config_name(tmp_path):
         ("name = AccuracyLarge\nupsilon = 0\n", "need upsilon > 0"),
         ("name = AccuracyLarge\nalpha_grid = 1\n", "AccuracyLarge does not read alpha_grid"),
         ("name = DimensionSweep\nn = 60\n", "DimensionSweep does not read n"),
+        ("name = StieltjesCompare\np = 0\n", "need p >= 1"),
+        ("name = AccuracyLarge\nseeds = 0.5\n", "seeds must be integers"),
     ],
-    ids=["unknown-key", "malformed-value", "bad-value", "unread-field", "unread-n"],
+    ids=["unknown-key", "malformed-value", "bad-value", "unread-field", "unread-n", "zero-p",
+         "fractional-seed"],
 )
 def test_run_rejects_a_config_as_usage_error(tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"

@@ -44,7 +44,7 @@ def test_config_validation():
         ExperimentConfig(name="PhaseSweep", seeds=()).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(name="PhaseSweep", alpha_base="q").validate()
-    for bad, field in (
+    for bad, pattern in (
         ({"reps": 0}, "reps"),
         ({"reps": -3}, "reps"),
         ({"c_grid": (0,)}, "c_grid"),
@@ -52,11 +52,18 @@ def test_config_validation():
         ({"c_grid": ()}, "c_grid"),
         ({"alpha_grid": ()}, "alpha_grid"),
         ({"seeds": (0, -1)}, "seeds"),
+        ({"p": 0}, "need p >= 1"),
+        ({"p": -3}, "need p >= 1"),
+        # a fractional seed would draw int(seed)'s clouds under its own label
+        ({"seeds": (0.5,)}, "seeds must be integers"),
+        ({"seeds": (0, 1.0)}, "seeds must be integers"),
+        ({"seeds": (2, np.float64(3.0))}, "seeds must be integers"),
     ):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=pattern):
             ExperimentConfig(name="HistogramBulk", **bad).validate()
     cfg = ExperimentConfig(name="PhaseSweep").validate()
     assert cfg.seeds == DEFAULT_SEEDS
+    assert ExperimentConfig(name="StieltjesCompare", p=1, seeds=(0, np.int64(3))).validate()
 
 
 def test_config_to_dict_is_json_ready():

@@ -33,35 +33,61 @@ def test_construction_rejects_bad_parameters():
         MpMeasure(2.0, 1.0, 0.0, 0.25)
 
 
-def test_construction_refuses_an_underflowing_scale():
-    # tau = 1202 gives sigma2 = e^{-601} ~ 9.75e-262: the bulk integrand's
-    # numerator and denominator would both underflow to zero
-    with pytest.raises(ValueError, match="sigma2 = 9.7"):
-        nu_lambda(0.5, 600, 600 ** 2, 0.5)
+def test_construction_takes_a_tiny_scale():
+    # tau = 1202 gives sigma2 = e^{-601} ~ 9.75e-262; the closed-form bulk
+    # CDF has no integrand to underflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = nu_lambda(0.5, 600, 600 ** 2, 0.5)
+        assert m.sigma2 < 1e-261
+        assert m.bulk_mass == 1.0
+        # the shift 1 - 3e-261 rounds to 1, so query the unshifted bulk
+        base = MpMeasure(m.c, m.sigma2)
+        median = typical_location(base, 1, 2)
+        assert base.bulk_lo < median < base.bulk_hi
+        assert abs(mp_cdf(median, base) - 0.5) <= 1e-15
 
 
 @pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0, 4.0])
 def test_total_mass_is_one(c):
     m = MpMeasure(c=c, sigma2=1.0)
-    bulk = m._bulk_cdf_raw(m.bulk_hi)
     atom = m.point_mass_at_zero
-    assert abs(bulk + atom - 1.0) <= 1e-8
-    assert abs(m.total_mass() - 1.0) <= 1e-8
+    top = mp_cdf(m.bulk_hi, m)
+    assert top == atom + m.bulk_mass
+    assert abs(top - 1.0) <= 1e-15
+    assert abs(m.total_mass() - 1.0) <= 1e-15
     assert atom == max(0.0, 1.0 - 1.0 / c)
+    assert abs(m.bulk_mass - min(1.0, 1.0 / c)) <= 1e-15
+    # nothing inside the bulk overshoots the mass at the top edge
+    assert np.all(mp_cdf(np.linspace(m.bulk_lo, m.bulk_hi, 4001), m) <= top)
+
+
+def _quad_cdf(measure, x):
+    # atom plus the bulk mass below x by scipy quad of mp_density, taken on
+    # the unshifted measure in s = sqrt(u - bulk_lo): the 1/sqrt(u) edge of
+    # c = 1 becomes a bounded integrand
+    base = MpMeasure(measure.c, measure.sigma2)
+    u = x - measure.shift
+    atom = measure.point_mass_at_zero if u >= 0.0 else 0.0
+    if u <= base.bulk_lo:
+        return atom
+
+    def integrand(s):
+        return 2.0 * s * mp_density(base.bulk_lo + s * s, base)
+
+    top = np.sqrt(min(u, base.bulk_hi) - base.bulk_lo)
+    val, _ = integrate.quad(integrand, 0.0, top, limit=200, epsabs=1e-13, epsrel=1e-13)
+    return atom + val
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_cdf_against_adaptive_quadrature(c):
-    m = MpMeasure(c=c, sigma2=1.0)
-
-    def dens(x):
-        return mp_density(x, m)
-
-    for x in np.linspace(m.bulk_lo + 1e-6, m.bulk_hi, 7):
-        ref, err = integrate.quad(dens, m.bulk_lo, x, limit=200)
-        assert err < 1e-7
-        got = mp_cdf(x, m) - m.point_mass_at_zero
-        assert abs(got - ref) <= 1e-8 + err
+    m = nu0(c, 0.5)
+    xs = m.shift + np.linspace(m.bulk_lo, m.bulk_hi, 65)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = np.array([_quad_cdf(m, x) for x in xs])
+    assert np.max(np.abs(mp_cdf(xs, m) - ref)) <= 1e-12
 
 
 def test_cdf_shift_and_monotonicity():
@@ -139,27 +165,19 @@ def test_typical_location_atom_conventions():
         typical_location(m, np.array([0, 5]), n)
 
 
-def _scalar_typical_location(measure, j, n):
-    # one bisection per index, stopping as soon as that index is resolved
-    q = j / float(n)
-    if q >= measure.bulk_mass:
-        if q <= measure.bulk_mass + 1e-9:
-            return measure.shift + measure.bulk_lo
-        return measure.shift
-    target = measure.bulk_mass - q
-    lo, hi = measure.bulk_lo, measure.bulk_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = measure._bulk_cdf_raw(mid)
-        if abs(fmid - target) < 1e-9 and hi - lo < 1e-8:
-            return measure.shift + mid
-        if fmid < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return measure.shift + 0.5 * (lo + hi)
+def _quad_typical_location(measure, j, n):
+    # brentq on the quadrature of the density above x
+    from scipy.optimize import brentq
+
+    lo, hi = measure.shift + measure.bulk_lo, measure.shift + measure.bulk_hi
+
+    def tail(x):
+        val, _ = integrate.quad(
+            mp_density, x, hi, args=(measure,), limit=200, epsabs=1e-13, epsrel=1e-13
+        )
+        return val - j / float(n)
+
+    return brentq(tail, lo, hi, xtol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -170,28 +188,13 @@ def test_typical_location_array_matches_scalar_bisection(c, ns):
     m = nu0(c, 0.5)
     for n in ns:
         js = np.arange(1, n + 1)
-        ref = [_scalar_typical_location(m, j, n) for j in js]
-        assert np.array_equal(typical_location(m, js, n), ref)
-        assert [typical_location(m, int(j), n) for j in js[::37]] == ref[::37]
-
-
-def _scalar_cdf(measure, x):
-    # one point at a time, each partial panel summed with np.dot
-    from glspec.mplaw import _CACHE_INTERVALS, _GL_NODES, _GL_WEIGHTS
-
-    u = x - measure.shift
-    atom = measure.point_mass_at_zero if u >= 0.0 else 0.0
-    if u <= measure.bulk_lo:
-        return atom
-    if u >= measure.bulk_hi:
-        return atom + measure.bulk_mass
-    t = np.arcsin(np.clip((u - measure._center) / measure._radius, -1.0, 1.0))
-    k = int(np.searchsorted(measure._cache_t, t, side="right")) - 1
-    k = min(max(k, 0), _CACHE_INTERVALS - 1)
-    a = measure._cache_t[k]
-    mid, half = 0.5 * (a + t), 0.5 * (t - a)
-    panel = half * np.dot(_GL_WEIGHTS, measure._integrand(mid + half * _GL_NODES))
-    return atom + (measure._cache_cum[k] + panel)
+        got = typical_location(m, js, n)
+        assert np.array_equal(got, [typical_location(m, int(j), n) for j in js])
+        inside = js[js < n * m.bulk_mass][::37]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = [_quad_typical_location(m, j, n) for j in inside]
+        assert np.max(np.abs(got[inside - 1] - ref)) <= 1e-12
 
 
 def test_cdf_array_matches_scalar_reference_at_the_edges():
@@ -208,22 +211,25 @@ def test_cdf_array_matches_scalar_reference_at_the_edges():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = mp_cdf(xs, m)
-    ref = np.array([_scalar_cdf(m, x) for x in xs])
-    np.testing.assert_array_max_ulp(got, ref, maxulp=4)
+        ref = np.array([_quad_cdf(m, x) for x in xs])
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert np.array_equal(got, [mp_cdf(x, m) for x in xs])
     assert got[0] == got[1] == got[2] == 0.0
     assert got[3] == got[4] == got[5] == m.bulk_mass
     assert mp_cdf(lo, m) == 0.0 and mp_cdf(hi, m) == m.bulk_mass
-    # c = 1 unshifted: x(t) rounds to the lower edge 0 next to it, and the
-    # cdf keeps to the small-x law 2 sqrt(x) / pi instead of turning NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mp_cdf(-np.inf, m) == 0.0 and mp_cdf(np.inf, m) == 1.0
+    # c = 1 unshifted: the lower edge is 0, and the cdf follows the small-x
+    # law 2 sqrt(x) / pi to round-off, down to the smallest subnormal
     unit = MpMeasure(1.0, 1.0)
-    near = np.array([5e-324, 1e-17, 1e-16, 2e-16, 1e-15, 1e-14, 1e-13])
+    near = np.array([5e-324, 1e-17, 1e-16, 2e-16, 4.4e-16, 5e-16, 1e-15, 1e-14, 1e-13])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = mp_cdf(near, unit)
-        assert mp_cdf(1e-17, unit) == 0.0
-    assert np.all(np.diff(got) >= 0.0)
-    assert np.max(np.abs(got - 2.0 * np.sqrt(near) / np.pi)) <= 1e-8
-    np.testing.assert_array_max_ulp(got, [_scalar_cdf(unit, x) for x in near], maxulp=4)
+        assert mp_cdf(0.0, unit) == 0.0 and mp_cdf(-1e-300, unit) == 0.0
+    assert np.all(np.diff(got) > 0.0)
+    assert_allclose(got, 2.0 * np.sqrt(near) / np.pi, rtol=1e-12)
 
 
 def test_typical_location_matches_large_sample_spectrum():

@@ -9,7 +9,6 @@ from glspec.spectrum import (
     StieltjesGrid,
     bulk_rigidity,
     eigvec_rmse,
-    esd_histogram,
     op_norm_diff,
     save_spectrum_csv,
     stieltjes,
@@ -27,7 +26,7 @@ def _symmetric(n, key):
 def test_sym_eigs_descending_and_orthonormal():
     M = _symmetric(12, 1)
     res = sym_eigs(M, want_vectors=4)
-    assert res.n == 12
+    assert res.eigenvalues.size == 12
     assert np.all(np.diff(res.eigenvalues) <= 0)
     assert res.eigenvectors.shape == (12, 4)
     assert_allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(4), atol=1e-12)
@@ -196,12 +195,6 @@ def test_eigvec_rmse_bounded_for_unit_columns(n, key):
     assert np.all(vals >= 0.0)
     assert np.all(vals <= np.sqrt(2.0 / n) + 1e-12)
     assert_allclose(eigvec_rmse(U, -U), np.zeros(2), atol=1e-12)
-
-
-def test_esd_histogram_counts_and_atom():
-    eigs = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
-    edges, counts = esd_histogram(eigs, bins=3)
-    assert counts.sum() == 5
 
 
 def test_esd_density_matches_limit_in_probability():
