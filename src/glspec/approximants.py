@@ -14,17 +14,13 @@ import numpy as np
 from .kernels import gram
 
 
-def phi_vector(cloud, lambdas=None):
+def phi_vector(cloud):
     """Centered squared-norm profile phi_i = ||x_i||^2/p - (1 + sum_l lambda_l/p)."""
-    if lambdas is None:
-        lambdas = cloud.lambdas
     X = cloud.noisy()
-    p = cloud.p
-    center = 1.0 + sum(lambdas) / p
-    return np.einsum("ij,ij->i", X, X) / p - center
+    return np.einsum("ij,ij->i", X, X) / cloud.p - (1.0 + cloud.lambda_total() / cloud.p)
 
 
-def kd_matrix(cloud, upsilon, lambdas=None):
+def kd_matrix(cloud, upsilon):
     """Second-order expansion of W around the typical squared distance.
 
     Built for the fixed bandwidth h = p, the regime where the expansion is
@@ -39,10 +35,8 @@ def kd_matrix(cloud, upsilon, lambdas=None):
     """
     if upsilon <= 0:
         raise ValueError("need upsilon > 0")
-    if lambdas is None:
-        lambdas = cloud.lambdas
     p = cloud.p
-    lam_sum = float(sum(lambdas))
+    lam_sum = cloud.lambda_total()
     tau = 2.0 * (lam_sum / p + 1.0)
     f_tau = np.exp(-upsilon * tau)
     fp_tau = -upsilon * f_tau
@@ -51,11 +45,11 @@ def kd_matrix(cloud, upsilon, lambdas=None):
 
     X = cloud.noisy()
     G = gram(X)
-    phi = phi_vector(cloud, lambdas)
+    phi = phi_vector(cloud)
     n = cloud.n
     ones = np.ones(n)
     phi2 = phi * phi
-    mom = sum((l + 1.0) ** 2 for l in lambdas) + p
+    mom = sum((l + 1.0) ** 2 for l in cloud.lambdas) + p
 
     K = -2.0 * fp_tau * G
     K += varsigma * np.eye(n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import affinity, pairwise_sq_dists, sym_normalized
+from .kernels import affinity, gram, pairwise_sq_dists, sym_normalized
 from .spectrum import sym_eigs
 
 
@@ -120,7 +120,7 @@ def resample_threshold(c, n, upsilon, reps=50, seed=0):
     ratios = np.empty(reps)
     for r in range(reps):
         X = rng.standard_normal((n, p))
-        eigs = sym_eigs(X @ X.T / p).eigenvalues
+        eigs = sym_eigs(gram(X)).eigenvalues
         ratios[r] = np.max(_bulk_ratios(eigs, k_hi)[1:])
     return float(np.quantile(ratios, 0.99)) - 1.0
 

@@ -41,11 +41,11 @@ from .kernels import (
 )
 from .mplaw import mp_cdf, nu0, typical_location
 from .spectrum import (
-    StieltjesGrid,
     bulk_rigidity,
     eigvec_rmse,
     op_norm_diff,
     stieltjes,
+    stieltjes_grid,
     sym_eigs,
 )
 
@@ -261,11 +261,13 @@ def _run_phase_sweep(cfg, fast):
     else:
         aspects = [("c%g_" % c, p) for c, p in _aspects(cfg, n)]
 
-    curves = [
-        sym_eigs(_spiked_affinity(cfg, n, p, seed, (alpha,))[1]).eigenvalues
-        for _, p in aspects
-        for alpha in alphas
-    ]
+    # plain loops: the previous cloud keeps its noise live while the next
+    # strength is drawn, so each (n, p) draws its frozen noise once
+    curves = []
+    for _, p in aspects:
+        for alpha in alphas:
+            cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
+            curves.append(sym_eigs(W).eigenvalues)
     header = ["index"] + [tag + "alpha_%g" % a for tag, _ in aspects for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
 
@@ -274,18 +276,19 @@ def _run_phase_sweep(cfg, fast):
     step = 0.1 if fast else 0.05
     fine = np.round(np.arange(0.0, 2.5 + 1e-9, step), 10)
     track = (1, 2, 8, 80)
-
-    def tracked(c, p2, alpha):
-        cloud, W = _spiked_affinity(cfg, n2, p2, seed, (alpha,))
-        ew = sym_eigs(W).eigenvalues
-        eg = sym_eigs(gram(cloud.noisy())).eigenvalues
-        return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
+    tracked = []
+    for c, p2 in pairs:
+        for alpha in map(float, fine):
+            cloud, W = _spiked_affinity(cfg, n2, p2, seed, (alpha,))
+            ew = sym_eigs(W).eigenvalues
+            eg = sym_eigs(gram(cloud.noisy())).eigenvalues
+            tracked.append([c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]])
 
     files = {
         "phase_eigencurves.csv": (header, rows),
         "phase_tracked.csv": (
             ["c", "alpha"] + ["w_eig%d" % i for i in track] + ["gram_eig1", "gram_eig2"],
-            [tracked(c, p2, float(a)) for c, p2 in pairs for a in fine],
+            tracked,
         ),
         "phase_sweep.gp": [
             "set key outside",
@@ -353,12 +356,6 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
     return files, seeds, info
 
 
-def _low_snr_error(eigs, measure):
-    """Weak-signal error: bulk rigidity of the spectrum against the shifted
-    MP law, over indices 10 .. 0.9 n."""
-    return bulk_rigidity(eigs, measure, skip=9, eps=0.1)
-
-
 def _clean_surrogate(cloud, upsilon):
     """The moderate-signal reference W_a1 built from the clean rows at h = p."""
     return w_a1(_affinity_of(cloud.clean, upsilon, cloud.p), upsilon)
@@ -380,7 +377,7 @@ def _run_accuracy_low(cfg, fast):
     def make_reference(n, p):
         measure = nu0(n / float(p), cfg.upsilon)
         gammas = typical_location(measure, np.arange(1, n + 1), n)
-        return lambda cloud, W, eigs: (gammas, _low_snr_error(eigs, measure))
+        return lambda cloud, W, eigs: (gammas, bulk_rigidity(eigs, measure))
 
     return _accuracy_recipe(cfg, fast, "accuracy_low", 0.2, make_reference)
 
@@ -416,7 +413,7 @@ def _run_dimension_sweep(cfg, fast):
 
     def one(n, seed):
         _, W = _spiked_affinity(cfg, n, n, seed, (0.2,))
-        err_low = _low_snr_error(sym_eigs(W).eigenvalues, law)
+        err_low = bulk_rigidity(sym_eigs(W).eigenvalues, law)
         cloud, W = _spiked_affinity(cfg, n, n, seed, (1.9,))
         err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, cfg.upsilon))
         _, W = _spiked_affinity(cfg, n, n, seed, (5.0,))
@@ -612,7 +609,8 @@ def _run_stieltjes_compare(cfg, fast):
     n, a = cfg.n, 0.2
     seeds = _run_seeds(cfg, fast)
     p = cfg.p if cfg.p is not None else n
-    grid = StieltjesGrid.build(n, 1.0, a)
+    points = stieltjes_grid(n, 1.0, a)
+    eta_min = float(points.imag.min())
 
     def one(seed):
         cloud, W = _spiked_affinity(cfg, n, p, seed, (1.0,))
@@ -621,7 +619,7 @@ def _run_stieltjes_compare(cfg, fast):
         # ascending: the last bits of each Stieltjes mean depend on the order
         ew = sym_eigs(W).eigenvalues[::-1]
         eb = sym_eigs(Wb1).eigenvalues[::-1]
-        diff = stieltjes(ew, grid.points) - stieltjes(eb, grid.points)
+        diff = stieltjes(ew, points) - stieltjes(eb, points)
         # hypot rounds as Python's complex abs does; numpy's complex abs differs
         return np.hypot(diff.real, diff.imag)
 
@@ -631,13 +629,13 @@ def _run_stieltjes_compare(cfg, fast):
             ["energy", "eta", "mean_absdiff", "max_absdiff"],
             [
                 [z.real, z.imag, diffs[:, k].mean(), diffs[:, k].max()]
-                for k, z in enumerate(grid.points)
+                for k, z in enumerate(points)
             ],
         ),
         "stieltjes_sup.csv": (
             ["seed", "sup_absdiff", "bound"],
             [
-                [seed, diffs[i].max(), 2.0 / (np.sqrt(n) * grid.eta_min**2)]
+                [seed, diffs[i].max(), 2.0 / (np.sqrt(n) * eta_min**2)]
                 for i, seed in enumerate(seeds)
             ],
         ),
@@ -648,7 +646,7 @@ def _run_stieltjes_compare(cfg, fast):
             "title 'mean over seeds'",
         ],
     }
-    info = {"p": p, "lambda": _signal(1.0, n, p, cfg.alpha_base), "a": a, "eta_min": grid.eta_min}
+    info = {"p": p, "lambda": _signal(1.0, n, p, cfg.alpha_base), "a": a, "eta_min": eta_min}
     return files, seeds, info
 
 
@@ -668,15 +666,15 @@ def _run_d2_comparison(cfg, fast):
     start = 10
     curve_rows, summary_rows = [], []
 
-    # cached: both_large and large_small share their one-spike clouds
-    @functools.lru_cache(maxsize=None)
+    @functools.lru_cache(maxsize=None)  # shares spectra; a cached cloud keeps its noise live
     def spectrum(p, seed, alphas):
-        return sym_eigs(_spiked_affinity(cfg, n, p, seed, alphas)[1]).eigenvalues
+        cloud, W = _spiked_affinity(cfg, n, p, seed, alphas)
+        return cloud, sym_eigs(W).eigenvalues
 
     for case, a1, a2, expected in D2_CASES:
         for c, p in aspects:
-            m1 = np.mean([spectrum(p, seed, (a1,)) for seed in seeds], axis=0)
-            m2 = np.mean([spectrum(p, seed, (a1, a2)) for seed in seeds], axis=0)
+            m1 = np.mean([spectrum(p, seed, (a1,))[1] for seed in seeds], axis=0)
+            m2 = np.mean([spectrum(p, seed, (a1, a2))[1] for seed in seeds], axis=0)
             for i in range(start - 1, n):
                 curve_rows.append([case, c, i + 1, m1[i], m2[i]])
             sup = float(np.max(np.abs(m1[start - 1 :] - m2[start - 1 :])))

@@ -122,13 +122,20 @@ def nu_lambda(c, p, lam, upsilon):
 
     tau = 2(lam/p + 1); with f(x) = exp(-upsilon x) the scale is
     -2 f'(tau) = 2 upsilon e^{-upsilon tau} and the shift is
-    1 - 2 upsilon e^{-upsilon tau} - e^{-upsilon tau}.
+    1 - 2 upsilon e^{-upsilon tau} - e^{-upsilon tau}.  A strength at which
+    that scale underflows to 0 (upsilon tau beyond about 745) has no law and
+    raises ValueError naming sigma2, lam and tau.
     """
     if lam < 0:
         raise ValueError("need lam >= 0")
     tau = 2.0 * (lam / p + 1.0)
     decay = np.exp(-upsilon * tau)
     sigma2 = 2.0 * upsilon * decay
+    if sigma2 == 0.0 and upsilon > 0:
+        raise ValueError(
+            "sigma2 = 2 upsilon e^{-upsilon tau} underflows to 0 at lam = %g "
+            "(tau = %g, upsilon = %g)" % (lam, tau, upsilon)
+        )
     shift = 1.0 - 2.0 * upsilon * decay - decay
     return MpMeasure(c, sigma2, shift)
 

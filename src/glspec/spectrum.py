@@ -54,20 +54,18 @@ def op_norm_diff(Ma, Mb):
     return float(max(vals[0], -vals[-1]))
 
 
-def bulk_rigidity(eigs, measure, skip=9, eps=0.1):
+def bulk_rigidity(eigs, measure):
     """Sup deviation of bulk eigenvalues from the measure's typical locations.
 
-    Compares the 1-indexed descending eigenvalues over skip < i <= (1-eps) n
-    with typical_location(measure, i, n) and returns the largest absolute
-    gap, 0.0 when the window is empty.
+    Compares the 1-indexed descending eigenvalues over 9 < i <= 0.9 n with
+    typical_location(measure, i, n) and returns the largest absolute gap,
+    0.0 when the window is empty (n < 12).
     """
     eigs = np.asarray(eigs, dtype=float)
     n = eigs.size
-    if not 0 <= skip < n:
-        raise ValueError("need 0 <= skip < n")
-    if not 0 < eps < 1:
-        raise ValueError("need 0 < eps < 1")
-    idx = np.arange(skip + 1, int(np.floor((1.0 - eps) * n)) + 1)
+    if n <= 9:
+        raise ValueError("need more than 9 eigenvalues, got %d" % n)
+    idx = np.arange(10, int(np.floor(0.9 * n)) + 1)
     gaps = np.abs(eigs[idx - 1] - typical_location(measure, idx, n))
     return float(np.max(gaps, initial=0.0))
 
@@ -83,43 +81,18 @@ def stieltjes(eigs, z):
     return m if m.ndim else complex(m)
 
 
-@dataclass
-class StieltjesGrid:
-    """Spectral-parameter box: 16 values of E linear in [a, 1/a] by 8 of eta
-    log-spaced in [n^{-1/2 + alpha/4 + a}, 1/a]."""
-
-    a: float
-    alpha: float
-    points: np.ndarray
-
-    @classmethod
-    def build(cls, n, alpha, a):
-        if not 0 < a < 1:
-            raise ValueError("need a in (0, 1)")
-        eta_min = float(n) ** (-0.5 + alpha / 4.0 + a)
-        eta_max = 1.0 / a
-        if eta_min >= eta_max:
-            raise ValueError("empty eta range: eta_min %g >= 1/a" % eta_min)
-        es = np.linspace(a, 1.0 / a, 16)
-        etas = np.geomspace(eta_min, eta_max, 8)
-        pts = (es[:, None] + 1j * etas[None, :]).ravel()
-        return cls(a, alpha, pts)
-
-    @property
-    def eta_min(self):
-        return float(self.points.imag.min())
-
-
-def stieltjes_compare(Ma, Mb, grid):
-    """Sup over the grid of |m_Ma(z) - m_Mb(z)|."""
-    if len(grid.points) == 0:
-        raise ValueError("empty grid")
-    ea = sym_eigs(Ma).eigenvalues
-    eb = sym_eigs(Mb).eigenvalues
-    if ea.size != eb.size:
-        raise ValueError("matrices have different sizes")
-    diff = stieltjes(ea, grid.points) - stieltjes(eb, grid.points)
-    return float(np.max(np.hypot(diff.real, diff.imag)))
+def stieltjes_grid(n, alpha, a):
+    """Spectral-parameter box as a flat complex array: 16 values of E linear
+    in [a, 1/a] by 8 of eta log-spaced in [n^{-1/2 + alpha/4 + a}, 1/a]."""
+    if not 0 < a < 1:
+        raise ValueError("need a in (0, 1)")
+    eta_min = float(n) ** (-0.5 + alpha / 4.0 + a)
+    eta_max = 1.0 / a
+    if eta_min >= eta_max:
+        raise ValueError("empty eta range: eta_min %g >= 1/a" % eta_min)
+    es = np.linspace(a, 1.0 / a, 16)
+    etas = np.geomspace(eta_min, eta_max, 8)
+    return (es[:, None] + 1j * etas[None, :]).ravel()
 
 
 def eigvec_rmse(U, V):

@@ -30,7 +30,7 @@ from glspec.kernels import (
     zeroed_transition,
 )
 from glspec.mplaw import MpMeasure, nu0, spiked_gram_outlier, typical_location
-from glspec.spectrum import StieltjesGrid, bulk_rigidity, op_norm_diff, stieltjes_compare
+from glspec.spectrum import bulk_rigidity, op_norm_diff
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -62,7 +62,7 @@ def test_criterion_01_bulk_rigidity_low_snr():
         for seed in SEEDS:
             cloud = _spiked(n, p, lam, seed)
             eigs = np.linalg.eigvalsh(_noisy_affinity(cloud, upsilon, p))[::-1]
-            sups.append(bulk_rigidity(eigs, measure, skip=9, eps=0.1))
+            sups.append(bulk_rigidity(eigs, measure))
         worst[c] = float(np.mean(sups))
     elapsed = time.perf_counter() - t0
     ok = all(v <= 0.15 for v in worst.values()) and elapsed < 30.0
@@ -323,25 +323,21 @@ def test_criterion_11_manifold_rmse(tmp_path):
     )
 
 
-def test_criterion_12_stieltjes_comparison():
-    from glspec.approximants import w_b1
-
-    n, upsilon, a = 200, 0.5, 0.2
-    lam = float(n)
-    grid = StieltjesGrid.build(n, 1.0, a)
-    bound = 2.0 / (np.sqrt(n) * grid.eta_min ** 2)
-    sups = []
-    for seed in SEEDS:
-        cloud = _spiked(n, n, lam, seed)
-        W = _noisy_affinity(cloud, upsilon, n)
-        W1 = affinity(pairwise_sq_dists(cloud.clean), upsilon, float(n))
-        Wb1 = w_b1(W1, gram(cloud.noise), upsilon)
-        sups.append(stieltjes_compare(W, Wb1, grid))
-    ok = max(sups) <= bound
+def test_criterion_12_stieltjes_comparison(tmp_path):
+    # the recipe's defaults are the criterion's setting: n = p = 200,
+    # lambda = p, a = 0.2, seeds 0-4
+    out = str(tmp_path)
+    manifest = run(ExperimentConfig(name="StieltjesCompare", output_dir=out))
+    assert manifest.seeds == list(SEEDS)
+    assert (manifest.resolved["n"], manifest.resolved["p"]) == (200, 200)
+    assert (manifest.resolved["lambda"], manifest.resolved["a"]) == (200.0, 0.2)
+    rows = np.loadtxt(os.path.join(out, "stieltjes_sup.csv"), delimiter=",", skiprows=1, ndmin=2)
+    sups, bounds = rows[:, 1], rows[:, 2]
+    ok = bool(np.all(sups <= bounds))
     _report(
         12,
         ok,
-        "sup transform gap per seed max %.4f (bound %.4f)" % (max(sups), bound),
+        "sup transform gap per seed max %.4f (bound %.4f)" % (sups.max(), bounds.max()),
     )
 
 

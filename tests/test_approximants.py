@@ -13,7 +13,7 @@ from glspec.approximants import (
     w_a1,
     w_b1,
 )
-from glspec.datagen import gen_spiked
+from glspec.datagen import gen_spiked, load_cloud_csv, save_cloud_csv
 from glspec.kernels import affinity, factor_matrices, gram, pairwise_sq_dists
 
 
@@ -27,9 +27,6 @@ def test_phi_vector_definition():
     X = cloud.noisy()
     ref = np.array([x @ x for x in X]) / cloud.p - (1.0 + 4.0 / cloud.p)
     assert_allclose(phi, ref, atol=1e-12)
-    # strengths can be overridden
-    phi2 = phi_vector(cloud, lambdas=(0.0,))
-    assert_allclose(phi2, phi + 4.0 / cloud.p, atol=1e-12)
 
 
 def test_w_a1_formula():
@@ -100,6 +97,16 @@ def test_kd_matrix_tracks_affinity_at_unit_strength():
     from glspec.spectrum import op_norm_diff
 
     assert op_norm_diff(W, K) / 200.0 <= 0.05
+
+
+def test_kd_matrix_needs_signal_strengths(tmp_path):
+    # a CSV cloud carries no strengths, and the expansion is centred on them
+    path = str(tmp_path / "cloud.csv")
+    save_cloud_csv(_cloud(n=6, p=8, lam=2.0, seed=8), path)
+    cloud = load_cloud_csv(path)
+    for build in (lambda: kd_matrix(cloud, 0.5), lambda: phi_vector(cloud)):
+        with pytest.raises(ValueError, match="no signal-strength metadata"):
+            build()
 
 
 def test_scaled_hermite_matches_scipy():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -417,6 +418,37 @@ def test_one_distance_matrix_per_cloud(tmp_path, monkeypatch, settings, expected
     monkeypatch.setattr(glspec.bandwidth, "pairwise_sq_dists", counting)
     run(ExperimentConfig(output_dir=str(tmp_path), **settings))
     assert len(calls) == expected
+
+
+class _CountingNoise(weakref.WeakValueDictionary):
+    """The generators' live-noise table, counting the arrays drawn into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.draws = 0
+
+    def __setitem__(self, key, value):
+        self.draws += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "settings, expected",
+    [
+        # curves at (n, p) = (30, 30), tracked strengths at (200, 200)
+        ({"name": "PhaseSweep", "n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, 2),
+        # five strength tuples on each of 2 seeds x 2 aspects
+        ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, 4),
+    ],
+    ids=lambda v: v["name"] if isinstance(v, dict) else str(v),
+)
+def test_frozen_noise_drawn_once_per_seed_and_shape(tmp_path, monkeypatch, settings, expected):
+    import glspec.datagen
+
+    table = _CountingNoise()
+    monkeypatch.setattr(glspec.datagen, "_NOISE", table)
+    run(ExperimentConfig(output_dir=str(tmp_path), **settings), fast=True)
+    assert table.draws == expected
 
 
 def test_stieltjes_compare_sup_below_bound(tmp_path):

@@ -260,6 +260,13 @@ def test_nu_lambda_parameters():
         nu_lambda(c, p, -1.0, ups)
 
 
+def test_nu_lambda_names_an_underflowed_scale():
+    # at alpha = 2.1 the scale is tiny but representable
+    assert 0.0 < nu_lambda(1.0, 300, 300.0 ** 2.1, 0.5).sigma2 <= 2e-231
+    with pytest.raises(ValueError, match=r"sigma2 .* underflows to 0 at lam = 281622 \(tau = 1879\.48"):
+        nu_lambda(1.0, 300, 300.0 ** 2.2, 0.5)
+
+
 def test_nu0_frozen_constants():
     m = nu0(c=1.0, upsilon=0.5)
     assert_allclose(m.sigma2, np.exp(-1.0), rtol=1e-15)

@@ -6,13 +6,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from glspec.mplaw import MpMeasure, mp_cdf, nu0, typical_location
 from glspec.spectrum import (
-    StieltjesGrid,
     bulk_rigidity,
     eigvec_rmse,
     op_norm_diff,
     save_spectrum_csv,
     stieltjes,
-    stieltjes_compare,
+    stieltjes_grid,
     sym_eigs,
 )
 
@@ -75,7 +74,7 @@ def test_bulk_rigidity_zero_at_typical_locations():
     m = nu0(1.0, 0.5)
     n = 120
     eigs = np.array([typical_location(m, j, n) for j in range(1, n + 1)])
-    assert bulk_rigidity(eigs, m, skip=9, eps=0.1) <= 1e-8
+    assert bulk_rigidity(eigs, m) <= 1e-8
 
 
 def test_bulk_rigidity_detects_displacement():
@@ -83,18 +82,25 @@ def test_bulk_rigidity_detects_displacement():
     n = 120
     eigs = np.array([typical_location(m, j, n) for j in range(1, n + 1)])
     eigs[50] += 0.3
-    dev = bulk_rigidity(eigs, m, skip=9, eps=0.1)
+    dev = bulk_rigidity(eigs, m)
     assert abs(dev - 0.3) <= 1e-8
-    # indices at or below skip are ignored
+    # indices 1 .. 9 are ignored
     eigs2 = np.array([typical_location(m, j, n) for j in range(1, n + 1)])
     eigs2[:9] += 100.0
-    assert bulk_rigidity(eigs2, m, skip=9, eps=0.1) <= 1e-8
-    with pytest.raises(ValueError):
-        bulk_rigidity(eigs, m, skip=-1)
-    with pytest.raises(ValueError):
-        bulk_rigidity(eigs, m, eps=1.0)
+    assert bulk_rigidity(eigs2, m) <= 1e-8
+    # the window ends at i = 0.9 n = 108
+    eigs2[107] += 0.25
+    eigs2[108:] -= 5.0
+    assert abs(bulk_rigidity(eigs2, m) - 0.25) <= 1e-8
     # n = 10 leaves no index in 9 < i <= 0.9 n
-    assert bulk_rigidity(eigs[:10], m, skip=9, eps=0.1) == 0.0
+    assert bulk_rigidity(eigs[:10], m) == 0.0
+
+
+def test_bulk_rigidity_rejects_nine_or_fewer_eigenvalues():
+    m = nu0(1.0, 0.5)
+    for n in (0, 1, 9):
+        with pytest.raises(ValueError, match="more than 9 eigenvalues"):
+            bulk_rigidity(np.ones(n), m)
 
 
 def test_stieltjes_single_atom():
@@ -117,49 +123,40 @@ def test_stieltjes_array_matches_per_point_loop():
     for n, key in ((57, 3), (200, 4), (300, 5)):
         ea = np.sort(sym_eigs(_symmetric(n, key)).eigenvalues)
         eb = np.sort(sym_eigs(_symmetric(n, key + 10)).eigenvalues)
-        grid = StieltjesGrid.build(n, 1.0, 0.2)
-        loop = [complex(np.mean(1.0 / (ea - z))) for z in grid.points]
-        got = stieltjes(ea, grid.points)
-        assert got.shape == grid.points.shape
+        points = stieltjes_grid(n, 1.0, 0.2)
+        loop = [complex(np.mean(1.0 / (ea - z))) for z in points]
+        got = stieltjes(ea, points)
+        assert got.shape == points.shape
         assert np.array_equal(got, loop)
-        assert stieltjes(ea, grid.points[0]) == loop[0]
-        # stieltjes_compare sums in sym_eigs' descending order
-        da, db = ea[::-1], eb[::-1]
-        worst = max(abs(complex(np.mean(1.0 / (da - z))) - complex(np.mean(1.0 / (db - z))))
-                    for z in grid.points)
-        assert stieltjes_compare(np.diag(ea), np.diag(eb), grid) == worst
+        assert stieltjes(ea, points[0]) == loop[0]
+        # hypot of the difference is Python's complex abs, bit for bit
+        diff = got - stieltjes(eb, points)
+        worst = [abs(complex(np.mean(1.0 / (ea - z))) - complex(np.mean(1.0 / (eb - z))))
+                 for z in points]
+        assert np.array_equal(np.hypot(diff.real, diff.imag), worst)
     with pytest.raises(ValueError):
         stieltjes(ea, np.array([1.0 + 0.1j, 2.0 - 0.1j]))
 
 
 def test_stieltjes_grid_build():
     n, alpha, a = 200, 1.0, 0.2
-    grid = StieltjesGrid.build(n, alpha, a)
-    assert grid.points.size == 16 * 8
+    points = stieltjes_grid(n, alpha, a)
+    assert points.shape == (16 * 8,)
     ref_eta_min = float(n) ** (-0.5 + alpha / 4.0 + a)
-    assert_allclose(grid.eta_min, ref_eta_min, rtol=1e-12)
-    assert grid.points.real.min() >= a - 1e-12
-    assert grid.points.real.max() <= 1.0 / a + 1e-12
-    assert grid.points.imag.max() <= 1.0 / a + 1e-12
-    with pytest.raises(ValueError):
-        StieltjesGrid.build(200, 1.0, 1.5)
-    with pytest.raises(ValueError):
+    assert_allclose(points.imag.min(), ref_eta_min, rtol=1e-12)
+    assert_allclose(points.imag.max(), 1.0 / a, rtol=1e-12)
+    assert_allclose(points.real.min(), a, rtol=1e-12)
+    assert_allclose(points.real.max(), 1.0 / a, rtol=1e-12)
+    # energy-major: each of the 16 energies takes the 8 eta values in turn
+    box = points.reshape(16, 8)
+    assert_array_equal(box.real, np.linspace(a, 1.0 / a, 16)[:, None] + np.zeros(8))
+    assert_array_equal(box.imag, box.imag[:1] + np.zeros((16, 1)))
+    for bad_a in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="need a in"):
+            stieltjes_grid(200, 1.0, bad_a)
+    with pytest.raises(ValueError, match="empty eta range"):
         # eta_min above 1/a leaves an empty eta range
-        StieltjesGrid.build(2, 3.9, 0.9)
-
-
-def test_stieltjes_compare_identical_is_zero():
-    M = _symmetric(20, 6)
-    grid = StieltjesGrid.build(20, 1.0, 0.2)
-    assert stieltjes_compare(M, M, grid) == 0.0
-
-
-def test_stieltjes_compare_tracks_perturbation():
-    M = _symmetric(20, 7)
-    E = 1e-3 * _symmetric(20, 8)
-    grid = StieltjesGrid.build(20, 1.0, 0.2)
-    dev = stieltjes_compare(M, M + E, grid)
-    assert 0.0 < dev <= 1e-3 * 20 / grid.eta_min ** 2
+        stieltjes_grid(2, 3.9, 0.9)
 
 
 def test_eigvec_rmse_sign_alignment():
