@@ -13,7 +13,6 @@ the spectrum, where the null calibration never looked, cannot be counted
 as an outlier gap.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -137,6 +136,10 @@ def omega_grid(grid):
     return omega_lo + (np.arange(T + 1) / T) * (omega_hi - omega_lo)
 
 
+# (omega_L, omega_U, T) of the default scan: T + 1 = 92 levels, 0.05 to 0.95.
+DEFAULT_GRID = (0.05, 0.95, 91)
+
+
 @dataclass
 class OmegaSelection:
     """Outcome of the quantile-grid bandwidth search."""
@@ -148,11 +151,11 @@ class OmegaSelection:
     grid: np.ndarray
 
 
-def select_omega(cloud, upsilon, s, grid=None, matrix="affinity", D2=None):
+def select_omega(cloud, upsilon, s, grid=DEFAULT_GRID, matrix="affinity", D2=None):
     """Scan the quantile levels of ``omega_grid(grid)`` and return the
     largest omega maximizing the outlier count.
 
-    ``grid`` is (omega_L, omega_U, T), default (0.05, 0.95, 91).  With
+    ``grid`` is (omega_L, omega_U, T).  With
     ``matrix="transition"`` the outlier counts are taken from the
     row-stochastic normalization instead (same scan, eigenvalues of
     D^{-1/2} W D^{-1/2}, which shares the transition spectrum).
@@ -164,8 +167,6 @@ def select_omega(cloud, upsilon, s, grid=None, matrix="affinity", D2=None):
     the window ``resample_threshold`` calibrates s on, with eigenvalues
     below the round-off floor left out of the scan.
     """
-    if grid is None:
-        grid = (0.05, 0.95, 91)
     if matrix not in ("affinity", "transition"):
         raise ValueError("matrix must be 'affinity' or 'transition'")
     omegas = omega_grid(grid)
@@ -187,16 +188,3 @@ def select_omega(cloud, upsilon, s, grid=None, matrix="affinity", D2=None):
     return OmegaSelection(
         float(omegas[best]), float(hs[best]), counts, float(s), omegas
     )
-
-
-def save_selection_json(sel, path):
-    payload = {
-        "omega": sel.omega,
-        "h": sel.h,
-        "s": sel.s,
-        "grid": [float(v) for v in sel.grid],
-        "k_profile": [[float(o), int(k)] for o, k in zip(sel.grid, sel.k_per_omega)],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

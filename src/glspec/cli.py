@@ -5,10 +5,10 @@ import click
 import numpy as np
 
 from .bandwidth import (
+    DEFAULT_GRID,
     omega_grid,
     quantile_bandwidth,
     resample_threshold,
-    save_selection_json,
     select_omega,
 )
 from .datagen import (
@@ -20,6 +20,8 @@ from .datagen import (
     load_cloud_npz,
     save_cloud_csv,
     save_cloud_npz,
+    write_csv,
+    write_json,
 )
 from .experiments import (
     EXPERIMENT_NAMES,
@@ -34,7 +36,7 @@ from .kernels import (
     pairwise_sq_dists,
     sym_normalized,
 )
-from .spectrum import save_spectrum_csv, sym_eigs
+from .spectrum import sym_eigs
 
 
 def _load_cloud(path):
@@ -181,7 +183,7 @@ def run_cmd(experiment, config_path, out, fast):
 @click.option("--upsilon", type=float, default=0.5, show_default=True)
 @click.option("--s", "threshold", type=float, default=None,
               help="Outlier-ratio threshold; resampled when omitted.")
-@click.option("--grid", default="0.05,0.95,91", show_default=True,
+@click.option("--grid", default="%g,%g,%d" % DEFAULT_GRID, show_default=True,
               callback=_parse_grid, help="omega_L,omega_U,T.")
 @click.option("--matrix", type=click.Choice(["affinity", "transition"]),
               default="affinity", show_default=True)
@@ -211,7 +213,14 @@ def omega(cloud_path, upsilon, threshold, grid, matrix, seed, out):
         % (sel.omega, sel.h, sel.h / cloud.p, int(sel.k_per_omega.max()))
     )
     if out is not None:
-        save_selection_json(sel, out)
+        grid_levels = sel.grid.tolist()
+        write_json(out, {
+            "omega": sel.omega,
+            "h": sel.h,
+            "s": sel.s,
+            "grid": grid_levels,
+            "k_profile": list(zip(grid_levels, sel.k_per_omega.tolist())),
+        })
         click.echo("selection written to %s" % out)
 
 
@@ -251,7 +260,7 @@ def spectra(cloud_path, which, upsilon, bandwidth, clean, top, out):
     shown = ", ".join("%.6g" % v for v in eigs[: max(1, top)])
     click.echo("%s spectrum (n=%d): %s, ..." % (which, cloud.n, shown))
     if out is not None:
-        save_spectrum_csv(eigs, out)
+        write_csv(out, ["index", "eigenvalue"], enumerate(eigs, start=1))
         click.echo("spectrum written to %s" % out)
 
 

@@ -13,9 +13,12 @@ and an unrotated cloud stores only its d nonzero leading columns.  Callers
 copy them before writing.  Clouds loaded from CSV or NPZ own their arrays.
 
 ``write_csv`` here is the one CSV writer of the package: clouds, spectra
-and experiment artifacts all share its number format.
+and experiment artifacts all share its number format.  ``write_json`` is
+the one JSON writer: run manifests and bandwidth selections.
 """
 
+import json
+import os
 import weakref
 from dataclasses import dataclass
 
@@ -83,14 +86,11 @@ class PointCloud:
         return float(sum(self.lambdas))
 
 
-def _streams(seed):
-    # Fixed substream layout: 0 = noise, 1 = standardized signal, 2 = rotation.
+def _substream(seed, k):
+    """Generator of substream ``k`` of ``seed``; callers build one only
+    when they draw from it.  Layout: 0 = noise, 1 = signal, 2 = rotation."""
     root = np.random.Philox(key=int(seed))
-    return (
-        np.random.Generator(root),
-        np.random.Generator(root.jumped(1)),
-        np.random.Generator(root.jumped(2)),
-    )
+    return np.random.Generator(root.jumped(k) if k else root)
 
 
 # Live noise draws by (seed, n, p).  Values are held weakly, so an entry
@@ -98,52 +98,43 @@ def _streams(seed):
 _NOISE = weakref.WeakValueDictionary()
 
 
-def _shared_noise(noise_rng, seed, n, p):
-    """The standard Gaussian n x p draw of ``noise_rng``, the noise
-    substream of ``seed``: taken from a live cloud with the same key when
-    there is one, otherwise drawn and marked read-only."""
+def _shared_noise(seed, n, p):
+    """The standard Gaussian n x p draw of the noise substream of ``seed``:
+    taken from a live cloud with the same key when there is one, otherwise
+    drawn and marked read-only."""
     key = (int(seed), int(n), int(p))
     noise = _NOISE.get(key)
     if noise is None:
-        noise = noise_rng.standard_normal((n, p))
+        noise = _substream(seed, 0).standard_normal((n, p))
         noise.flags.writeable = False
         _NOISE[key] = noise
     return noise
 
 
-def _haar_orthogonal(rng, p):
-    m = rng.standard_normal((p, p))
-    q, r = np.linalg.qr(m)
+def random_rotation(p, seed):
+    """Haar-distributed orthogonal p x p matrix drawn from the rotation
+    substream of ``seed``: the rotation the generators apply with ``rotate``.
+    """
+    if p < 1:
+        raise ValueError("need p >= 1")
+    q, r = np.linalg.qr(_substream(seed, 2).standard_normal((p, p)))
     sign = np.sign(np.diag(r))
     sign[sign == 0] = 1.0
     return q * sign
 
 
-def random_rotation(p, seed):
-    """Haar-distributed orthogonal p x p matrix.
-
-    Uses the rotation substream of ``seed``, so it reproduces exactly the
-    rotation applied by the manifold generators called with the same seed.
-    """
-    if p < 1:
-        raise ValueError("need p >= 1")
-    _, _, rot = _streams(seed)
-    return _haar_orthogonal(rot, p)
-
-
 def _generate(kind, n, p, seed, lambdas, coords, rotate=False):
     """The one body behind every generator: the noise of ``seed`` and the
     n x d array ``coords(signal_rng)`` drawn from its signal substream, kept
-    as is, or zero-padded to n x p and rotated by the Haar matrix of its
-    rotation substream when ``rotate`` (the dense product, to the last bit)."""
-    noise_rng, signal_rng, rot_rng = _streams(seed)
-    noise = _shared_noise(noise_rng, seed, n, p)
-    z = coords(signal_rng)
+    as is, or zero-padded to n x p and rotated by ``random_rotation(p, seed)``
+    when ``rotate`` (the dense product, to the last bit)."""
+    noise = _shared_noise(seed, n, p)
+    z = coords(_substream(seed, 1))
     d = z.shape[1]
     if rotate:
         padded = np.zeros((n, p))
         padded[:, :d] = z
-        z = padded @ _haar_orthogonal(rot_rng, p).T
+        z = padded @ random_rotation(p, seed).T
     z.flags.writeable = False
     return PointCloud(z, noise, n, p, d, lambdas, seed, kind)
 
@@ -244,6 +235,27 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
+
+
+def _json_scalar(value):
+    """``json.dumps`` hook: a numpy scalar (an ``np.int64`` n, say) as the
+    Python scalar it holds; anything else stays unserialisable."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def write_json(path, payload):
+    """Write ``payload`` as JSON, indented and with sorted keys; every JSON
+    file the package writes goes through here.  The text is serialised
+    first and the finished file swapped in, so a failed write never leaves
+    a partial file at ``path``.  Returns ``path``."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar)
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text + "\n")
+    os.replace(tmp, path)
     return path
 
 

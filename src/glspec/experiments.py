@@ -12,7 +12,6 @@ byte-identical files.
 
 import functools
 import hashlib
-import json
 import numbers
 import os
 import time
@@ -30,6 +29,7 @@ from .datagen import (
     gen_klein_bottle,
     gen_spiked,
     write_csv,
+    write_json,
 )
 from .kernels import (
     affinity,
@@ -120,14 +120,6 @@ class ExperimentConfig:
         return d
 
 
-def _json_scalar(value):
-    """``json.dumps`` hook: a numpy scalar (an ``np.int64`` n, say) as the
-    Python scalar it holds; anything else stays unserialisable."""
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
-
-
 @dataclass
 class RunManifest:
     """Record of one experiment run: config echo, versions, seeds, timing,
@@ -142,14 +134,6 @@ class RunManifest:
     resolved: dict
     wall_clock_s: float
     files: list = field(default_factory=list)
-
-    def save(self, path):
-        # serialise first and swap the finished file in: no partial manifest
-        text = json.dumps(asdict(self), indent=2, sort_keys=True, default=_json_scalar)
-        tmp = os.fspath(path) + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, path)
 
 
 def parse_config_file(path, name=None):
@@ -828,5 +812,5 @@ def run(config, fast=False):
             {"path": name, "sha256": _sha256(os.path.join(out, name))} for name in files
         ],
     )
-    manifest.save(manifest_path)
+    write_json(manifest_path, asdict(manifest))
     return manifest

@@ -36,9 +36,6 @@ class MpMeasure:
         self.bulk_hi = self.sigma2 * (1.0 + np.sqrt(self.c)) ** 2
         self.bulk_mass = min(1.0, 1.0 / self.c)
 
-    def total_mass(self):
-        return self.point_mass_at_zero + self.bulk_mass
-
     def _bulk_cdf(self, u):
         """Bulk mass of (-inf, u] in unshifted coordinates, elementwise.
 
@@ -90,12 +87,6 @@ def typical_location(measure, j, n):
     if np.any((j < 1) | (j > n)):
         raise ValueError("need 1 <= j <= n")
     q = np.ravel(j / float(n))
-    total = measure.total_mass()
-    if np.any(q > total + 1e-9):
-        raise ValueError(
-            "tail mass %g exceeds total mass %g (non-normalized convention?)"
-            % (np.max(q), total)
-        )
     # inside or below the atom: the supremum of admissible locations is the
     # bulk's lower edge exactly at q = bulk mass, the atom beyond.
     out = np.where(

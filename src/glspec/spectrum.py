@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import write_csv
 from .mplaw import typical_location
 
 
@@ -104,8 +103,3 @@ def eigvec_rmse(U, V):
     minus = np.linalg.norm(U - V, axis=0)
     plus = np.linalg.norm(U + V, axis=0)
     return np.minimum(minus, plus) / np.sqrt(U.shape[0])
-
-
-def save_spectrum_csv(eigs, path):
-    """Write ``index,eigenvalue`` rows, 1-based, in the order given."""
-    write_csv(path, ["index", "eigenvalue"], enumerate(np.asarray(eigs, dtype=float), start=1))

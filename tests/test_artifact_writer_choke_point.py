@@ -1,19 +1,25 @@
 """Recipes in ``glspec.experiments`` return their tables; ``run`` is the only
 code there that joins a path under the output directory or writes an
 artifact.  Writers, digests and path joins may be called only inside
-``run``; files may be opened only by ``run``, the manifest saver, the
-gnuplot writer, the digest and the config-file reader.  No function takes
-an output directory named ``out``."""
+``run``; files may be opened only by ``run``, the gnuplot writer, the
+digest and the config-file reader.  No function takes an output directory
+named ``out``.  The compute modules below the recipes open and write no
+file at all."""
 
 import ast
+import importlib
 import os
+
+import pytest
 
 import glspec.experiments
 
-WRITERS = {"write_csv", "_write_gnuplot", "_sha256"}
+WRITERS = {"write_csv", "write_json", "_write_gnuplot", "_sha256"}
 JOINS = {"os.path.join", "path.join", "join"}
 WRITER_HOMES = {"run"}
-OPEN_HOMES = {"run", "RunManifest.save", "_write_gnuplot", "_sha256", "parse_config_file"}
+OPEN_HOMES = {"run", "_write_gnuplot", "_sha256", "parse_config_file"}
+COMPUTE = ("kernels", "mplaw", "spectrum", "bandwidth", "approximants")
+FILE_CALLS = {"open", "write_csv", "write_json", "savez", "savetxt"}
 
 
 def _dotted(node):
@@ -66,12 +72,38 @@ def _violations(tree):
     return found
 
 
+def _parse(module):
+    with open(module.__file__) as fh:
+        return ast.parse(fh.read(), filename=os.path.basename(module.__file__))
+
+
 def test_only_run_writes_artifacts():
-    path = glspec.experiments.__file__
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), filename=os.path.basename(path))
+    tree = _parse(glspec.experiments)
     assert not _violations(tree)
     assert "run" in _homes(tree)
+
+
+def _file_calls(tree):
+    """The names of ``FILE_CALLS`` that ``tree`` calls, in any spelling."""
+    names = {_dotted(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return {name.rsplit(".", 1)[-1] for name in names if name} & FILE_CALLS
+
+
+@pytest.mark.parametrize("name", COMPUTE)
+def test_compute_modules_touch_no_files(name):
+    assert not _file_calls(_parse(importlib.import_module("glspec." + name)))
+
+
+def test_the_file_check_sees_each_writer():
+    source = (
+        "def f(path, eigs):\n"
+        "    with io.open(path) as fh:\n"
+        "        fh.read()\n"
+        "    datagen.write_json(path, {})\n"
+        "    write_csv(path, [], [])\n"
+        "    np.savez(path, eigs=eigs)\n"
+    )
+    assert _file_calls(ast.parse(source)) == {"open", "write_json", "write_csv", "savez"}
 
 
 def test_the_check_sees_each_spelling():
@@ -79,6 +111,7 @@ def test_the_check_sees_each_spelling():
         'write_csv(os.path.join(out, "a.csv"), header, rows)',
         'def _run_x(cfg, fast):\n    datagen.write_csv(path, header, rows)',
         'def _run_x(cfg, fast):\n    _write_gnuplot(path, lines)',
+        'def _run_x(cfg, fast):\n    write_json(path, payload)',
         'def _accuracy_recipe(cfg, fast):\n    return _sha256(path)',
         'def _run_x(cfg, fast):\n    return os.path.join(cfg.output_dir, "a.csv")',
         'def _run_x(cfg, fast):\n    return path.join(cfg.output_dir, "a.csv")',
@@ -87,13 +120,14 @@ def test_the_check_sees_each_spelling():
         'def _run_x(cfg, fast):\n    io.open(path, "w").write(text)',
         'def _run_x(cfg, fast, out):\n    return {}',
         'def _run_x(cfg, fast, *, out=None):\n    return {}',
-        'class RunManifest:\n    def dump(self, path):\n        open(path, "w")',
+        'class RunManifest:\n    def save(self, path):\n        open(path, "w")',
     ):
         assert _violations(ast.parse(source)), source
     for source in (
         'def run(config):\n    write_csv(os.path.join(out, "a.csv"), header, rows)',
         'def run(config):\n    def inner():\n        _sha256(path)',
-        'class RunManifest:\n    def save(self, path):\n        open(path, "w")',
+        'def run(config):\n    write_json(manifest_path, asdict(manifest))',
+        'def _write_gnuplot(path, lines):\n    open(path, "w")',
         'def _run_x(cfg, fast):\n    return ",".join(names), sep.join(names)',
     ):
         assert not _violations(ast.parse(source)), source

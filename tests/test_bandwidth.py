@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from glspec.bandwidth import (
     quantile_bandwidth,
     ratio_window,
     resample_threshold,
-    save_selection_json,
     select_omega,
     window_outliers,
 )
@@ -288,20 +285,3 @@ def test_selected_bandwidth_scale_large_alpha():
         log_n = np.log(n)
         assert 0.1 * (lam / log_n + n) <= sel.h <= 10.0 * lam * log_n ** 2
 
-
-def test_save_selection_json(tmp_path):
-    sel = OmegaSelection(
-        omega=0.5,
-        h=12.0,
-        k_per_omega=np.array([1, 2, 2]),
-        s=0.2,
-        grid=np.array([0.25, 0.5, 0.75]),
-    )
-    path = tmp_path / "sel.json"
-    save_selection_json(sel, path)
-    payload = json.loads(path.read_text())
-    assert payload["omega"] == 0.5
-    assert payload["h"] == 12.0
-    assert payload["s"] == 0.2
-    assert payload["grid"] == [0.25, 0.5, 0.75]
-    assert payload["k_profile"] == [[0.25, 1], [0.5, 2], [0.75, 2]]

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from glspec.bandwidth import omega_grid, select_omega
 from glspec.cli import main
-from glspec.datagen import gen_spiked, load_cloud_csv, load_cloud_npz, save_cloud_csv
+from glspec.datagen import (
+    gen_spiked,
+    load_cloud_csv,
+    load_cloud_npz,
+    save_cloud_csv,
+    write_csv,
+)
 from glspec.kernels import (
     affinity,
     laplacian,
@@ -15,7 +22,7 @@ from glspec.kernels import (
     transition,
     zeroed_transition,
 )
-from glspec.spectrum import save_spectrum_csv, sym_eigs
+from glspec.spectrum import sym_eigs
 
 
 def _invoke(args):
@@ -109,10 +116,10 @@ def test_gen_alpha_resolution_base_p_and_n(tmp_path):
     ids=lambda args: "-".join(a.lstrip("-") for a in args[1:]),
 )
 def test_gen_rejects_bad_strength_options(tmp_path, monkeypatch, args):
-    def no_draw(seed):
-        raise AssertionError("drew from the streams of seed %d" % seed)
+    def no_draw(seed, k):
+        raise AssertionError("drew from substream %d of seed %d" % (k, seed))
 
-    monkeypatch.setattr("glspec.datagen._streams", no_draw)
+    monkeypatch.setattr("glspec.datagen._substream", no_draw)
     out = tmp_path / "cloud.csv"
     result = CliRunner().invoke(
         main, ["gen", "--n", "12", "--p", "8", *args, "--out", str(out)]
@@ -244,10 +251,19 @@ def test_omega_subcommand(tmp_path):
          "--grid", "0.1,0.9,8", "--out", sel_path]
     )
     assert "omega =" in result.output
-    payload = json.loads(open(sel_path).read())
-    assert 0.1 <= payload["omega"] <= 0.9
-    assert len(payload["k_profile"]) == 9
-    assert payload["s"] == 0.3
+    with open(sel_path) as fh:
+        payload = json.load(fh)
+    assert list(payload) == ["grid", "h", "k_profile", "omega", "s"]
+    sel = select_omega(load_cloud_csv(cloud_path), 0.5, 0.3, grid=(0.1, 0.9, 8))
+    assert (payload["omega"], payload["h"], payload["s"]) == (sel.omega, sel.h, 0.3)
+    assert payload["grid"] == list(omega_grid((0.1, 0.9, 8)))
+    assert payload["k_profile"] == [[o, int(k)] for o, k in zip(sel.grid, sel.k_per_omega)]
+    assert all(type(k) is int for _, k in payload["k_profile"])
+    assert not os.path.exists(sel_path + ".tmp")
+
+
+def test_omega_help_shows_the_default_grid():
+    assert "[default: 0.05,0.95,91]" in _invoke(["omega", "--help"]).output
 
 
 def test_omega_resamples_threshold_when_missing(tmp_path):
@@ -371,11 +387,10 @@ def test_cli_writers_keep_the_reference_bytes(tmp_path):
         with open(spec_path, "rb") as got, open(ref_path, "rb") as ref:
             assert got.read() == ref.read()
     odd = np.array([0.0, -0.0, 5e-324, 3e38, np.inf, -np.inf, np.nan, 1.0 / 3.0])
-    for values in (odd, odd.astype(np.float32), np.array([3, -1, 10**17])):
-        save_spectrum_csv(values, spec_path)
-        _reference_save_spectrum_csv(values, ref_path)
-        with open(spec_path, "rb") as got, open(ref_path, "rb") as ref:
-            assert got.read() == ref.read()
+    write_csv(spec_path, ["index", "eigenvalue"], enumerate(odd, start=1))
+    _reference_save_spectrum_csv(odd, ref_path)
+    with open(spec_path, "rb") as got, open(ref_path, "rb") as ref:
+        assert got.read() == ref.read()
 
 
 @pytest.mark.parametrize("grid", ["0.05,0.95", "0.05,0.95,x", "0.5,0.2,10", "0.05,0.95,0"])

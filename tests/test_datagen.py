@@ -119,6 +119,42 @@ def test_shared_noise_goes_with_its_last_cloud(make):
     assert key not in datagen._NOISE
 
 
+def test_a_substream_is_built_only_when_it_is_read(monkeypatch):
+    asked = []
+    build = datagen._substream
+
+    def record(seed, k):
+        asked.append(k)
+        return build(seed, k)
+
+    monkeypatch.setattr(datagen, "_substream", record)
+    seed, n, p = 7343, 10, 5
+    first = gen_spiked(n, p, (1.0,), seed)
+    assert asked == [0, 1]
+    del asked[:]
+    again = gen_spiked(n, p, (2.0,), seed)
+    assert again.noise is first.noise
+    assert asked == [1]
+    del asked[:]
+    gen_curve_m1(n, p + 1, 1.0, seed)
+    assert asked == [0, 1, 2]
+
+
+def test_write_json_sorts_keys_and_unwraps_numpy_scalars(tmp_path):
+    path = tmp_path / "a.json"
+    assert datagen.write_json(path, {"b": np.int64(3), "a": [np.float64(0.5)]}) == path
+    assert path.read_text() == '{\n  "a": [\n    0.5\n  ],\n  "b": 3\n}\n'
+
+
+def test_write_json_keeps_the_old_file_when_the_payload_does_not_serialise(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_bytes(b"old\n")
+    with pytest.raises(TypeError, match="ndarray"):
+        datagen.write_json(path, {"grid": np.arange(3)})
+    assert path.read_bytes() == b"old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["a.json"]
+
+
 def test_determinism_same_seed():
     a = gen_spiked(15, 8, (2.0,), 42, rotate=True)
     b = gen_spiked(15, 8, (2.0,), 42, rotate=True)

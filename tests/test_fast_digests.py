@@ -1,7 +1,8 @@
 """The ``--fast`` artifacts of the recipes in ``RECIPES`` keep their bytes.
 
-One child process runs ``glspec run --fast`` for each of them under
-``OPENBLAS_NUM_THREADS=1``, and the sha256 of every artifact is compared
+One child process runs ``glspec run --fast --config`` for each of them under
+``OPENBLAS_NUM_THREADS=1``, from a config file holding the recipe's name and
+its settings in ``RECIPES``, and the sha256 of every artifact is compared
 with ``fast_digests.json``.  The digests hold only for the numpy and BLAS
 build that recorded them: on another build the test skips and names both.
 
@@ -26,14 +27,29 @@ import pytest
 
 import glspec
 
-RECIPES = ("PhaseSweep", "AccuracyLowSNR", "DimensionSweep", "StieltjesCompare")
+# name: config settings besides the name; the three slowest recipes run
+# at a smaller n so that all eleven take a few seconds.
+RECIPES = {
+    "PhaseSweep": {},
+    "AccuracyLowSNR": {},
+    "AccuracyModerate": {},
+    "AccuracyLarge": {},
+    "DimensionSweep": {},
+    "HistogramBulk": {},
+    "OmegaSweep": {"n": 60},
+    "ManifoldRmse": {"n": 60, "reps": 1},
+    "StieltjesCompare": {},
+    "D2Comparison": {},
+    "ZeroingComparison": {"n": 60, "p": 30},
+}
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fast_digests.json")
 CHILD = """
 import os, sys
 from glspec.cli import main
-for name in sys.argv[2:]:
+for config in sys.argv[2:]:
+    name = os.path.splitext(os.path.basename(config))[0]
     out = os.path.join(sys.argv[1], name)
-    main(["run", "--experiment", name, "--out", out, "--fast"], standalone_mode=False)
+    main(["run", "--config", config, "--out", out, "--fast"], standalone_mode=False)
 """
 
 
@@ -66,13 +82,21 @@ def _build():
 
 
 def _generate(out):
+    """Run every recipe of ``RECIPES`` into its own directory under ``out``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(glspec.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    subprocess.run(
-        [sys.executable, "-c", CHILD, out, *RECIPES],
-        env=env, check=True, capture_output=True, timeout=600,
-    )
+    with tempfile.TemporaryDirectory() as configs:
+        paths = []
+        for name, settings in RECIPES.items():
+            paths.append(os.path.join(configs, name + ".cfg"))
+            with open(paths[-1], "w") as fh:
+                fh.write("name = %s\n" % name)
+                fh.writelines("%s = %s\n" % item for item in settings.items())
+        subprocess.run(
+            [sys.executable, "-c", CHILD, out, *paths],
+            env=env, check=True, capture_output=True, timeout=600,
+        )
 
 
 def _digests(out):
@@ -98,6 +122,7 @@ def test_fast_artifacts_keep_their_digests(tmp_path):
     build = _build()
     if recorded["build"] != build:
         pytest.skip("digests recorded under %s; this is %s" % (recorded["build"], build))
+    assert recorded["recipes"] == RECIPES, "digests recorded for other settings"
     _generate(str(tmp_path))
     moved = _mismatches(recorded["artifacts"], _digests(str(tmp_path)))
     assert not moved, "artifacts whose sha256 moved: %s" % ", ".join(moved)
@@ -117,7 +142,7 @@ def test_a_one_byte_change_is_named(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as out:
         _generate(out)
-        payload = {"build": _build(), "recipes": list(RECIPES), "artifacts": _digests(out)}
+        payload = {"build": _build(), "recipes": RECIPES, "artifacts": _digests(out)}
     with open(DIGESTS, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -55,7 +55,6 @@ def test_total_mass_is_one(c):
     top = mp_cdf(m.bulk_hi, m)
     assert top == atom + m.bulk_mass
     assert abs(top - 1.0) <= 1e-15
-    assert abs(m.total_mass() - 1.0) <= 1e-15
     assert atom == max(0.0, 1.0 - 1.0 / c)
     assert abs(m.bulk_mass - min(1.0, 1.0 / c)) <= 1e-15
     # nothing inside the bulk overshoots the mass at the top edge

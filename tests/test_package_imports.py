@@ -34,9 +34,10 @@ def _glspec_modules_after(module):
     "module, uses",
     [
         ("datagen", []),
-        ("bandwidth", ["datagen", "kernels", "mplaw", "spectrum"]),
+        ("spectrum", ["mplaw"]),
+        ("bandwidth", ["kernels", "mplaw", "spectrum"]),
     ],
-    ids=["datagen", "bandwidth"],
+    ids=["datagen", "spectrum", "bandwidth"],
 )
 def test_a_module_loads_only_what_it_uses(module, uses):
     want = sorted(["glspec", "glspec." + module] + ["glspec." + m for m in uses])

@@ -9,7 +9,6 @@ from glspec.spectrum import (
     bulk_rigidity,
     eigvec_rmse,
     op_norm_diff,
-    save_spectrum_csv,
     stieltjes,
     stieltjes_grid,
     sym_eigs,
@@ -222,12 +221,3 @@ def test_esd_density_matches_limit_in_probability():
     # nearly all mass stays inside the bulk window (the only systematic
     # escape is the smeared lower edge plus the one top spike)
     assert total.sum() >= 0.9 * reps * n
-
-
-def test_save_spectrum_csv(tmp_path):
-    path = tmp_path / "spec.csv"
-    save_spectrum_csv(np.array([3.0, 1.0]), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,eigenvalue"
-    assert lines[1] == "1,3"
-    assert lines[2] == "2,1"
