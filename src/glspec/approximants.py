@@ -7,8 +7,6 @@ At the adaptive bandwidth h = lam + p the clean-signal surrogate is
 ``w_a1(W1_h, upsilon * p / h)``: the same form at the rescaled decay.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import gram
@@ -108,68 +106,29 @@ def mehler_t0(beta, upsilon):
     return (-upsilon + np.sqrt(upsilon ** 2 + 16.0 * q * q)) / (4.0 * q)
 
 
-@dataclass
-class MehlerExpansion:
-    """Rank-(M+1) expansion of the clean affinity in Hermite factors.
-
-    With weights w_i = exp(((3 t0^2 - 2)/(2 (1 - t0^2))) z_i^2) and the
-    vectors H_m = w o H~_m(z), the represented matrix is
-    prefactor * sum_{m <= M} (t0^m / m!) H_m H_m^T.
-    """
-
-    t0: float
-    beta: float
-    M: int
-    prefactor: float
-
-    # standardized coordinates and weights, kept for the overflow-free
-    # matrix assembly (orthonormalized recurrence, fixed summation order)
-    _coords: np.ndarray
-    _weights: np.ndarray
-
-    def matrix(self, M=None):
-        """Assemble the truncated matrix at order M (default: all terms).
-
-        Accumulates G_m = t0^{m/2} (w o H~_m(z)/sqrt(m!)) via the
-        orthonormalized recurrence, which is algebraically identical to the
-        printed coefficients but never overflows.
-        """
-        if M is None:
-            M = self.M
-        if not 0 <= M <= self.M:
-            raise ValueError("M out of range")
-        z = self._coords
-        w = self._weights
-        root_t = np.sqrt(self.t0)
-        prev = np.ones_like(z)
-        out = np.outer(w, w)  # m = 0 term: G_0 = w
-        if M >= 1:
-            cur = z * root_t
-            g = w * cur
-            out += np.outer(g, g)
-            for m in range(1, M):
-                # orthonormalized step, with t0^{1/2} folded into each order
-                prev, cur = cur, (z * cur * root_t - np.sqrt(m) * self.t0 * prev) / np.sqrt(m + 1)
-                g = w * cur
-                out += np.outer(g, g)
-        return self.prefactor * out
-
-
-def mehler_truncation(clean_coords, beta, upsilon, M):
-    """Expansion of the one-coordinate clean affinity into rank-one terms.
-
-    ``clean_coords`` are the standardized signal coordinates z_i (unit
-    variance); beta = lambda/h is the signal-to-bandwidth ratio.  The
-    printed (t0, weight) pair reproduces exp(-upsilon beta (z_i - z_j)^2)
-    exactly when upsilon = beta = 1 and is a leading-order surrogate
-    nearby; callers test it at that point.
+def mehler_matrix(clean_coords, beta, upsilon, M):
+    """Order-M truncation of the clean affinity's Mehler expansion in one
+    standardized signal coordinate z (unit variance), beta = lambda/h:
+    sqrt(1 - t0^2) sum_{m <= M} (t0^m / m!) H_m H_m^T with
+    t0 = mehler_t0(beta, upsilon), H_m = w o H~_m(z) and
+    w = exp(((3 t0^2 - 2)/(2 (1 - t0^2))) z^2).  It tends to
+    exp(-upsilon beta (z_i - z_j)^2) only at upsilon = beta = 1, where
+    callers test it.  Each term is summed as t0^{m/2} w o H~_m(z)/sqrt(m!)
+    by the orthonormalized recurrence, which never overflows.
     """
     if M < 0:
         raise ValueError("need M >= 0")
     z = np.asarray(clean_coords, dtype=float)
     if z.ndim != 1:
         raise ValueError("expansion takes one signal coordinate (d = 1)")
-    t0 = mehler_t0(beta, upsilon)
-    g = (3.0 * t0 * t0 - 2.0) / (2.0 * (1.0 - t0 * t0))
-    w = np.exp(g * z * z)
-    return MehlerExpansion(float(t0), float(beta), M, float(np.sqrt(1.0 - t0 * t0)), z, w)
+    t0 = float(mehler_t0(beta, upsilon))
+    w = np.exp((3.0 * t0 * t0 - 2.0) / (2.0 * (1.0 - t0 * t0)) * z * z)
+    root_t = np.sqrt(t0)
+    prev, cur = 0.0, np.ones_like(z)
+    out = np.zeros((z.size, z.size))
+    for m in range(M + 1):
+        g = w * cur
+        out += np.outer(g, g)
+        # orthonormalized step, with t0^{1/2} folded into each order
+        prev, cur = cur, (z * cur * root_t - np.sqrt(m) * t0 * prev) / np.sqrt(m + 1)
+    return float(np.sqrt(1.0 - t0 * t0)) * out

@@ -119,7 +119,7 @@ def resample_threshold(c, n, upsilon, reps=50, seed=0):
     ratios = np.empty(reps)
     for r in range(reps):
         X = rng.standard_normal((n, p))
-        eigs = sym_eigs(gram(X)).eigenvalues
+        eigs = sym_eigs(gram(X))
         ratios[r] = np.max(_bulk_ratios(eigs, k_hi)[1:])
     return float(np.quantile(ratios, 0.99)) - 1.0
 
@@ -183,7 +183,7 @@ def select_omega(cloud, upsilon, s, grid=DEFAULT_GRID, matrix="affinity", D2=Non
         W = affinity(D2, upsilon, h)
         if matrix == "transition":
             W = sym_normalized(W)
-        counts[i] = window_outliers(sym_eigs(W).eigenvalues, s, k_hi)
+        counts[i] = window_outliers(sym_eigs(W), s, k_hi)
     best = int(np.flatnonzero(counts == counts.max())[-1])
     return OmegaSelection(
         float(omegas[best]), float(hs[best]), counts, float(s), omegas

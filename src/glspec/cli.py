@@ -38,6 +38,8 @@ from .kernels import (
 )
 from .spectrum import sym_eigs
 
+POSITIVE = click.FloatRange(min=0, min_open=True)
+
 
 def _load_cloud(path):
     """The cloud stored at ``path``; a file the loaders reject (wrong
@@ -180,14 +182,14 @@ def run_cmd(experiment, config_path, out, fast):
 @main.command()
 @click.option("--cloud", "cloud_path", required=True,
               type=click.Path(exists=True), help="Cloud file from 'gen'.")
-@click.option("--upsilon", type=float, default=0.5, show_default=True)
-@click.option("--s", "threshold", type=float, default=None,
+@click.option("--upsilon", type=POSITIVE, default=0.5, show_default=True)
+@click.option("--s", "threshold", type=POSITIVE, default=None,
               help="Outlier-ratio threshold; resampled when omitted.")
 @click.option("--grid", default="%g,%g,%d" % DEFAULT_GRID, show_default=True,
               callback=_parse_grid, help="omega_L,omega_U,T.")
 @click.option("--matrix", type=click.Choice(["affinity", "transition"]),
               default="affinity", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Resampling seed.")
 @click.option("--out", default=None, type=click.Path(),
               help="Write the selection as JSON.")
@@ -232,8 +234,8 @@ def omega(cloud_path, upsilon, threshold, grid, matrix, seed, out):
                   ["affinity", "transition", "laplacian", "zeroed", "gram"]
               ),
               default="affinity", show_default=True)
-@click.option("--upsilon", type=float, default=0.5, show_default=True)
-@click.option("--h", "bandwidth", type=float, default=None,
+@click.option("--upsilon", type=POSITIVE, default=0.5, show_default=True)
+@click.option("--h", "bandwidth", type=POSITIVE, default=None,
               help="Bandwidth; default p.")
 @click.option("--clean", is_flag=True, help="Use the clean rows instead.")
 @click.option("--top", type=int, default=5, show_default=True,
@@ -253,8 +255,11 @@ def spectra(cloud_path, which, upsilon, bandwidth, clean, top, out):
         if which == "affinity":
             M = W
         else:
-            M = sym_normalized(off_diagonal(W) if which == "zeroed" else W)
-    eigs = sym_eigs(M).eigenvalues
+            try:
+                M = sym_normalized(off_diagonal(W) if which == "zeroed" else W)
+            except ValueError as err:
+                raise click.BadParameter("%s at h = %g" % (err, h), param_hint="--h") from None
+    eigs = sym_eigs(M)
     if which == "laplacian":
         eigs = (1.0 - eigs[::-1]) / h
     shown = ", ".join("%.6g" % v for v in eigs[: max(1, top)])

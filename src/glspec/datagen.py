@@ -18,6 +18,7 @@ the one JSON writer: run manifests and bandwidth selections.
 """
 
 import json
+import numbers
 import os
 import weakref
 from dataclasses import dataclass
@@ -127,7 +128,12 @@ def _generate(kind, n, p, seed, lambdas, coords, rotate=False):
     """The one body behind every generator: the noise of ``seed`` and the
     n x d array ``coords(signal_rng)`` drawn from its signal substream, kept
     as is, or zero-padded to n x p and rotated by ``random_rotation(p, seed)``
-    when ``rotate`` (the dense product, to the last bit)."""
+    when ``rotate`` (the dense product, to the last bit).  Refuses n < 2 and
+    a seed that is not an integer >= 0 before anything is drawn."""
+    if n < 2:
+        raise ValueError("need n >= 2, got %r" % (n,))
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError("need an integer seed >= 0, got %r" % (seed,))
     noise = _shared_noise(seed, n, p)
     z = coords(_substream(seed, 1))
     d = z.shape[1]
@@ -144,8 +150,6 @@ def gen_spiked(n, p, lambdas, seed, rotate=False):
     standard Gaussian noise; the signal dimension d is len(lambdas)."""
     lams = tuple(float(l) for l in lambdas)
     d = len(lams)
-    if n < 2:
-        raise ValueError("need n >= 2")
     if not (p >= d >= 1):
         raise ValueError("need p >= d >= 1")
     if any(l < 0 for l in lams):

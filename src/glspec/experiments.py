@@ -251,7 +251,7 @@ def _run_phase_sweep(cfg, fast):
     for _, p in aspects:
         for alpha in alphas:
             cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
-            curves.append(sym_eigs(W).eigenvalues)
+            curves.append(sym_eigs(W))
     header = ["index"] + [tag + "alpha_%g" % a for tag, _ in aspects for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
 
@@ -264,8 +264,8 @@ def _run_phase_sweep(cfg, fast):
     for c, p2 in pairs:
         for alpha in map(float, fine):
             cloud, W = _spiked_affinity(cfg, n2, p2, seed, (alpha,))
-            ew = sym_eigs(W).eigenvalues
-            eg = sym_eigs(gram(cloud.noisy())).eigenvalues
+            ew = sym_eigs(W)
+            eg = sym_eigs(gram(cloud.noisy()))
             tracked.append([c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]])
 
     files = {
@@ -314,7 +314,7 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
 
         def one(seed):
             cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
-            eigs = sym_eigs(W).eigenvalues
+            eigs = sym_eigs(W)
             return (eigs,) + reference(cloud, W, eigs)
 
         results = [one(seed) for seed in seeds]
@@ -372,7 +372,7 @@ def _run_accuracy_moderate(cfg, fast):
     def make_reference(n, p):
         def reference(cloud, W, eigs):
             Wa1 = _clean_surrogate(cloud, cfg.upsilon)
-            return sym_eigs(Wa1).eigenvalues, _moderate_snr_error(W, Wa1)
+            return sym_eigs(Wa1), _moderate_snr_error(W, Wa1)
 
         return reference
 
@@ -397,11 +397,11 @@ def _run_dimension_sweep(cfg, fast):
 
     def one(n, seed):
         _, W = _spiked_affinity(cfg, n, n, seed, (0.2,))
-        err_low = bulk_rigidity(sym_eigs(W).eigenvalues, law)
+        err_low = bulk_rigidity(sym_eigs(W), law)
         cloud, W = _spiked_affinity(cfg, n, n, seed, (1.9,))
         err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, cfg.upsilon))
         _, W = _spiked_affinity(cfg, n, n, seed, (5.0,))
-        err_big = _large_snr_error(sym_eigs(W).eigenvalues)
+        err_big = _large_snr_error(sym_eigs(W))
         return [n, seed, err_low, err_mod, err_big]
 
     rows = [one(n, s) for n in ns for s in seeds]
@@ -447,7 +447,7 @@ def _run_histogram_bulk(cfg, fast):
         counts = np.zeros(bins)
         for rep in range(reps):
             _, W = _spiked_affinity(cfg, n, p, first_seed + rep, (0.2,))
-            counts += np.histogram(sym_eigs(W).eigenvalues, bins=edges)[0]
+            counts += np.histogram(sym_eigs(W), bins=edges)[0]
         width = edges[1] - edges[0]
         emp = counts / (reps * n * width)
         theory = np.diff(mp_cdf(edges, measure)) / width
@@ -541,9 +541,9 @@ def _run_manifold_rmse(cfg, fast):
                 else:
                     cloud = gen_klein_bottle(n, p, a, seed)
                 lam_tot = cloud.lambda_total()
-                ref = sym_eigs(
+                _, ref = sym_eigs(
                     _affinity_of(cloud.clean, upsilon, p + lam_tot), want_vectors=top
-                ).eigenvectors
+                )
                 D2 = pairwise_sq_dists(cloud.noisy())
                 sel = select_omega(cloud, upsilon, s, D2=D2)
                 variants = {
@@ -554,7 +554,7 @@ def _run_manifold_rmse(cfg, fast):
                 }
                 rmse = {}
                 for tag, h in variants.items():
-                    vecs = sym_eigs(affinity(D2, upsilon, h), want_vectors=top).eigenvectors
+                    _, vecs = sym_eigs(affinity(D2, upsilon, h), want_vectors=top)
                     rmse[tag] = eigvec_rmse(ref, vecs)
                 return seed, sel, rmse
 
@@ -601,8 +601,8 @@ def _run_stieltjes_compare(cfg, fast):
         W1 = _affinity_of(cloud.clean, cfg.upsilon, p)
         Wb1 = w_b1(W1, gram(cloud.noise), cfg.upsilon)
         # ascending: the last bits of each Stieltjes mean depend on the order
-        ew = sym_eigs(W).eigenvalues[::-1]
-        eb = sym_eigs(Wb1).eigenvalues[::-1]
+        ew = sym_eigs(W)[::-1]
+        eb = sym_eigs(Wb1)[::-1]
         diff = stieltjes(ew, points) - stieltjes(eb, points)
         # hypot rounds as Python's complex abs does; numpy's complex abs differs
         return np.hypot(diff.real, diff.imag)
@@ -653,7 +653,7 @@ def _run_d2_comparison(cfg, fast):
     @functools.lru_cache(maxsize=None)  # shares spectra; a cached cloud keeps its noise live
     def spectrum(p, seed, alphas):
         cloud, W = _spiked_affinity(cfg, n, p, seed, alphas)
-        return cloud, sym_eigs(W).eigenvalues
+        return cloud, sym_eigs(W)
 
     for case, a1, a2, expected in D2_CASES:
         for c, p in aspects:
@@ -692,8 +692,8 @@ def _run_zeroing_comparison(cfg, fast):
 
     def third_vector_row_stochastic(W):
         # D^{-1/2} maps eigenvectors of the symmetric form to those of D^{-1} W
-        res = sym_eigs(sym_normalized(W), want_vectors=3)
-        vec = res.eigenvectors[:, 2] / np.sqrt(degree(W))
+        _, vecs = sym_eigs(sym_normalized(W), want_vectors=3)
+        vec = vecs[:, 2] / np.sqrt(degree(W))
         return vec / np.linalg.norm(vec)
 
     def one(alpha, seed):

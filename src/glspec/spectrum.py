@@ -2,25 +2,16 @@
 operator-norm differences, bulk rigidity against analytic measures,
 Stieltjes transforms over a spectral-parameter box, and eigenvector RMSE."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mplaw import typical_location
 
 
-@dataclass
-class SpectrumResult:
-    """Descending eigenvalues and (optionally) the matching eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = None
-
-
 def sym_eigs(M, want_vectors=0):
-    """Full descending spectrum of a symmetric matrix.
+    """Full descending spectrum of a symmetric matrix, as an array.
 
-    ``want_vectors`` asks for that many leading eigenvectors (0 = none).
+    ``want_vectors`` = k > 0 returns the pair (eigenvalues, the k leading
+    eigenvectors as columns) instead, as ``np.linalg.eigh`` does.
     An exactly symmetric input is solved as it is; any other input is
     symmetrized as (M + M^T)/2 first, and asymmetry beyond 1e-9 relative
     is rejected.  This is the package's only call into an eigensolver.
@@ -37,8 +28,8 @@ def sym_eigs(M, want_vectors=0):
         vals, vecs = np.linalg.eigh(M)
         order = np.argsort(vals)[::-1]
         k = min(int(want_vectors), vals.size)
-        return SpectrumResult(vals[order], vecs[:, order[:k]])
-    return SpectrumResult(np.linalg.eigvalsh(M)[::-1].copy())
+        return vals[order], vecs[:, order[:k]]
+    return np.linalg.eigvalsh(M)[::-1].copy()
 
 
 def op_norm_diff(Ma, Mb):
@@ -49,7 +40,7 @@ def op_norm_diff(Ma, Mb):
     if Ma.shape != Mb.shape:
         raise ValueError("shape mismatch: %s vs %s" % (Ma.shape, Mb.shape))
     diff = Ma - Mb
-    vals = sym_eigs(0.5 * (diff + diff.T)).eigenvalues
+    vals = sym_eigs(0.5 * (diff + diff.T))
     return float(max(vals[0], -vals[-1]))
 
 

@@ -4,10 +4,9 @@ from numpy.testing import assert_allclose
 from scipy.special import eval_hermitenorm, factorial
 
 from glspec.approximants import (
-    MehlerExpansion,
     kd_matrix,
+    mehler_matrix,
     mehler_t0,
-    mehler_truncation,
     phi_vector,
     scaled_hermite,
     w_a1,
@@ -142,22 +141,20 @@ def test_mehler_t0_closed_form_at_unit():
 
 
 def test_mehler_coefficient_log_space():
-    # the order-m term that matrix() adds carries the coefficient t0^m / m!
+    # the order-m term that mehler_matrix adds carries the coefficient t0^m / m!
     z = np.array([-1.3, -0.4, 0.9, 1.7])
-    exp = mehler_truncation(z, beta=0.7, upsilon=1.0, M=20)
-    t0 = exp.t0
+    t0 = mehler_t0(0.7, 1.0)
     w = np.exp((3.0 * t0 * t0 - 2.0) / (2.0 * (1.0 - t0 * t0)) * z * z)
     for m in (0, 1, 5, 20):
-        term = exp.matrix(m) - (exp.matrix(m - 1) if m else 0.0)
+        term = mehler_matrix(z, 0.7, 1.0, m) - (mehler_matrix(z, 0.7, 1.0, m - 1) if m else 0.0)
         h = w * eval_hermitenorm(m, z)
-        ref = exp.prefactor * t0 ** m / factorial(m) * np.outer(h, h)
+        ref = np.sqrt(1.0 - t0 * t0) * t0 ** m / factorial(m) * np.outer(h, h)
         # the recurrence and scipy's Hermite values part by ~2e-11 at m = 20
         assert_allclose(term, ref, rtol=1e-10)
     # large order stays finite where the naive ratio t0^m / m! would overflow
     beta = 0.99 / (2.0 * (1.0 - 0.99 ** 2))  # t0 = 0.99 at upsilon = 1
-    big = mehler_truncation(z, beta=beta, upsilon=1.0, M=400)
-    assert_allclose(big.t0, 0.99, rtol=1e-12)
-    assert np.all(np.isfinite(big.matrix()))
+    assert_allclose(mehler_t0(beta, 1.0), 0.99, rtol=1e-12)
+    assert np.all(np.isfinite(mehler_matrix(z, beta=beta, upsilon=1.0, M=400)))
 
 
 def test_mehler_expansion_exact_at_unit_parameters():
@@ -166,9 +163,7 @@ def test_mehler_expansion_exact_at_unit_parameters():
     rng = np.random.Generator(np.random.Philox(key=11))
     z = rng.standard_normal(40)
     target = np.exp(-np.subtract.outer(z, z) ** 2)
-    exp = mehler_truncation(z, beta=1.0, upsilon=1.0, M=80)
-    assert exp.M == 80
-    got = exp.matrix()
+    got = mehler_matrix(z, beta=1.0, upsilon=1.0, M=80)
     assert np.max(np.abs(got - target)) <= 1e-8
 
 
@@ -176,8 +171,10 @@ def test_mehler_expansion_error_decreases_in_order():
     rng = np.random.Generator(np.random.Philox(key=12))
     z = rng.standard_normal(30)
     target = np.exp(-np.subtract.outer(z, z) ** 2)
-    exp = mehler_truncation(z, beta=1.0, upsilon=1.0, M=60)
-    errs = [np.max(np.abs(exp.matrix(M) - target)) for M in (5, 15, 30, 60)]
+    errs = [
+        np.max(np.abs(mehler_matrix(z, beta=1.0, upsilon=1.0, M=M) - target))
+        for M in (5, 15, 30, 60)
+    ]
     assert errs[0] > errs[1] > errs[2] > errs[3]
 
 
@@ -187,10 +184,10 @@ def test_mehler_diagonal_converges_to_one():
     # drops below 1e-8 by order 70 on the bulk of the Gaussian
     rng = np.random.Generator(np.random.Philox(key=13))
     z = np.clip(rng.standard_normal(25), -2.0, 2.0)
-    exp = mehler_truncation(z, beta=1.0, upsilon=1.0, M=60)
-    assert np.max(np.abs(np.diag(exp.matrix()) - 1.0)) <= 1e-7
-    exp80 = mehler_truncation(z, beta=1.0, upsilon=1.0, M=80)
-    assert np.max(np.abs(np.diag(exp80.matrix()) - 1.0)) <= 1e-8
+    got60 = mehler_matrix(z, beta=1.0, upsilon=1.0, M=60)
+    assert np.max(np.abs(np.diag(got60) - 1.0)) <= 1e-7
+    got80 = mehler_matrix(z, beta=1.0, upsilon=1.0, M=80)
+    assert np.max(np.abs(np.diag(got80) - 1.0)) <= 1e-8
 
 
 def test_mehler_matrix_matches_printed_coefficients():
@@ -199,28 +196,15 @@ def test_mehler_matrix_matches_printed_coefficients():
     # H_m = w o H~_m(z) with w = exp(((3 t0^2 - 2)/(2 (1 - t0^2))) z^2)
     rng = np.random.Generator(np.random.Philox(key=14))
     z = rng.standard_normal(12)
-    exp = mehler_truncation(z, beta=0.8, upsilon=1.2, M=12)
-    t0 = exp.t0
+    t0 = mehler_t0(0.8, 1.2)
     w = np.exp((3.0 * t0 * t0 - 2.0) / (2.0 * (1.0 - t0 * t0)) * z * z)
     direct = np.zeros((12, 12))
     for m in range(13):
         term = w * eval_hermitenorm(m, z)
         direct += t0 ** m / factorial(m) * np.outer(term, term)
-    direct *= exp.prefactor
-    assert_allclose(exp.matrix(), direct, atol=1e-12)
+    direct *= np.sqrt(1.0 - t0 * t0)
+    assert_allclose(mehler_matrix(z, beta=0.8, upsilon=1.2, M=12), direct, atol=1e-12)
     with pytest.raises(ValueError):
-        exp.matrix(M=13)
+        mehler_matrix(z, beta=0.8, upsilon=1.2, M=-1)
     with pytest.raises(ValueError):
-        mehler_truncation(z, beta=0.8, upsilon=1.2, M=-1)
-    with pytest.raises(ValueError):
-        mehler_truncation(np.zeros((3, 3)), beta=0.8, upsilon=1.2, M=2)
-
-
-def test_mehler_expansion_dataclass_fields():
-    z = np.array([0.0, 1.0])
-    exp = mehler_truncation(z, beta=1.0, upsilon=1.0, M=2)
-    assert isinstance(exp, MehlerExpansion)
-    t0 = mehler_t0(1.0, 1.0)
-    assert_allclose(exp.t0, t0, rtol=1e-14)
-    assert_allclose(exp.prefactor, np.sqrt(1.0 - t0 * t0), rtol=1e-14)
-    assert exp.M == 2
+        mehler_matrix(np.zeros((3, 3)), beta=0.8, upsilon=1.2, M=2)

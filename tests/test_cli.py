@@ -112,6 +112,9 @@ def test_gen_alpha_resolution_base_p_and_n(tmp_path):
         ["--kind", "circle", "--lam", "4", "--scale", "9"],
         ["--kind", "m1", "--alpha-base", "n"],
         ["--kind", "spiked", "--lam", "3", "--alpha-base", "n"],
+        ["--kind", "m1", "--n", "0"],
+        ["--kind", "kb", "--n", "1"],
+        ["--kind", "circle", "--lam", "4", "--seed", "-1"],
     ],
     ids=lambda args: "-".join(a.lstrip("-") for a in args[1:]),
 )
@@ -377,8 +380,8 @@ def test_cli_writers_keep_the_reference_bytes(tmp_path):
     cloud = load_cloud_csv(cloud_path)
     W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, 20.0)
     spectra = {
-        "affinity": sym_eigs(W).eigenvalues,
-        "laplacian": (1.0 - sym_eigs(sym_normalized(W)).eigenvalues[::-1]) / 20.0,
+        "affinity": sym_eigs(W),
+        "laplacian": (1.0 - sym_eigs(sym_normalized(W))[::-1]) / 20.0,
     }
     for which, values in spectra.items():
         spec_path = str(tmp_path / ("%s.csv" % which))
@@ -446,4 +449,38 @@ def test_omega_rejects_identical_points_before_resampling(tmp_path, monkeypatch)
     assert result.exit_code == 2, result.output
     assert "not positive" in result.output
     assert "resampled s" not in result.output
+    assert "Traceback" not in result.output
+
+
+# (command and options, the option the error must name)
+BAD_NUMBERS = [
+    (["spectra", "--h", "-1"], "--h"),
+    (["spectra", "--upsilon", "0"], "--upsilon"),
+    (["spectra", "--matrix", "zeroed", "--h", "0.001"], "--h"),
+    (["omega", "--upsilon", "-1"], "--upsilon"),
+    (["omega", "--upsilon", "-1", "--s", "0.2"], "--upsilon"),
+    (["omega", "--s", "-0.1"], "--s"),
+    (["omega", "--seed", "-1"], "--seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, option", BAD_NUMBERS,
+    ids=["-".join(a.lstrip("-") for a in args) for args, _ in BAD_NUMBERS],
+)
+def test_bad_numeric_option_is_a_usage_error_before_any_work(tmp_path, monkeypatch, args, option):
+    cloud_path = tmp_path / "cloud.csv"
+    save_cloud_csv(gen_spiked(30, 20, (3.0,), 0), cloud_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a rejected option")
+
+    # a bad --upsilon is refused before s is resampled, and no value here
+    # reaches an eigensolve
+    monkeypatch.setattr("glspec.cli.resample_threshold", no_work)
+    monkeypatch.setattr("glspec.cli.sym_eigs", no_work)
+    monkeypatch.setattr("glspec.cli.select_omega", no_work)
+    result = CliRunner().invoke(main, [args[0], "--cloud", str(cloud_path), *args[1:]])
+    assert result.exit_code == 2, result.output
+    assert option in result.output
     assert "Traceback" not in result.output

@@ -173,6 +173,26 @@ def test_spiked_rejects_bad_arguments():
         gen_spiked(5, 4, (1.0, -1.0), 0)
 
 
+def _no_draw(seed, k):
+    raise AssertionError("drew from substream %d of seed %r" % (k, seed))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
+def test_generators_refuse_fewer_than_two_points_before_drawing(monkeypatch, make, n):
+    monkeypatch.setattr(datagen, "_substream", _no_draw)
+    with pytest.raises(ValueError, match="n >= 2, got %d" % n):
+        make(0, n, 6, 2.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "fractional"])
+@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
+def test_generators_refuse_a_bad_seed_before_drawing(monkeypatch, make, seed):
+    monkeypatch.setattr(datagen, "_substream", _no_draw)
+    with pytest.raises(ValueError, match="integer seed >= 0, got %r" % seed):
+        make(seed, 10, 6, 2.0)
+
+
 def test_random_rotation_is_orthogonal():
     R = random_rotation(17, seed=3)
     assert_allclose(R.T @ R, np.eye(17), atol=1e-12)
