@@ -14,6 +14,7 @@ as an outlier gap.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ def quantile_bandwidth(D2, omega):
     n = D2.shape[0]
     if D2.shape != (n, n) or n < 2:
         raise ValueError("need a square distance matrix with n >= 2")
-    vals = np.sort(D2[np.triu_indices(n, k=1)])
+    vals = D2[np.triu(np.ones((n, n), dtype=bool), k=1)]
+    vals.sort()
     ranks = np.ceil(omega * vals.size).astype(int)
     h = vals[ranks - 1]
     if np.any(h <= 0.0):
@@ -109,10 +111,13 @@ def resample_threshold(c, n, upsilon, reps=50, seed=0):
     minus one.
 
     ``upsilon`` is accepted for interface uniformity with the selection
-    routines; the null calibration itself is kernel-free.
+    routines; the null calibration itself is kernel-free.  A seed that is
+    not an integer >= 0 is refused before anything is drawn.
     """
     if reps < 1:
         raise ValueError("need reps >= 1")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError("need an integer seed >= 0, got %r" % (seed,))
     p = int(round(n / c))
     k_hi = ratio_window(n, p)
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -7,10 +7,13 @@ standardized signal live on their own substreams, the same seed reuses one
 noise realization across a whole grid of signal strengths.
 
 A generated cloud's ``noise`` is read-only and is one array shared by every
-live cloud with the same (seed, n, p): it is drawn when no such cloud holds
-it and freed with the last one that does.  Its ``clean`` is read-only too,
-and an unrotated cloud stores only its d nonzero leading columns.  Callers
-copy them before writing.  Clouds loaded from CSV or NPZ own their arrays.
+live cloud with the same (seed, n, p).  An n x p draw is the first n*p
+values of its seed's noise substream, so while any draw of the seed at
+least that long is live the noise is a prefix view of it; it is drawn only
+when there is none, and freed with the last cloud that holds it.  Its
+``clean`` is read-only too, and an unrotated cloud stores only its d
+nonzero leading columns.  Callers copy them before writing.  Clouds loaded
+from CSV or NPZ own their arrays.
 
 ``write_csv`` here is the one CSV writer of the package: clouds, spectra
 and experiment artifacts all share its number format.  ``write_json`` is
@@ -52,7 +55,8 @@ class PointCloud:
     population covariance (the signal strengths), ``d`` its rank.  Loaded
     clouds may carry ``lambdas=None`` when the source format has no strength
     metadata.  A generated cloud's ``clean`` and ``noise`` are read-only, and
-    its ``noise`` is shared with every live cloud of the same (seed, n, p).
+    its ``noise`` is shared with every live cloud of the same (seed, n, p),
+    and may be a prefix view of a longer draw of the same seed.
     """
 
     clean_cols: np.ndarray
@@ -77,8 +81,12 @@ class PointCloud:
         return clean
 
     def noisy(self):
-        """Observed matrix x = z + y, one observation per row."""
-        return self.clean + self.noise
+        """Observed matrix x = z + y, one observation per row: a fresh copy
+        of the noise with the ``clean_cols`` added to its leading columns
+        (the other columns of z are zero, so this is z + y to the bit)."""
+        x = self.noise.copy()
+        x[:, :self.clean_cols.shape[1]] += self.clean_cols
+        return x
 
     def lambda_total(self):
         """Total signal strength (trace of the clean covariance)."""
@@ -94,20 +102,28 @@ def _substream(seed, k):
     return np.random.Generator(root.jumped(k) if k else root)
 
 
-# Live noise draws by (seed, n, p).  Values are held weakly, so an entry
-# lasts only as long as some cloud holds its array.
+# Live noise arrays by (seed, n, p): draws and prefix views of them.  Values
+# are held weakly, so an entry lasts only as long as some cloud holds its
+# array (a view holds the draw it reads).
 _NOISE = weakref.WeakValueDictionary()
 
 
 def _shared_noise(seed, n, p):
     """The standard Gaussian n x p draw of the noise substream of ``seed``:
-    taken from a live cloud with the same key when there is one, otherwise
-    drawn and marked read-only."""
+    the live array of the same key when there is one, else a read-only
+    prefix view of a live array of the same seed with at least n*p values,
+    else drawn and marked read-only."""
     key = (int(seed), int(n), int(p))
     noise = _NOISE.get(key)
     if noise is None:
-        noise = _substream(seed, 0).standard_normal((n, p))
-        noise.flags.writeable = False
+        size = key[1] * key[2]
+        for (s, m, q), live in list(_NOISE.items()):
+            if s == key[0] and m * q >= size:
+                noise = live.reshape(-1)[:size].reshape(n, p)
+                break
+        else:
+            noise = _substream(seed, 0).standard_normal((n, p))
+            noise.flags.writeable = False
         _NOISE[key] = noise
     return noise
 

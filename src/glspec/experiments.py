@@ -341,8 +341,13 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
 
 
 def _clean_surrogate(cloud, upsilon):
-    """The moderate-signal reference W_a1 built from the clean rows at h = p."""
-    return w_a1(_affinity_of(cloud.clean, upsilon, cloud.p), upsilon)
+    """The moderate-signal reference W_a1 built from the clean rows at h = p.
+
+    Like every clean-part kernel of the spiked recipes, it reads
+    ``clean_cols``: with one signal column each product x_i x_j is followed
+    only by exact zeros, so the distances match those of the zero-padded
+    ``clean`` to the bit."""
+    return w_a1(_affinity_of(cloud.clean_cols, upsilon, cloud.p), upsilon)
 
 
 def _moderate_snr_error(W, Wa1):
@@ -437,22 +442,27 @@ def _run_histogram_bulk(cfg, fast):
     reps = cfg.reps if cfg.reps is not None else (100 if fast else 1000)
     first_seed = 100000 * (cfg.seeds[0] + 1)
     bins = 50
+    measures = [nu0(n / float(p), cfg.upsilon) for _, p in aspects]
+    edges = [
+        np.linspace(m.shift + m.bulk_lo, m.shift + m.bulk_hi, bins + 1) for m in measures
+    ]
+    counts = np.zeros((len(aspects), bins))
+    # widest aspect first, its cloud held through the repetition: the
+    # narrower aspects read their noise as a prefix of its draw
+    widest_first = sorted(range(len(aspects)), key=lambda a: -aspects[a][1])
+    for rep in range(reps):
+        clouds = []
+        for a in widest_first:
+            cloud, W = _spiked_affinity(cfg, n, aspects[a][1], first_seed + rep, (0.2,))
+            clouds.append(cloud)
+            counts[a] += np.histogram(sym_eigs(W), bins=edges[a])[0]
     rows = []
-    for c, p in aspects:
-        measure = nu0(n / float(p), cfg.upsilon)
-        lo = measure.shift + measure.bulk_lo
-        hi = measure.shift + measure.bulk_hi
-        edges = np.linspace(lo, hi, bins + 1)
-
-        counts = np.zeros(bins)
-        for rep in range(reps):
-            _, W = _spiked_affinity(cfg, n, p, first_seed + rep, (0.2,))
-            counts += np.histogram(sym_eigs(W), bins=edges)[0]
-        width = edges[1] - edges[0]
-        emp = counts / (reps * n * width)
-        theory = np.diff(mp_cdf(edges, measure)) / width
+    for (c, _), measure, edge, count in zip(aspects, measures, edges, counts):
+        width = edge[1] - edge[0]
+        emp = count / (reps * n * width)
+        theory = np.diff(mp_cdf(edge, measure)) / width
         for k in range(bins):
-            rows.append([c, edges[k], edges[k + 1], emp[k], theory[k]])
+            rows.append([c, edge[k], edge[k + 1], emp[k], theory[k]])
     files = {
         "histogram_bulk.csv": (
             ["c", "bin_lo", "bin_hi", "empirical_density", "limit_density"], rows
@@ -598,7 +608,7 @@ def _run_stieltjes_compare(cfg, fast):
 
     def one(seed):
         cloud, W = _spiked_affinity(cfg, n, p, seed, (1.0,))
-        W1 = _affinity_of(cloud.clean, cfg.upsilon, p)
+        W1 = _affinity_of(cloud.clean_cols, cfg.upsilon, p)
         Wb1 = w_b1(W1, gram(cloud.noise), cfg.upsilon)
         # ascending: the last bits of each Stieltjes mean depend on the order
         ew = sym_eigs(W)[::-1]
@@ -699,7 +709,7 @@ def _run_zeroing_comparison(cfg, fast):
     def one(alpha, seed):
         lam = _signal(alpha, n, p, cfg.alpha_base)
         cloud = gen_spiked(n, p, (lam,), seed)
-        ref = third_vector_row_stochastic(_affinity_of(cloud.clean, upsilon, p + lam))
+        ref = third_vector_row_stochastic(_affinity_of(cloud.clean_cols, upsilon, p + lam))
         D2 = pairwise_sq_dists(cloud.noisy())
         sel = select_omega(cloud, upsilon, s, D2=D2)
         adap = third_vector_row_stochastic(affinity(D2, upsilon, sel.h))

@@ -25,7 +25,8 @@ def affinity(D2, upsilon, h):
         raise ValueError("need upsilon > 0")
     if h <= 0:
         raise ValueError("need h > 0")
-    return np.exp(D2 * (-upsilon / h))
+    W = D2 * (-upsilon / h)
+    return np.exp(W, out=W)
 
 
 def degree(W):
@@ -66,7 +67,8 @@ def sym_normalized(W):
     For the zeroed form, pass ``off_diagonal(W)``.
     """
     root = np.sqrt(W.sum(axis=1))
-    return W / np.outer(root, root)
+    scale = np.outer(root, root)
+    return np.divide(W, scale, out=scale)
 
 
 def factor_matrices(cloud, upsilon, h):

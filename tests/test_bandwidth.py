@@ -203,6 +203,16 @@ def test_resample_threshold_deterministic_and_decreasing_in_n():
         resample_threshold(100.0, 300, 0.5)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, -1, "3"])
+def test_resample_threshold_refuses_a_bad_seed_before_drawing(monkeypatch, seed):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(bandwidth.np.random, "Philox", no_draw)
+    with pytest.raises(ValueError, match="integer seed >= 0"):
+        resample_threshold(1.0, 20, 0.5, reps=2, seed=seed)
+
+
 def test_select_omega_constant_profile_returns_upper_end():
     # a huge threshold makes every count zero, so the tie rule must pick
     # the largest grid point

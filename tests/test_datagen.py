@@ -119,6 +119,45 @@ def test_shared_noise_goes_with_its_last_cloud(make):
     assert key not in datagen._NOISE
 
 
+@pytest.mark.parametrize("wide_shape", [(15, 12), (30, 6), (16, 9)])
+def test_noise_is_a_read_only_prefix_view_of_a_longer_live_draw(monkeypatch, wide_shape):
+    asked = []
+    build = datagen._substream
+
+    def record(seed, k):
+        asked.append(k)
+        return build(seed, k)
+
+    monkeypatch.setattr(datagen, "_substream", record)
+    seed, n, p = 7344, 15, 6
+    wide = gen_spiked(*wide_shape, (1.0,), seed)
+    narrow = gen_spiked(n, p, (1.0,), seed)
+    # the narrow cloud drew no noise of its own
+    assert asked == [0, 1, 1]
+    assert np.shares_memory(narrow.noise, wide.noise)
+    with pytest.raises(ValueError):
+        narrow.noise[0, 0] = 1.0
+    fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, p))
+    assert narrow.noise.tobytes() == fresh.tobytes()
+    # a repeated request still returns the same array
+    assert gen_spiked(n, p, (2.0,), seed).noise is narrow.noise
+
+
+def test_a_prefix_view_holds_its_draw_and_a_shorter_draw_serves_nothing_longer():
+    seed, n, p = 7345, 10, 4
+    narrow = gen_spiked(n, p, (1.0,), seed)
+    wide = gen_spiked(n, 2 * p, (1.0,), seed)
+    assert not np.shares_memory(narrow.noise, wide.noise)
+    view = gen_spiked(n, p + 1, (1.0,), seed)
+    assert np.shares_memory(view.noise, wide.noise)
+    del wide
+    gc.collect()
+    # the view holds the draw it reads, so that draw still serves its key
+    again = gen_spiked(n, 2 * p, (3.0,), seed)
+    assert again.noise.base is None
+    assert np.shares_memory(again.noise, view.noise)
+
+
 def test_a_substream_is_built_only_when_it_is_read(monkeypatch):
     asked = []
     build = datagen._substream

@@ -421,7 +421,8 @@ def test_one_distance_matrix_per_cloud(tmp_path, monkeypatch, settings, expected
 
 
 class _CountingNoise(weakref.WeakValueDictionary):
-    """The generators' live-noise table, counting the arrays drawn into it."""
+    """The generators' live-noise table, counting the arrays entered into
+    it: draws, and prefix views of a live draw of the same seed."""
 
     def __init__(self):
         super().__init__()
@@ -449,6 +450,35 @@ def test_frozen_noise_drawn_once_per_seed_and_shape(tmp_path, monkeypatch, setti
     monkeypatch.setattr(glspec.datagen, "_NOISE", table)
     run(ExperimentConfig(output_dir=str(tmp_path), **settings), fast=True)
     assert table.draws == expected
+
+
+@pytest.mark.parametrize(
+    "settings, expected",
+    [
+        # three aspects per repetition, widest last in the grid
+        ({"name": "HistogramBulk", "n": 20, "reps": 3, "c_grid": (1.0, 2.0, 0.5)},
+         [100000, 100001, 100002]),
+        # the cached p = 40 cloud is live when p = 20 asks
+        ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, [0, 1]),
+    ],
+    ids=["HistogramBulk", "D2Comparison"],
+)
+def test_each_seed_draws_its_noise_once(tmp_path, monkeypatch, settings, expected):
+    import glspec.datagen
+
+    drawn = []
+    build = glspec.datagen._substream
+
+    def record(seed, k):
+        if k == 0:
+            drawn.append(seed)
+        return build(seed, k)
+
+    monkeypatch.setattr(glspec.datagen, "_substream", record)
+    monkeypatch.setattr(glspec.datagen, "_NOISE", weakref.WeakValueDictionary())
+    run(ExperimentConfig(output_dir=str(tmp_path), **settings))
+    # the narrower aspects read a prefix of the widest aspect's draw
+    assert drawn == expected
 
 
 def test_stieltjes_compare_sup_below_bound(tmp_path):

@@ -189,3 +189,14 @@ def test_affinity_never_indefinite_beyond_roundoff():
     W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, 40.0)
     eigs = np.linalg.eigvalsh(W)
     assert eigs[0] >= -1e-9 * 60
+
+
+@pytest.mark.parametrize("n, p, seed", [(20, 10, 0), (60, 30, 3), (150, 300, 11), (300, 150, 7)])
+def test_clean_cols_give_the_padded_clean_distances_bit_for_bit(n, p, seed):
+    # the clean-part kernels of the spiked recipes read clean_cols
+    cloud = _cloud(n, p, float(p) ** 1.9, seed)
+    assert cloud.clean_cols.shape == (n, 1)
+    assert (
+        pairwise_sq_dists(cloud.clean_cols).tobytes()
+        == pairwise_sq_dists(cloud.clean).tobytes()
+    )

@@ -69,6 +69,18 @@ def test_op_norm_diff_zero_for_equal():
     assert op_norm_diff(M, M) == 0.0
 
 
+def test_op_norm_diff_takes_sym_eigs_contract():
+    Ma, Mb = _symmetric(25, 6), _symmetric(25, 7)
+    # the earlier formula: symmetrize the difference, then solve
+    diff = Ma - Mb
+    vals = sym_eigs(0.5 * (diff + diff.T))
+    assert op_norm_diff(Ma, Mb) == float(max(vals[0], -vals[-1]))
+    # beyond sym_eigs's 1e-9 relative tolerance the difference is refused
+    Mb[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        op_norm_diff(Ma, Mb)
+
+
 def test_bulk_rigidity_zero_at_typical_locations():
     m = nu0(1.0, 0.5)
     n = 120
