@@ -61,7 +61,7 @@ def ratio_window(n, p):
     """
     m = min(n, p)
     if m < 5:
-        raise ValueError("bulk ratio window is empty")
+        raise ValueError("bulk ratio window is empty: need min(n, p) >= 5, got %d" % m)
     gamma = m / max(n, p)
     if (1.0 - math.sqrt(gamma)) ** 2 < 0.02:
         return int(0.9 * m)
@@ -110,9 +110,9 @@ def resample_threshold(c, n, upsilon, reps=50, seed=0):
     starts at the top.  Returns the 0.99 quantile of the per-rep maxima,
     minus one.
 
-    ``upsilon`` is accepted for interface uniformity with the selection
-    routines; the null calibration itself is kernel-free.  A seed that is
-    not an integer >= 0 is refused before anything is drawn.
+    ``upsilon`` is unused: the null is kernel-free.  It stays only because
+    ``perfbench`` passes it by position (ROADMAP open item 1).  A seed that
+    is not an integer >= 0 is refused before anything is drawn.
     """
     if reps < 1:
         raise ValueError("need reps >= 1")

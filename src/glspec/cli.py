@@ -8,6 +8,7 @@ from .bandwidth import (
     DEFAULT_GRID,
     omega_grid,
     quantile_bandwidth,
+    ratio_window,
     resample_threshold,
     select_omega,
 )
@@ -38,7 +39,18 @@ from .kernels import (
 )
 from .spectrum import sym_eigs
 
-POSITIVE = click.FloatRange(min=0, min_open=True)
+
+class _Positive(click.FloatRange):
+    """A finite number > 0: ``FloatRange`` alone lets nan and inf through."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not np.isfinite(number):
+            self.fail("%r is not a finite number." % number, param, ctx)
+        return number
+
+
+POSITIVE = _Positive(min=0, min_open=True)
 
 
 def _load_cloud(path):
@@ -198,12 +210,12 @@ def omega(cloud_path, upsilon, threshold, grid, matrix, seed, out):
     cloud = _load_cloud(cloud_path)
     D2 = pairwise_sq_dists(cloud.noisy())
     try:
-        # the bandwidth grows with omega, so the grid's bottom decides
+        # the count needs a ratio window; the bandwidth is least at the grid's bottom
+        ratio_window(cloud.n, cloud.p)
         quantile_bandwidth(D2, grid[0])
     except ValueError as err:
-        raise click.BadParameter(
-            "%s at omega_L = %g" % (err, grid[0]), param_hint="--cloud"
-        ) from None
+        where = "n = %d, p = %d, omega_L = %g" % (cloud.n, cloud.p, grid[0])
+        raise click.BadParameter("%s (%s)" % (err, where), param_hint="--cloud") from None
     if threshold is None:
         threshold = resample_threshold(
             cloud.n / float(cloud.p), cloud.n, upsilon, seed=seed

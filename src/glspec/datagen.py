@@ -6,12 +6,11 @@ standardized signal draws, and the random rotation.  Because noise and
 standardized signal live on their own substreams, the same seed reuses one
 noise realization across a whole grid of signal strengths.
 
-A generated cloud's ``noise`` is read-only and is one array shared by every
-live cloud with the same (seed, n, p).  An n x p draw is the first n*p
-values of its seed's noise substream, so while any draw of the seed at
-least that long is live the noise is a prefix view of it; it is drawn only
-when there is none, and freed with the last cloud that holds it.  Its
-``clean`` is read-only too, and an unrotated cloud stores only its d
+A generated cloud's ``noise`` is a read-only view of the first n*p values
+of its seed's longest live noise draw: an n x p draw is that prefix of the
+seed's noise substream, so the noise is drawn only when the seed has no live
+draw that long, and freed with the last cloud that reads it.  Its ``clean``
+is read-only too, and an unrotated cloud stores only its d
 nonzero leading columns.  Callers copy them before writing.  Clouds loaded
 from CSV or NPZ own their arrays.
 
@@ -55,8 +54,8 @@ class PointCloud:
     population covariance (the signal strengths), ``d`` its rank.  Loaded
     clouds may carry ``lambdas=None`` when the source format has no strength
     metadata.  A generated cloud's ``clean`` and ``noise`` are read-only, and
-    its ``noise`` is shared with every live cloud of the same (seed, n, p),
-    and may be a prefix view of a longer draw of the same seed.
+    its ``noise`` is a view of its seed's longest live noise draw, shared
+    with every live cloud of the same seed.
     """
 
     clean_cols: np.ndarray
@@ -102,30 +101,20 @@ def _substream(seed, k):
     return np.random.Generator(root.jumped(k) if k else root)
 
 
-# Live noise arrays by (seed, n, p): draws and prefix views of them.  Values
-# are held weakly, so an entry lasts only as long as some cloud holds its
-# array (a view holds the draw it reads).
+# The longest live noise draw of each seed, flat.  Values are held weakly,
+# so an entry lasts only as long as some cloud's noise reads it.
 _NOISE = weakref.WeakValueDictionary()
 
 
 def _shared_noise(seed, n, p):
     """The standard Gaussian n x p draw of the noise substream of ``seed``:
-    the live array of the same key when there is one, else a read-only
-    prefix view of a live array of the same seed with at least n*p values,
-    else drawn and marked read-only."""
-    key = (int(seed), int(n), int(p))
-    noise = _NOISE.get(key)
-    if noise is None:
-        size = key[1] * key[2]
-        for (s, m, q), live in list(_NOISE.items()):
-            if s == key[0] and m * q >= size:
-                noise = live.reshape(-1)[:size].reshape(n, p)
-                break
-        else:
-            noise = _substream(seed, 0).standard_normal((n, p))
-            noise.flags.writeable = False
-        _NOISE[key] = noise
-    return noise
+    a read-only view of the first n*p values of the seed's live draw, which
+    is drawn afresh, flat and read-only, when it is gone or shorter."""
+    draw = _NOISE.get(seed)
+    if draw is None or draw.size < n * p:
+        draw = _NOISE[seed] = _substream(seed, 0).standard_normal(n * p)
+        draw.flags.writeable = False
+    return draw[: n * p].reshape(n, p)
 
 
 def random_rotation(p, seed):

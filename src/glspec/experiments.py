@@ -86,20 +86,19 @@ class ExperimentConfig:
             raise ValueError("need n >= 2")
         if self.p is not None and self.p < 1:
             raise ValueError("need p >= 1")
-        if self.upsilon <= 0:
-            raise ValueError("need upsilon > 0")
+        if not (self.upsilon > 0 and np.isfinite(self.upsilon)):
+            raise ValueError("need upsilon > 0 and finite, got %r" % (self.upsilon,))
         if not self.seeds:
             raise ValueError("need at least one seed")
         if not all(isinstance(seed, numbers.Integral) for seed in self.seeds):
             raise ValueError("seeds must be integers")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError("seeds must be nonnegative")
-        if self.c_grid is not None and not self.c_grid:
-            raise ValueError("c_grid must not be empty")
-        if self.c_grid is not None and any(c <= 0 for c in self.c_grid):
-            raise ValueError("c_grid entries must be positive")
-        if self.alpha_grid is not None and not self.alpha_grid:
-            raise ValueError("alpha_grid must not be empty")
+        cs, alphas = self.c_grid, self.alpha_grid
+        if cs is not None and not (cs and all(c > 0 and np.isfinite(c) for c in cs)):
+            raise ValueError("c_grid must hold positive finite numbers, got %r" % (cs,))
+        if alphas is not None and not (alphas and np.all(np.isfinite(alphas))):
+            raise ValueError("alpha_grid must hold finite numbers, got %r" % (alphas,))
         if self.reps is not None and self.reps < 1:
             raise ValueError("need reps >= 1")
         if self.alpha_base not in (None, "n", "p"):
@@ -199,14 +198,18 @@ def _sha256(path):
 def _aspects(cfg, n, default=(0.5, 1.0, 2.0)):
     """Pairs (c, p = round(n/c)) for a recipe that draws n points, one per
     c of ``cfg.c_grid`` or of ``default``; a fixed ``cfg.p`` becomes the
-    one c = n/p."""
+    one c = n/p.  A c that rounds p below 1 is refused."""
     if cfg.c_grid is not None:
         cs = cfg.c_grid
     elif cfg.p is not None:
         cs = (n / float(cfg.p),)
     else:
         cs = default
-    return [(c, int(round(n / c))) for c in map(float, cs)]
+    pairs = [(c, int(round(n / c))) for c in map(float, cs)]
+    for c, p in pairs:
+        if p < 1:
+            raise ValueError("c = %g at n = %d gives p = round(n/c) = %d < 1" % (c, n, p))
+    return pairs
 
 
 def _run_seeds(cfg, fast):
@@ -246,7 +249,7 @@ def _run_phase_sweep(cfg, fast):
         aspects = [("c%g_" % c, p) for c, p in _aspects(cfg, n)]
 
     # plain loops: the previous cloud keeps its noise live while the next
-    # strength is drawn, so each (n, p) draws its frozen noise once
+    # strength is drawn, so each aspect draws its frozen noise at most once
     curves = []
     for _, p in aspects:
         for alpha in alphas:
@@ -447,14 +450,12 @@ def _run_histogram_bulk(cfg, fast):
         np.linspace(m.shift + m.bulk_lo, m.shift + m.bulk_hi, bins + 1) for m in measures
     ]
     counts = np.zeros((len(aspects), bins))
-    # widest aspect first, its cloud held through the repetition: the
-    # narrower aspects read their noise as a prefix of its draw
+    # widest aspect first: ``cloud`` holds its draw until the next aspect's
+    # cloud reads a prefix of it, and so on down the repetition
     widest_first = sorted(range(len(aspects)), key=lambda a: -aspects[a][1])
     for rep in range(reps):
-        clouds = []
         for a in widest_first:
             cloud, W = _spiked_affinity(cfg, n, aspects[a][1], first_seed + rep, (0.2,))
-            clouds.append(cloud)
             counts[a] += np.histogram(sym_eigs(W), bins=edges[a])[0]
     rows = []
     for (c, _), measure, edge, count in zip(aspects, measures, edges, counts):
@@ -546,10 +547,7 @@ def _run_manifold_rmse(cfg, fast):
 
             def one(rep):
                 seed = base_seed + 1000 * ci + rep
-                if kind == "m1":
-                    cloud = gen_curve_m1(n, p, a, seed)
-                else:
-                    cloud = gen_klein_bottle(n, p, a, seed)
+                cloud = (gen_curve_m1 if kind == "m1" else gen_klein_bottle)(n, p, a, seed)
                 lam_tot = cloud.lambda_total()
                 _, ref = sym_eigs(
                     _affinity_of(cloud.clean, upsilon, p + lam_tot), want_vectors=top

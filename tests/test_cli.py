@@ -177,9 +177,13 @@ def test_run_experiment_overrides_config_name(tmp_path):
         ("name = DimensionSweep\nn = 60\n", "DimensionSweep does not read n"),
         ("name = StieltjesCompare\np = 0\n", "need p >= 1"),
         ("name = AccuracyLarge\nseeds = 0.5\n", "seeds must be integers"),
+        ("name = AccuracyLarge\nupsilon = nan\n", "need upsilon > 0 and finite"),
+        ("name = AccuracyLarge\nupsilon = inf\n", "need upsilon > 0 and finite"),
+        ("name = AccuracyLarge\nc_grid = 1, nan\n", "c_grid must hold positive finite numbers"),
+        ("name = PhaseSweep\nalpha_grid = 0.2, nan\n", "alpha_grid must hold finite numbers"),
     ],
     ids=["unknown-key", "malformed-value", "bad-value", "unread-field", "unread-n", "zero-p",
-         "fractional-seed"],
+         "fractional-seed", "nan-upsilon", "inf-upsilon", "nan-c", "nan-alpha"],
 )
 def test_run_rejects_a_config_as_usage_error(tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -452,6 +456,25 @@ def test_omega_rejects_identical_points_before_resampling(tmp_path, monkeypatch)
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args", [[], ["--s", "0.2"]], ids=["resampled-s", "given-s"])
+def test_omega_rejects_a_cloud_too_small_for_the_ratio_window(tmp_path, monkeypatch, args):
+    # min(n, p) = 4 leaves no bulk ratio to count on
+    cloud_path = str(tmp_path / "small.csv")
+    _invoke(["gen", "--kind", "spiked", "--n", "4", "--p", "20", "--lam", "3",
+             "--out", cloud_path])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a rejected cloud")
+
+    monkeypatch.setattr("glspec.cli.resample_threshold", no_work)
+    monkeypatch.setattr("glspec.cli.select_omega", no_work)
+    result = CliRunner().invoke(main, ["omega", "--cloud", cloud_path, *args])
+    assert result.exit_code == 2, result.output
+    assert "--cloud" in result.output
+    assert "bulk ratio window is empty" in result.output
+    assert "Traceback" not in result.output
+
+
 # (command and options, the option the error must name)
 BAD_NUMBERS = [
     (["spectra", "--h", "-1"], "--h"),
@@ -461,6 +484,12 @@ BAD_NUMBERS = [
     (["omega", "--upsilon", "-1", "--s", "0.2"], "--upsilon"),
     (["omega", "--s", "-0.1"], "--s"),
     (["omega", "--seed", "-1"], "--seed"),
+    (["spectra", "--upsilon", "nan"], "--upsilon"),
+    (["spectra", "--h", "inf"], "--h"),
+    (["omega", "--upsilon", "nan"], "--upsilon"),
+    (["omega", "--upsilon", "inf", "--s", "0.2"], "--upsilon"),
+    (["omega", "--s", "nan"], "--s"),
+    (["omega", "--s", "inf"], "--s"),
 ]
 
 

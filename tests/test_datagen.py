@@ -91,36 +91,13 @@ GENERATORS = {
 }
 
 
-@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
-def test_strength_sweep_shares_one_read_only_noise_draw(make):
-    seed, n, p = 7341, 12, 6
-    a, b = make(seed, n, p, 1.0), make(seed, n, p, 50.0)
-    assert a.noise is b.noise
-    assert not np.array_equal(a.clean, b.clean)
-    with pytest.raises(ValueError):
-        a.noise[0, 0] = 1.0
-    fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, p))
-    assert_array_equal(a.noise, fresh)
-    for other in (make(seed + 1, n, p, 1.0), make(seed, n, p + 1, 1.0)):
-        assert not np.array_equal(other.noise, a.noise)
+def _fresh_noise(seed, n, p):
+    """The seed's own n x p draw of its noise substream."""
+    return np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, p))
 
 
-@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
-def test_shared_noise_goes_with_its_last_cloud(make):
-    seed, n, p = 7342, 10, 5
-    key = (seed, n, p)
-    a, b = make(seed, n, p, 1.0), make(seed, n, p, 2.0)
-    assert key in datagen._NOISE
-    del a
-    gc.collect()
-    assert datagen._NOISE[key] is b.noise
-    del b
-    gc.collect()
-    assert key not in datagen._NOISE
-
-
-@pytest.mark.parametrize("wide_shape", [(15, 12), (30, 6), (16, 9)])
-def test_noise_is_a_read_only_prefix_view_of_a_longer_live_draw(monkeypatch, wide_shape):
+def _record_substreams(monkeypatch):
+    """The substream index of every generator ``datagen`` builds from here on."""
     asked = []
     build = datagen._substream
 
@@ -129,6 +106,40 @@ def test_noise_is_a_read_only_prefix_view_of_a_longer_live_draw(monkeypatch, wid
         return build(seed, k)
 
     monkeypatch.setattr(datagen, "_substream", record)
+    return asked
+
+
+@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
+def test_strength_sweep_shares_one_read_only_noise_draw(monkeypatch, make):
+    asked = _record_substreams(monkeypatch)
+    seed, n, p = 7341, 12, 6
+    a, b = make(seed, n, p, 1.0), make(seed, n, p, 50.0)
+    assert np.shares_memory(a.noise, b.noise)
+    assert asked.count(0) == 1
+    assert not np.array_equal(a.clean, b.clean)
+    with pytest.raises(ValueError):
+        a.noise[0, 0] = 1.0
+    assert a.noise.tobytes() == _fresh_noise(seed, n, p).tobytes()
+    for other in (make(seed + 1, n, p, 1.0), make(seed, n, p + 1, 1.0)):
+        assert not np.array_equal(other.noise, a.noise)
+
+
+@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
+def test_shared_noise_goes_with_its_last_cloud(make):
+    seed, n, p = 7342, 10, 5
+    a, b = make(seed, n, p, 1.0), make(seed, n, p, 2.0)
+    assert seed in datagen._NOISE
+    del a
+    gc.collect()
+    assert np.shares_memory(datagen._NOISE[seed], b.noise)
+    del b
+    gc.collect()
+    assert seed not in datagen._NOISE
+
+
+@pytest.mark.parametrize("wide_shape", [(15, 12), (30, 6), (16, 9)])
+def test_noise_is_a_read_only_prefix_view_of_a_longer_live_draw(monkeypatch, wide_shape):
+    asked = _record_substreams(monkeypatch)
     seed, n, p = 7344, 15, 6
     wide = gen_spiked(*wide_shape, (1.0,), seed)
     narrow = gen_spiked(n, p, (1.0,), seed)
@@ -137,42 +148,39 @@ def test_noise_is_a_read_only_prefix_view_of_a_longer_live_draw(monkeypatch, wid
     assert np.shares_memory(narrow.noise, wide.noise)
     with pytest.raises(ValueError):
         narrow.noise[0, 0] = 1.0
-    fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, p))
-    assert narrow.noise.tobytes() == fresh.tobytes()
-    # a repeated request still returns the same array
-    assert gen_spiked(n, p, (2.0,), seed).noise is narrow.noise
+    assert narrow.noise.tobytes() == _fresh_noise(seed, n, p).tobytes()
+    # a repeated request reads the same draw again
+    again = gen_spiked(n, p, (2.0,), seed)
+    assert np.shares_memory(again.noise, narrow.noise)
+    assert asked.count(0) == 1
 
 
-def test_a_prefix_view_holds_its_draw_and_a_shorter_draw_serves_nothing_longer():
+def test_a_prefix_view_holds_its_draw_and_a_shorter_draw_serves_nothing_longer(monkeypatch):
+    asked = _record_substreams(monkeypatch)
     seed, n, p = 7345, 10, 4
     narrow = gen_spiked(n, p, (1.0,), seed)
     wide = gen_spiked(n, 2 * p, (1.0,), seed)
+    assert asked.count(0) == 2
     assert not np.shares_memory(narrow.noise, wide.noise)
+    assert wide.noise.tobytes() == _fresh_noise(seed, n, 2 * p).tobytes()
     view = gen_spiked(n, p + 1, (1.0,), seed)
     assert np.shares_memory(view.noise, wide.noise)
     del wide
     gc.collect()
-    # the view holds the draw it reads, so that draw still serves its key
+    # the view holds the draw it reads, so that draw still serves its shape
     again = gen_spiked(n, 2 * p, (3.0,), seed)
-    assert again.noise.base is None
     assert np.shares_memory(again.noise, view.noise)
+    assert asked.count(0) == 2
 
 
 def test_a_substream_is_built_only_when_it_is_read(monkeypatch):
-    asked = []
-    build = datagen._substream
-
-    def record(seed, k):
-        asked.append(k)
-        return build(seed, k)
-
-    monkeypatch.setattr(datagen, "_substream", record)
+    asked = _record_substreams(monkeypatch)
     seed, n, p = 7343, 10, 5
     first = gen_spiked(n, p, (1.0,), seed)
     assert asked == [0, 1]
     del asked[:]
     again = gen_spiked(n, p, (2.0,), seed)
-    assert again.noise is first.noise
+    assert np.shares_memory(again.noise, first.noise)
     assert asked == [1]
     del asked[:]
     gen_curve_m1(n, p + 1, 1.0, seed)

@@ -190,6 +190,33 @@ def test_rerun_reproduces_artifact_bytes(tmp_path):
         assert a == b
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"upsilon": float("nan")}, {"upsilon": float("inf")}, {"c_grid": (1.0, float("nan"))},
+     {"c_grid": (float("inf"),)}, {"alpha_grid": (0.2, float("nan"))},
+     {"alpha_grid": (float("-inf"),)}],
+    ids=["nan-upsilon", "inf-upsilon", "nan-c", "inf-c", "nan-alpha", "inf-alpha"],
+)
+def test_validate_refuses_non_finite_numbers(tmp_path, bad):
+    name = "PhaseSweep" if "alpha_grid" in bad else "AccuracyLowSNR"
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(name=name, output_dir=str(out), **bad)
+    with pytest.raises(ValueError, match="finite"):
+        cfg.validate()
+    with pytest.raises(ValueError, match="finite"):
+        run(cfg, fast=True)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["AccuracyLowSNR", "HistogramBulk", "OmegaSweep"])
+def test_a_c_that_rounds_p_to_zero_is_refused(tmp_path, name):
+    out = str(tmp_path)
+    cfg = ExperimentConfig(name=name, n=200, c_grid=(1.0, 1000.0), output_dir=out)
+    with pytest.raises(ValueError, match=r"c = 1000 at n = 200 gives p = round\(n/c\) = 0 < 1"):
+        run(cfg, fast=True)
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_failed_rerun_leaves_no_manifest(tmp_path):
     out = str(tmp_path)
     run(ExperimentConfig(name="AccuracyLarge", n=40, seeds=(0, 1), output_dir=out), fast=True)
@@ -420,50 +447,36 @@ def test_one_distance_matrix_per_cloud(tmp_path, monkeypatch, settings, expected
     assert len(calls) == expected
 
 
-class _CountingNoise(weakref.WeakValueDictionary):
-    """The generators' live-noise table, counting the arrays entered into
-    it: draws, and prefix views of a live draw of the same seed."""
-
-    def __init__(self):
-        super().__init__()
-        self.draws = 0
-
-    def __setitem__(self, key, value):
-        self.draws += 1
-        super().__setitem__(key, value)
-
-
-@pytest.mark.parametrize(
-    "settings, expected",
-    [
-        # curves at (n, p) = (30, 30), tracked strengths at (200, 200)
-        ({"name": "PhaseSweep", "n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, 2),
-        # five strength tuples on each of 2 seeds x 2 aspects
-        ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, 4),
-    ],
-    ids=lambda v: v["name"] if isinstance(v, dict) else str(v),
-)
-def test_frozen_noise_drawn_once_per_seed_and_shape(tmp_path, monkeypatch, settings, expected):
-    import glspec.datagen
-
-    table = _CountingNoise()
-    monkeypatch.setattr(glspec.datagen, "_NOISE", table)
-    run(ExperimentConfig(output_dir=str(tmp_path), **settings), fast=True)
-    assert table.draws == expected
+# (recipe, settings, fast, noise draws per run).  The eleven recipes run at
+# the settings of tests/test_fast_digests.py; the last three rows are runs
+# in which a narrower shape must read a wider live draw of its seed.
+NOISE_DRAWS = [
+    ("PhaseSweep", {}, True, 1),
+    ("AccuracyLowSNR", {}, True, 6),
+    ("AccuracyModerate", {}, True, 6),
+    ("AccuracyLarge", {}, True, 6),
+    ("DimensionSweep", {}, True, 6),
+    ("HistogramBulk", {}, True, 100),
+    ("OmegaSweep", {"n": 60}, True, 12),
+    ("ManifoldRmse", {"n": 60, "reps": 1}, True, 2),
+    ("StieltjesCompare", {}, True, 2),
+    ("D2Comparison", {}, True, 2),
+    ("ZeroingComparison", {"n": 60, "p": 30}, True, 12),
+    # curves at (n, p) = (30, 30), tracked strengths at (200, 200)
+    ("PhaseSweep", {"n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, True, 2),
+    # three aspects per repetition, widest last in the grid
+    ("HistogramBulk", {"n": 20, "reps": 3, "c_grid": (1.0, 2.0, 0.5)}, False, 3),
+    # five strength tuples on each of 2 seeds x 2 aspects: p = 20 reads p = 40
+    ("D2Comparison", {"n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, False, 2),
+]
 
 
 @pytest.mark.parametrize(
-    "settings, expected",
-    [
-        # three aspects per repetition, widest last in the grid
-        ({"name": "HistogramBulk", "n": 20, "reps": 3, "c_grid": (1.0, 2.0, 0.5)},
-         [100000, 100001, 100002]),
-        # the cached p = 40 cloud is live when p = 20 asks
-        ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, [0, 1]),
-    ],
-    ids=["HistogramBulk", "D2Comparison"],
+    "name, settings, fast, expected", NOISE_DRAWS,
+    ids=[row[0] for row in NOISE_DRAWS[:-3]]
+    + ["PhaseSweep-n30", "HistogramBulk-widest-last", "D2Comparison-n40"],
 )
-def test_each_seed_draws_its_noise_once(tmp_path, monkeypatch, settings, expected):
+def test_noise_draws_per_recipe(tmp_path, monkeypatch, name, settings, fast, expected):
     import glspec.datagen
 
     drawn = []
@@ -476,9 +489,8 @@ def test_each_seed_draws_its_noise_once(tmp_path, monkeypatch, settings, expecte
 
     monkeypatch.setattr(glspec.datagen, "_substream", record)
     monkeypatch.setattr(glspec.datagen, "_NOISE", weakref.WeakValueDictionary())
-    run(ExperimentConfig(output_dir=str(tmp_path), **settings))
-    # the narrower aspects read a prefix of the widest aspect's draw
-    assert drawn == expected
+    run(ExperimentConfig(name=name, output_dir=str(tmp_path), **settings), fast=fast)
+    assert len(drawn) == expected
 
 
 def test_stieltjes_compare_sup_below_bound(tmp_path):
