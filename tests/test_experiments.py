@@ -447,36 +447,25 @@ def test_one_distance_matrix_per_cloud(tmp_path, monkeypatch, settings, expected
     assert len(calls) == expected
 
 
-# (recipe, settings, fast, noise draws per run).  The eleven recipes run at
-# the settings of tests/test_fast_digests.py; the last three rows are runs
-# in which a narrower shape must read a wider live draw of its seed.
+# (recipe, settings, noise draws per run) at the settings of
+# tests/test_fast_digests.py, in --fast mode.
 NOISE_DRAWS = [
-    ("PhaseSweep", {}, True, 1),
-    ("AccuracyLowSNR", {}, True, 6),
-    ("AccuracyModerate", {}, True, 6),
-    ("AccuracyLarge", {}, True, 6),
-    ("DimensionSweep", {}, True, 6),
-    ("HistogramBulk", {}, True, 100),
-    ("OmegaSweep", {"n": 60}, True, 12),
-    ("ManifoldRmse", {"n": 60, "reps": 1}, True, 2),
-    ("StieltjesCompare", {}, True, 2),
-    ("D2Comparison", {}, True, 2),
-    ("ZeroingComparison", {"n": 60, "p": 30}, True, 12),
-    # curves at (n, p) = (30, 30), tracked strengths at (200, 200)
-    ("PhaseSweep", {"n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, True, 2),
-    # three aspects per repetition, widest last in the grid
-    ("HistogramBulk", {"n": 20, "reps": 3, "c_grid": (1.0, 2.0, 0.5)}, False, 3),
-    # five strength tuples on each of 2 seeds x 2 aspects: p = 20 reads p = 40
-    ("D2Comparison", {"n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, False, 2),
+    ("PhaseSweep", {}, 1),
+    ("AccuracyLowSNR", {}, 6),
+    ("AccuracyModerate", {}, 6),
+    ("AccuracyLarge", {}, 6),
+    ("DimensionSweep", {}, 6),
+    ("HistogramBulk", {}, 100),
+    ("OmegaSweep", {"n": 60}, 12),
+    ("ManifoldRmse", {"n": 60, "reps": 1}, 2),
+    ("StieltjesCompare", {}, 2),
+    ("D2Comparison", {}, 2),
+    ("ZeroingComparison", {"n": 60, "p": 30}, 12),
 ]
 
 
-@pytest.mark.parametrize(
-    "name, settings, fast, expected", NOISE_DRAWS,
-    ids=[row[0] for row in NOISE_DRAWS[:-3]]
-    + ["PhaseSweep-n30", "HistogramBulk-widest-last", "D2Comparison-n40"],
-)
-def test_noise_draws_per_recipe(tmp_path, monkeypatch, name, settings, fast, expected):
+def _record_draws(monkeypatch):
+    """Empty the noise table and list the seed of each noise draw."""
     import glspec.datagen
 
     drawn = []
@@ -489,8 +478,63 @@ def test_noise_draws_per_recipe(tmp_path, monkeypatch, name, settings, fast, exp
 
     monkeypatch.setattr(glspec.datagen, "_substream", record)
     monkeypatch.setattr(glspec.datagen, "_NOISE", weakref.WeakValueDictionary())
-    run(ExperimentConfig(name=name, output_dir=str(tmp_path), **settings), fast=fast)
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "name, settings, expected", NOISE_DRAWS, ids=[row[0] for row in NOISE_DRAWS]
+)
+def test_noise_draws_per_recipe(tmp_path, monkeypatch, name, settings, expected):
+    drawn = _record_draws(monkeypatch)
+    run(ExperimentConfig(name=name, output_dir=str(tmp_path), **settings), fast=True)
     assert len(drawn) == expected
+
+
+@pytest.mark.parametrize(
+    "settings, expected",
+    [
+        # curves at (n, p) = (30, 30), tracked strengths at (200, 200)
+        ({"name": "PhaseSweep", "n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, 2),
+        # five strength tuples on each of 2 seeds x 2 aspects
+        ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, 4),
+    ],
+    ids=lambda v: v["name"] if isinstance(v, dict) else str(v),
+)
+def test_frozen_noise_drawn_once_per_seed_and_shape(tmp_path, monkeypatch, settings, expected):
+    import glspec.datagen
+
+    # the bits served for each (seed, n, p); digests, so no draw is kept alive
+    served = {}
+    share = glspec.datagen._shared_noise
+
+    def record(seed, n, p):
+        noise = share(seed, n, p)
+        digest = hashlib.sha256(noise.tobytes()).hexdigest()
+        assert served.setdefault((seed, n, p), digest) == digest
+        return noise
+
+    monkeypatch.setattr(glspec.datagen, "_shared_noise", record)
+    monkeypatch.setattr(glspec.datagen, "_NOISE", weakref.WeakValueDictionary())
+    run(ExperimentConfig(output_dir=str(tmp_path), **settings), fast=True)
+    assert len(served) == expected
+
+
+@pytest.mark.parametrize(
+    "settings, expected",
+    [
+        # three aspects per repetition, widest last in the grid
+        ({"name": "HistogramBulk", "n": 20, "reps": 3, "c_grid": (1.0, 2.0, 0.5)},
+         [100000, 100001, 100002]),
+        # the cached p = 40 cloud is live when p = 20 asks
+        ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, [0, 1]),
+    ],
+    ids=["HistogramBulk", "D2Comparison"],
+)
+def test_each_seed_draws_its_noise_once(tmp_path, monkeypatch, settings, expected):
+    drawn = _record_draws(monkeypatch)
+    run(ExperimentConfig(output_dir=str(tmp_path), **settings))
+    # the narrower aspects read a prefix of the widest aspect's draw
+    assert drawn == expected
 
 
 def test_stieltjes_compare_sup_below_bound(tmp_path):
