@@ -90,10 +90,8 @@ class ExperimentConfig:
             raise ValueError("need upsilon > 0 and finite, got %r" % (self.upsilon,))
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if not all(isinstance(seed, numbers.Integral) for seed in self.seeds):
-            raise ValueError("seeds must be integers")
-        if any(seed < 0 for seed in self.seeds):
-            raise ValueError("seeds must be nonnegative")
+        if not all(isinstance(seed, numbers.Integral) and seed >= 0 for seed in self.seeds):
+            raise ValueError("seeds must be integers >= 0, got %r" % (self.seeds,))
         cs, alphas = self.c_grid, self.alpha_grid
         if cs is not None and not (cs and all(c > 0 and np.isfinite(c) for c in cs)):
             raise ValueError("c_grid must hold positive finite numbers, got %r" % (cs,))
@@ -547,7 +545,10 @@ def _run_manifold_rmse(cfg, fast):
 
             def one(rep):
                 seed = base_seed + 1000 * ci + rep
-                cloud = (gen_curve_m1 if kind == "m1" else gen_klein_bottle)(n, p, a, seed)
+                if kind == "m1":
+                    cloud = gen_curve_m1(n, p, a, seed)
+                else:
+                    cloud = gen_klein_bottle(n, p, a, seed)
                 lam_tot = cloud.lambda_total()
                 _, ref = sym_eigs(
                     _affinity_of(cloud.clean, upsilon, p + lam_tot), want_vectors=top

@@ -19,6 +19,8 @@ from glspec.experiments import (
 from glspec.kernels import affinity, pairwise_sq_dists
 from glspec.spectrum import sym_eigs
 
+from test_fast_digests import RECIPES
+
 
 def _load_named_csv(path):
     return np.genfromtxt(path, delimiter=",", skip_header=1, dtype=None, encoding="utf-8")
@@ -447,21 +449,21 @@ def test_one_distance_matrix_per_cloud(tmp_path, monkeypatch, settings, expected
     assert len(calls) == expected
 
 
-# (recipe, settings, noise draws per run) at the settings of
-# tests/test_fast_digests.py, in --fast mode.
-NOISE_DRAWS = [
-    ("PhaseSweep", {}, 1),
-    ("AccuracyLowSNR", {}, 6),
-    ("AccuracyModerate", {}, 6),
-    ("AccuracyLarge", {}, 6),
-    ("DimensionSweep", {}, 6),
-    ("HistogramBulk", {}, 100),
-    ("OmegaSweep", {"n": 60}, 12),
-    ("ManifoldRmse", {"n": 60, "reps": 1}, 2),
-    ("StieltjesCompare", {}, 2),
-    ("D2Comparison", {}, 2),
-    ("ZeroingComparison", {"n": 60, "p": 30}, 12),
-]
+# noise draws per --fast run of each recipe at its settings in
+# tests/test_fast_digests.py
+NOISE_DRAWS = {
+    "PhaseSweep": 1,
+    "AccuracyLowSNR": 6,
+    "AccuracyModerate": 6,
+    "AccuracyLarge": 6,
+    "DimensionSweep": 6,
+    "HistogramBulk": 100,
+    "OmegaSweep": 12,
+    "ManifoldRmse": 2,
+    "StieltjesCompare": 2,
+    "D2Comparison": 2,
+    "ZeroingComparison": 12,
+}
 
 
 def _record_draws(monkeypatch):
@@ -481,28 +483,30 @@ def _record_draws(monkeypatch):
     return drawn
 
 
-@pytest.mark.parametrize(
-    "name, settings, expected", NOISE_DRAWS, ids=[row[0] for row in NOISE_DRAWS]
-)
-def test_noise_draws_per_recipe(tmp_path, monkeypatch, name, settings, expected):
+@pytest.mark.parametrize("name, settings", RECIPES.items(), ids=list(RECIPES))
+def test_noise_draws_per_recipe(tmp_path, monkeypatch, name, settings):
     drawn = _record_draws(monkeypatch)
     run(ExperimentConfig(name=name, output_dir=str(tmp_path), **settings), fast=True)
-    assert len(drawn) == expected
+    assert len(drawn) == NOISE_DRAWS[name]
 
 
 @pytest.mark.parametrize(
-    "settings, expected",
+    "settings, shapes, draws",
     [
-        # curves at (n, p) = (30, 30), tracked strengths at (200, 200)
-        ({"name": "PhaseSweep", "n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, 2),
-        # five strength tuples on each of 2 seeds x 2 aspects
-        ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, 4),
+        # curves at (n, p) = (30, 30), then tracked strengths at (200, 200),
+        # too long for the curves' draw of the same seed
+        ({"name": "PhaseSweep", "n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, 2, 2),
+        # five strength tuples on each of 2 seeds x 2 aspects; p = 20 reads
+        # a prefix of its seed's cached p = 40 draw
+        ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, 4, 2),
     ],
-    ids=lambda v: v["name"] if isinstance(v, dict) else str(v),
+    # recipe and count of distinct (seed, n, p)
+    ids=["PhaseSweep-2", "D2Comparison-4"],
 )
-def test_frozen_noise_drawn_once_per_seed_and_shape(tmp_path, monkeypatch, settings, expected):
+def test_frozen_noise_drawn_once_per_seed_and_shape(tmp_path, monkeypatch, settings, shapes, draws):
     import glspec.datagen
 
+    drawn = _record_draws(monkeypatch)
     # the bits served for each (seed, n, p); digests, so no draw is kept alive
     served = {}
     share = glspec.datagen._shared_noise
@@ -514,9 +518,9 @@ def test_frozen_noise_drawn_once_per_seed_and_shape(tmp_path, monkeypatch, setti
         return noise
 
     monkeypatch.setattr(glspec.datagen, "_shared_noise", record)
-    monkeypatch.setattr(glspec.datagen, "_NOISE", weakref.WeakValueDictionary())
     run(ExperimentConfig(output_dir=str(tmp_path), **settings), fast=True)
-    assert len(served) == expected
+    assert len(served) == shapes
+    assert len(drawn) == draws
 
 
 @pytest.mark.parametrize(
