@@ -179,7 +179,11 @@ def run_cmd(experiment, config_path, out, fast):
             raise click.BadParameter(str(err), param_hint="--config") from None
     if out is not None:
         cfg.output_dir = out
-    manifest = run_experiment(cfg, fast=fast)
+    # a config that run() cannot carry out fails before anything is written
+    try:
+        manifest = run_experiment(cfg, fast=fast)
+    except ValueError as err:
+        raise click.UsageError(str(err)) from None
     click.echo(
         "%s finished in %.1fs; %d artifacts in %s"
         % (

@@ -10,7 +10,6 @@ formatted deterministically, so re-running a config reproduces
 byte-identical files.
 """
 
-import functools
 import hashlib
 import numbers
 import os
@@ -24,6 +23,7 @@ from .approximants import w_a1, w_b1
 from .bandwidth import quantile_bandwidth, resample_threshold, select_omega
 from .datagen import (
     _fmt,
+    _shared_noise,
     gen_circle,
     gen_curve_m1,
     gen_klein_bottle,
@@ -215,6 +215,21 @@ def _run_seeds(cfg, fast):
     return list(cfg.seeds[:2] if fast else cfg.seeds)
 
 
+def _seed_major(seeds, shapes, one):
+    """``one(*shape, seed)`` for each shape (n, p, ...) and seed, one list per
+    shape in ``seeds`` order.  A seed runs its largest n*p first and holds that
+    noise draw while its other shapes read prefix views of it; the draw is
+    dropped before the next seed draws, so one draw is live at a time."""
+    widest_first = sorted(range(len(shapes)), key=lambda k: -shapes[k][0] * shapes[k][1])
+    grouped = [[] for _ in shapes]
+    for seed in seeds:
+        held = _shared_noise(seed, *shapes[widest_first[0]][:2])
+        for k in widest_first:
+            grouped[k].append(one(*shapes[k], seed))
+        del held
+    return grouped
+
+
 def _signal(alpha, n, p, base):
     return float(n) ** alpha if base == "n" else float(p) ** alpha
 
@@ -303,22 +318,21 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
 
     ``make_reference(n, p)`` prepares the per-aspect context at h = p and
     returns a function mapping (cloud, W, descending eigenvalues of W) to
-    (limit eigenvalues, error scalar).  The per-c CSVs carry the mean
-    sample and limit curves, the summary carries the per-seed error.
+    (limit eigenvalues, error scalar) for each cloud, seed by seed.  The per-c
+    CSVs carry the mean sample and limit curves, the summary the per-seed error.
     """
     n = cfg.n
     aspects = _aspects(cfg, n)
     seeds = _run_seeds(cfg, fast)
+    shapes = [(n, p, make_reference(n, p)) for _, p in aspects]
+
+    def one(n, p, reference, seed):
+        cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
+        eigs = sym_eigs(W)
+        return (eigs,) + reference(cloud, W, eigs)
+
     curve_rows, summary_rows = [], []
-    for c, p in aspects:
-        reference = make_reference(n, p)
-
-        def one(seed):
-            cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
-            eigs = sym_eigs(W)
-            return (eigs,) + reference(cloud, W, eigs)
-
-        results = [one(seed) for seed in seeds]
+    for (c, _), results in zip(aspects, _seed_major(seeds, shapes, one)):
         sample = np.mean([r[0] for r in results], axis=0)
         limit = np.mean([r[1] for r in results], axis=0)
         for i in range(n):
@@ -375,14 +389,11 @@ def _run_accuracy_low(cfg, fast):
 def _run_accuracy_moderate(cfg, fast):
     """Eigenvalue overlay of W against its scaled-plus-shifted clean limit."""
 
-    def make_reference(n, p):
-        def reference(cloud, W, eigs):
-            Wa1 = _clean_surrogate(cloud, cfg.upsilon)
-            return sym_eigs(Wa1), _moderate_snr_error(W, Wa1)
+    def reference(cloud, W, eigs):
+        Wa1 = _clean_surrogate(cloud, cfg.upsilon)
+        return sym_eigs(Wa1), _moderate_snr_error(W, Wa1)
 
-        return reference
-
-    return _accuracy_recipe(cfg, fast, "accuracy_moderate", 1.9, make_reference)
+    return _accuracy_recipe(cfg, fast, "accuracy_moderate", 1.9, lambda n, p: reference)
 
 
 def _run_accuracy_large(cfg, fast):
@@ -401,20 +412,21 @@ def _run_dimension_sweep(cfg, fast):
     seeds = _run_seeds(cfg, fast)
     law = nu0(1.0, cfg.upsilon)
 
-    def one(n, seed):
-        _, W = _spiked_affinity(cfg, n, n, seed, (0.2,))
+    def one(n, p, seed):
+        _, W = _spiked_affinity(cfg, n, p, seed, (0.2,))
         err_low = bulk_rigidity(sym_eigs(W), law)
-        cloud, W = _spiked_affinity(cfg, n, n, seed, (1.9,))
+        cloud, W = _spiked_affinity(cfg, n, p, seed, (1.9,))
         err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, cfg.upsilon))
-        _, W = _spiked_affinity(cfg, n, n, seed, (5.0,))
+        _, W = _spiked_affinity(cfg, n, p, seed, (5.0,))
         err_big = _large_snr_error(sym_eigs(W))
         return [n, seed, err_low, err_mod, err_big]
 
-    rows = [one(n, s) for n in ns for s in seeds]
-    means = []
-    for n in ns:
-        block = np.array([r[2:] for r in rows if r[0] == n])
-        means.append([n] + list(block.mean(axis=0)))
+    grouped = _seed_major(seeds, [(n, n) for n in ns], one)
+    rows = [row for block in grouped for row in block]
+    means = [
+        [n] + list(np.array([r[2:] for r in block]).mean(axis=0))
+        for n, block in zip(ns, grouped)
+    ]
     files = {
         "dimension_sweep.csv": (["n", "seed", "err_low", "err_moderate", "err_large"], rows),
         "dimension_sweep_mean.csv": (["n", "err_low", "err_moderate", "err_large"], means),
@@ -444,17 +456,19 @@ def _run_histogram_bulk(cfg, fast):
     first_seed = 100000 * (cfg.seeds[0] + 1)
     bins = 50
     measures = [nu0(n / float(p), cfg.upsilon) for _, p in aspects]
-    edges = [
-        np.linspace(m.shift + m.bulk_lo, m.shift + m.bulk_hi, bins + 1) for m in measures
-    ]
-    counts = np.zeros((len(aspects), bins))
-    # widest aspect first: ``cloud`` holds its draw until the next aspect's
-    # cloud reads a prefix of it, and so on down the repetition
-    widest_first = sorted(range(len(aspects)), key=lambda a: -aspects[a][1])
-    for rep in range(reps):
-        for a in widest_first:
-            cloud, W = _spiked_affinity(cfg, n, aspects[a][1], first_seed + rep, (0.2,))
-            counts[a] += np.histogram(sym_eigs(W), bins=edges[a])[0]
+    edges = []
+    for (c, _), m in zip(aspects, measures):
+        edges.append(np.linspace(m.shift + m.bulk_lo, m.shift + m.bulk_hi, bins + 1))
+        if not np.all(np.diff(edges[-1]) > 0):
+            raise ValueError("bulk at c = %g, upsilon = %g too narrow to bin" % (c, cfg.upsilon))
+
+    def one(n, p, edge, seed):
+        _, W = _spiked_affinity(cfg, n, p, seed, (0.2,))
+        return np.histogram(sym_eigs(W), bins=edge)[0]
+
+    shapes = [(n, p, edge) for (_, p), edge in zip(aspects, edges)]
+    rep_seeds = range(first_seed, first_seed + reps)
+    counts = [np.sum(block, axis=0) for block in _seed_major(rep_seeds, shapes, one)]
     rows = []
     for (c, _), measure, edge, count in zip(aspects, measures, edges, counts):
         width = edge[1] - edge[0]
@@ -486,8 +500,9 @@ def _run_omega_sweep(cfg, fast):
     aspects = _aspects(cfg, n)
     alphas = tuple(cfg.alpha_grid)[::2] if fast else cfg.alpha_grid
     thresholds = {c: resample_threshold(c, n, cfg.upsilon, seed=seed) for c, _ in aspects}
+    shapes = [(n, p, c, float(a)) for c, p in aspects for a in alphas]
 
-    def one(c, p, alpha):
+    def one(n, p, c, alpha, seed):
         cloud = gen_circle(n, p, _signal(alpha, n, p, cfg.alpha_base), seed)
         D2 = pairwise_sq_dists(cloud.noisy())
         sel_w = select_omega(cloud, cfg.upsilon, thresholds[c], D2=D2)
@@ -503,7 +518,7 @@ def _run_omega_sweep(cfg, fast):
     files = {
         "omega_sweep.csv": (
             ["c", "alpha", "s", "omega_w", "h_over_p_w", "omega_a", "h_over_p_a"],
-            [one(c, p, float(a)) for c, p in aspects for a in alphas],
+            [block[0] for block in _seed_major([seed], shapes, one)],
         ),
         "omega_sweep.gp": [
             "set xlabel 'alpha'",
@@ -657,17 +672,17 @@ def _run_d2_comparison(cfg, fast):
     aspects = _aspects(cfg, n)
     seeds = _run_seeds(cfg, fast)
     start = 10
+    strengths = {alphas for _, a1, a2, _ in D2_CASES for alphas in ((a1,), (a1, a2))}
+
+    def one(n, p, seed):
+        return {a: sym_eigs(_spiked_affinity(cfg, n, p, seed, a)[1]) for a in strengths}
+
+    spectra = _seed_major(seeds, [(n, p) for _, p in aspects], one)
     curve_rows, summary_rows = [], []
-
-    @functools.lru_cache(maxsize=None)  # shares spectra; a cached cloud keeps its noise live
-    def spectrum(p, seed, alphas):
-        cloud, W = _spiked_affinity(cfg, n, p, seed, alphas)
-        return cloud, sym_eigs(W)
-
     for case, a1, a2, expected in D2_CASES:
-        for c, p in aspects:
-            m1 = np.mean([spectrum(p, seed, (a1,))[1] for seed in seeds], axis=0)
-            m2 = np.mean([spectrum(p, seed, (a1, a2))[1] for seed in seeds], axis=0)
+        for (c, _), block in zip(aspects, spectra):
+            m1 = np.mean([eigs[(a1,)] for eigs in block], axis=0)
+            m2 = np.mean([eigs[(a1, a2)] for eigs in block], axis=0)
             for i in range(start - 1, n):
                 curve_rows.append([case, c, i + 1, m1[i], m2[i]])
             sup = float(np.max(np.abs(m1[start - 1 :] - m2[start - 1 :])))
@@ -705,7 +720,7 @@ def _run_zeroing_comparison(cfg, fast):
         vec = vecs[:, 2] / np.sqrt(degree(W))
         return vec / np.linalg.norm(vec)
 
-    def one(alpha, seed):
+    def one(n, p, alpha, seed):
         lam = _signal(alpha, n, p, cfg.alpha_base)
         cloud = gen_spiked(n, p, (lam,), seed)
         ref = third_vector_row_stochastic(_affinity_of(cloud.clean_cols, upsilon, p + lam))
@@ -721,11 +736,12 @@ def _run_zeroing_comparison(cfg, fast):
         r = eigvec_rmse(refs, cols)
         return [alpha, seed, r[0], r[1], r[2], sel.omega]
 
-    rows = [one(float(a), s_) for a in alphas for s_ in seeds]
-    means = []
-    for alpha in alphas:
-        block = np.array([r[2:5] for r in rows if r[0] == float(alpha)])
-        means.append([float(alpha)] + list(block.mean(axis=0)))
+    grouped = _seed_major(seeds, [(n, p, float(a)) for a in alphas], one)
+    rows = [row for block in grouped for row in block]
+    means = [
+        [float(alpha)] + list(np.array([r[2:5] for r in block]).mean(axis=0))
+        for alpha, block in zip(alphas, grouped)
+    ]
     files = {
         "zeroing.csv": (
             ["alpha", "seed", "rmse_adap", "rmse_zero", "rmse_baseline", "omega"], rows
@@ -781,23 +797,22 @@ def run(config, fast=False):
     rows) and the gnuplot script as its lines, and the settings it derived.
     The manifest's ``resolved`` holds every field the recipe reads that has
     a value, merged with those settings.  ``run`` is the only code that
-    writes under ``config.output_dir``.  It removes a
-    manifest from an earlier run before the recipe starts, writes each file
-    once the recipe has returned, and writes ``manifest.json`` last.  So a
-    run that fails leaves no manifest, and a recipe that raises leaves the
-    earlier artifacts as they were.
+    writes under ``config.output_dir``, and only once the recipe has
+    returned: a recipe that raises leaves the directory as it was.  It then
+    removes an earlier manifest, writes each file and writes
+    ``manifest.json`` last, so a failed write leaves no manifest.
     """
     config.validate()
     recipe, reads = _RUNNERS[config.name]
     cfg = replace(config, **{k: v for k, v in reads.items() if getattr(config, k) is None})
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    manifest_path = os.path.join(out, "manifest.json")
     started = time.perf_counter()
+    files, seeds, derived = recipe(cfg, fast)
+    out = config.output_dir
+    manifest_path = os.path.join(out, "manifest.json")
     try:
+        os.makedirs(out, exist_ok=True)
         if os.path.exists(manifest_path):
             os.remove(manifest_path)
-        files, seeds, derived = recipe(cfg, fast)
         for name, body in files.items():
             path = os.path.join(out, name)
             if name.endswith(".gp"):

@@ -50,7 +50,8 @@ def bulk_rigidity(eigs, measure):
 
     Compares the 1-indexed descending eigenvalues over 9 < i <= 0.9 n with
     typical_location(measure, i, n) and returns the largest absolute gap,
-    0.0 when the window is empty (n < 12).
+    0.0 when the window is empty (n = 10 or 11).  Fewer than 10 eigenvalues
+    are refused.
     """
     eigs = np.asarray(eigs, dtype=float)
     n = eigs.size

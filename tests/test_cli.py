@@ -181,9 +181,15 @@ def test_run_experiment_overrides_config_name(tmp_path):
         ("name = AccuracyLarge\nupsilon = inf\n", "need upsilon > 0 and finite"),
         ("name = AccuracyLarge\nc_grid = 1, nan\n", "c_grid must hold positive finite numbers"),
         ("name = PhaseSweep\nalpha_grid = 0.2, nan\n", "alpha_grid must hold finite numbers"),
+        # refused by the recipe, before run() touches the output directory
+        ("name = OmegaSweep\nn = 40\nc_grid = 10\n", "bulk ratio window is empty"),
+        ("name = AccuracyLowSNR\nc_grid = 1000\n", "c = 1000 at n = 200 gives p"),
+        ("name = HistogramBulk\nupsilon = 50\nn = 40\nreps = 2\n",
+         "bulk at c = 0.5, upsilon = 50 too narrow to bin"),
     ],
     ids=["unknown-key", "malformed-value", "bad-value", "unread-field", "unread-n", "zero-p",
-         "fractional-seed", "nan-upsilon", "inf-upsilon", "nan-c", "nan-alpha"],
+         "fractional-seed", "nan-upsilon", "inf-upsilon", "nan-c", "nan-alpha",
+         "empty-ratio-window", "zero-p-aspect", "collapsed-bins"],
 )
 def test_run_rejects_a_config_as_usage_error(tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"

@@ -212,11 +212,12 @@ def test_validate_refuses_non_finite_numbers(tmp_path, bad):
 
 @pytest.mark.parametrize("name", ["AccuracyLowSNR", "HistogramBulk", "OmegaSweep"])
 def test_a_c_that_rounds_p_to_zero_is_refused(tmp_path, name):
-    out = str(tmp_path)
-    cfg = ExperimentConfig(name=name, n=200, c_grid=(1.0, 1000.0), output_dir=out)
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(name=name, n=200, c_grid=(1.0, 1000.0), output_dir=str(out))
     with pytest.raises(ValueError, match=r"c = 1000 at n = 200 gives p = round\(n/c\) = 0 < 1"):
         run(cfg, fast=True)
-    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    # the recipe raises before run() touches the output directory
+    assert not out.exists()
 
 
 def test_failed_rerun_leaves_no_manifest(tmp_path):
@@ -277,9 +278,15 @@ def test_failed_recipe_leaves_earlier_artifacts_untouched(tmp_path, monkeypatch)
     monkeypatch.setattr(experiments, "gram", broken_gram)
     with pytest.raises(RuntimeError, match="gram failed"):
         run(ExperimentConfig(seeds=(1,), **settings), fast=True)
-    assert not os.path.exists(os.path.join(out, "manifest.json"))
     with open(curves, "rb") as fh:
         assert fh.read() == before
+    # the earlier manifest still stands, and still matches its files
+    with open(os.path.join(out, "manifest.json")) as fh:
+        listed = json.load(fh)["files"]
+    assert "phase_eigencurves.csv" in [entry["path"] for entry in listed]
+    for entry in listed:
+        with open(os.path.join(out, entry["path"]), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == entry["sha256"]
 
 
 def test_accuracy_low_errors_small(tmp_path):
@@ -453,16 +460,16 @@ def test_one_distance_matrix_per_cloud(tmp_path, monkeypatch, settings, expected
 # tests/test_fast_digests.py
 NOISE_DRAWS = {
     "PhaseSweep": 1,
-    "AccuracyLowSNR": 6,
-    "AccuracyModerate": 6,
-    "AccuracyLarge": 6,
-    "DimensionSweep": 6,
+    "AccuracyLowSNR": 2,
+    "AccuracyModerate": 2,
+    "AccuracyLarge": 2,
+    "DimensionSweep": 2,
     "HistogramBulk": 100,
-    "OmegaSweep": 12,
+    "OmegaSweep": 1,
     "ManifoldRmse": 2,
     "StieltjesCompare": 2,
     "D2Comparison": 2,
-    "ZeroingComparison": 12,
+    "ZeroingComparison": 2,
 }
 
 
@@ -497,7 +504,7 @@ def test_noise_draws_per_recipe(tmp_path, monkeypatch, name, settings):
         # too long for the curves' draw of the same seed
         ({"name": "PhaseSweep", "n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, 2, 2),
         # five strength tuples on each of 2 seeds x 2 aspects; p = 20 reads
-        # a prefix of its seed's cached p = 40 draw
+        # a prefix of its seed's held p = 40 draw
         ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, 4, 2),
     ],
     # recipe and count of distinct (seed, n, p)
@@ -529,10 +536,15 @@ def test_frozen_noise_drawn_once_per_seed_and_shape(tmp_path, monkeypatch, setti
         # three aspects per repetition, widest last in the grid
         ({"name": "HistogramBulk", "n": 20, "reps": 3, "c_grid": (1.0, 2.0, 0.5)},
          [100000, 100001, 100002]),
-        # the cached p = 40 cloud is live when p = 20 asks
+        # the p = 40 draw is held while p = 20 reads its prefix
         ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, [0, 1]),
+        # three aspects per seed, narrowest first in the grid
+        ({"name": "AccuracyLowSNR", "n": 40, "c_grid": (2.0, 1.0, 0.5), "seeds": (0, 1, 2)},
+         [0, 1, 2]),
+        # seven sizes n = p per seed, smallest first in the grid
+        ({"name": "DimensionSweep", "seeds": (0, 1)}, [0, 1]),
     ],
-    ids=["HistogramBulk", "D2Comparison"],
+    ids=["HistogramBulk", "D2Comparison", "AccuracyLowSNR", "DimensionSweep"],
 )
 def test_each_seed_draws_its_noise_once(tmp_path, monkeypatch, settings, expected):
     drawn = _record_draws(monkeypatch)
