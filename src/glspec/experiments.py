@@ -5,9 +5,9 @@ as data, in manifest order (each CSV as a header and rows, its gnuplot
 script as lines), with the seeds it drew and the settings it resolved.
 ``run`` is the one writer: it puts every artifact into the configured
 output directory and then saves the manifest (config echo, library
-version, per-run seeds, wall clock, artifact digests).  Artifacts are
-formatted deterministically, so re-running a config reproduces
-byte-identical files.
+version, per-run seeds, wall clock, numpy and BLAS environment, artifact
+digests).  Artifacts are formatted deterministically, so re-running a
+config in the same environment reproduces byte-identical files.
 """
 
 import hashlib
@@ -120,8 +120,9 @@ class ExperimentConfig:
 @dataclass
 class RunManifest:
     """Record of one experiment run: config echo, versions, seeds, timing,
-    and the sha256 of every artifact.  Re-running the same config (and
-    fast flag) reproduces the artifact bytes."""
+    the numpy and BLAS builds and thread variables the bytes depend on, and
+    the sha256 of every artifact.  Re-running the same config (and fast
+    flag) in the same environment reproduces the artifact bytes."""
 
     config: dict
     version: str
@@ -130,6 +131,7 @@ class RunManifest:
     seeds: list
     resolved: dict
     wall_clock_s: float
+    environment: dict
     files: list = field(default_factory=list)
 
 
@@ -193,6 +195,22 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _environment():
+    """The numpy version, the BLAS build ("unknown" where numpy cannot say)
+    and the BLAS thread variables as set: the last bits of the eigenvalues
+    depend on all of them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {
+        "numpy": np.__version__,
+        "blas": "%s %s" % (blas.get("name", "unknown"), blas.get("version", "unknown")),
+        "threads": {k: os.environ.get(k) for k in threads},
+    }
+
+
 def _aspects(cfg, n, default=(0.5, 1.0, 2.0)):
     """Pairs (c, p = round(n/c)) for a recipe that draws n points, one per
     c of ``cfg.c_grid`` or of ``default``; a fixed ``cfg.p`` becomes the
@@ -208,11 +226,6 @@ def _aspects(cfg, n, default=(0.5, 1.0, 2.0)):
         if p < 1:
             raise ValueError("c = %g at n = %d gives p = round(n/c) = %d < 1" % (c, n, p))
     return pairs
-
-
-def _run_seeds(cfg, fast):
-    """The seeds a per-seed recipe draws: the first two in fast mode."""
-    return list(cfg.seeds[:2] if fast else cfg.seeds)
 
 
 def _seed_major(seeds, shapes, one):
@@ -256,10 +269,8 @@ def _run_phase_sweep(cfg, fast):
     The curves run at p = ``cfg.p`` (default n), or at p = round(n/c) for
     each c of ``cfg.c_grid``, one ``c*_alpha_*`` column per pair."""
     n, alphas, seed = cfg.n, cfg.alpha_grid, cfg.seeds[0]
-    if cfg.c_grid is None:
-        aspects = [("", cfg.p if cfg.p is not None else n)]
-    else:
-        aspects = [("c%g_" % c, p) for c, p in _aspects(cfg, n)]
+    aspects = _aspects(cfg, n, default=(1.0,))
+    tags = ["" if cfg.c_grid is None else "c%g_" % c for c, _ in aspects]
 
     # plain loops: the previous cloud keeps its noise live while the next
     # strength is drawn, so each aspect draws its frozen noise at most once
@@ -268,7 +279,7 @@ def _run_phase_sweep(cfg, fast):
         for alpha in alphas:
             cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
             curves.append(sym_eigs(W))
-    header = ["index"] + [tag + "alpha_%g" % a for tag, _ in aspects for a in alphas]
+    header = ["index"] + [tag + "alpha_%g" % a for tag in tags for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
 
     n2 = 200
@@ -313,7 +324,7 @@ def _run_phase_sweep(cfg, fast):
     return files, [seed], info
 
 
-def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
+def _accuracy_recipe(cfg, tag, alpha, make_reference):
     """Shared body of the three fixed-strength accuracy experiments.
 
     ``make_reference(n, p)`` prepares the per-aspect context at h = p and
@@ -323,7 +334,6 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
     """
     n = cfg.n
     aspects = _aspects(cfg, n)
-    seeds = _run_seeds(cfg, fast)
     shapes = [(n, p, make_reference(n, p)) for _, p in aspects]
 
     def one(n, p, reference, seed):
@@ -332,12 +342,12 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
         return (eigs,) + reference(cloud, W, eigs)
 
     curve_rows, summary_rows = [], []
-    for (c, _), results in zip(aspects, _seed_major(seeds, shapes, one)):
+    for (c, _), results in zip(aspects, _seed_major(cfg.seeds, shapes, one)):
         sample = np.mean([r[0] for r in results], axis=0)
         limit = np.mean([r[1] for r in results], axis=0)
         for i in range(n):
             curve_rows.append([c, i + 1, sample[i], limit[i]])
-        for seed, r in zip(seeds, results):
+        for seed, r in zip(cfg.seeds, results):
             summary_rows.append([c, seed, r[2]])
     files = {
         "%s_curves.csv" % tag: (["c", "index", "sample_mean", "limit_mean"], curve_rows),
@@ -352,7 +362,7 @@ def _accuracy_recipe(cfg, fast, tag, alpha, make_reference):
         ],
     }
     info = {"alpha": alpha, "c_grid": [c for c, _ in aspects]}
-    return files, seeds, info
+    return files, cfg.seeds, info
 
 
 def _clean_surrogate(cloud, upsilon):
@@ -383,7 +393,7 @@ def _run_accuracy_low(cfg, fast):
         gammas = typical_location(measure, np.arange(1, n + 1), n)
         return lambda cloud, W, eigs: (gammas, bulk_rigidity(eigs, measure))
 
-    return _accuracy_recipe(cfg, fast, "accuracy_low", 0.2, make_reference)
+    return _accuracy_recipe(cfg, "accuracy_low", 0.2, make_reference)
 
 
 def _run_accuracy_moderate(cfg, fast):
@@ -393,7 +403,7 @@ def _run_accuracy_moderate(cfg, fast):
         Wa1 = _clean_surrogate(cloud, cfg.upsilon)
         return sym_eigs(Wa1), _moderate_snr_error(W, Wa1)
 
-    return _accuracy_recipe(cfg, fast, "accuracy_moderate", 1.9, lambda n, p: reference)
+    return _accuracy_recipe(cfg, "accuracy_moderate", 1.9, lambda n, p: reference)
 
 
 def _run_accuracy_large(cfg, fast):
@@ -403,13 +413,13 @@ def _run_accuracy_large(cfg, fast):
         ones = np.ones(n)
         return lambda cloud, W, eigs: (ones, _large_snr_error(eigs))
 
-    return _accuracy_recipe(cfg, fast, "accuracy_large", 5.0, make_reference)
+    return _accuracy_recipe(cfg, "accuracy_large", 5.0, make_reference)
 
 
 def _run_dimension_sweep(cfg, fast):
-    """Error-versus-n curves for the three accuracy regimes at c = 1."""
+    """Error-versus-n curves for the three accuracy regimes at c = 1, where
+    n**alpha and p**alpha are the same strength."""
     ns = (50, 150, 300) if fast else (50, 100, 150, 200, 250, 300, 400)
-    seeds = _run_seeds(cfg, fast)
     law = nu0(1.0, cfg.upsilon)
 
     def one(n, p, seed):
@@ -421,7 +431,7 @@ def _run_dimension_sweep(cfg, fast):
         err_big = _large_snr_error(sym_eigs(W))
         return [n, seed, err_low, err_mod, err_big]
 
-    grouped = _seed_major(seeds, [(n, n) for n in ns], one)
+    grouped = _seed_major(cfg.seeds, [(n, n) for n in ns], one)
     rows = [row for block in grouped for row in block]
     means = [
         [n] + list(np.array([r[2:] for r in block]).mean(axis=0))
@@ -440,7 +450,7 @@ def _run_dimension_sweep(cfg, fast):
         ],
     }
     info = {"n_grid": list(ns), "c": 1.0}
-    return files, seeds, info
+    return files, cfg.seeds, info
 
 
 def _run_histogram_bulk(cfg, fast):
@@ -549,6 +559,11 @@ def _run_manifold_rmse(cfg, fast):
     reps = cfg.reps if cfg.reps is not None else (5 if fast else 20)
     base_seed = cfg.seeds[0]
     top = 9
+    if cfg.n is not None and cfg.n <= top:
+        raise ValueError(
+            "ManifoldRmse keeps %d eigenvectors per cloud; need n > %d, got n = %d"
+            % (top, top, cfg.n)
+        )
     rmse_rows, omega_rows, c_grids, sizes = [], [], {}, {}
     for kind, n_kind in MANIFOLD_RMSE_SIZES.items():
         n = sizes[kind] = n_kind if cfg.n is None else cfg.n
@@ -615,8 +630,7 @@ def _run_stieltjes_compare(cfg, fast):
     """Stieltjes transforms of W and its Gram-based surrogate over the
     spectral-parameter box, at unit-exponent signal strength."""
     n, a = cfg.n, 0.2
-    seeds = _run_seeds(cfg, fast)
-    p = cfg.p if cfg.p is not None else n
+    [(_, p)] = _aspects(cfg, n, default=(1.0,))
     points = stieltjes_grid(n, 1.0, a)
     eta_min = float(points.imag.min())
 
@@ -631,7 +645,7 @@ def _run_stieltjes_compare(cfg, fast):
         # hypot rounds as Python's complex abs does; numpy's complex abs differs
         return np.hypot(diff.real, diff.imag)
 
-    diffs = np.array([one(seed) for seed in seeds])
+    diffs = np.array([one(seed) for seed in cfg.seeds])
     files = {
         "stieltjes_grid.csv": (
             ["energy", "eta", "mean_absdiff", "max_absdiff"],
@@ -644,7 +658,7 @@ def _run_stieltjes_compare(cfg, fast):
             ["seed", "sup_absdiff", "bound"],
             [
                 [seed, diffs[i].max(), 2.0 / (np.sqrt(n) * eta_min**2)]
-                for i, seed in enumerate(seeds)
+                for i, seed in enumerate(cfg.seeds)
             ],
         ),
         "stieltjes_compare.gp": [
@@ -655,7 +669,7 @@ def _run_stieltjes_compare(cfg, fast):
         ],
     }
     info = {"p": p, "lambda": _signal(1.0, n, p, cfg.alpha_base), "a": a, "eta_min": eta_min}
-    return files, seeds, info
+    return files, cfg.seeds, info
 
 
 D2_CASES = (
@@ -670,14 +684,18 @@ def _run_d2_comparison(cfg, fast):
     strength pairings, from the tenth eigenvalue on."""
     n = cfg.n
     aspects = _aspects(cfg, n)
-    seeds = _run_seeds(cfg, fast)
     start = 10
+    if n < start:
+        raise ValueError(
+            "D2Comparison compares spectra from index %d on; need n >= %d, got n = %d"
+            % (start, start, n)
+        )
     strengths = {alphas for _, a1, a2, _ in D2_CASES for alphas in ((a1,), (a1, a2))}
 
     def one(n, p, seed):
         return {a: sym_eigs(_spiked_affinity(cfg, n, p, seed, a)[1]) for a in strengths}
 
-    spectra = _seed_major(seeds, [(n, p) for _, p in aspects], one)
+    spectra = _seed_major(cfg.seeds, [(n, p) for _, p in aspects], one)
     curve_rows, summary_rows = [], []
     for case, a1, a2, expected in D2_CASES:
         for (c, _), block in zip(aspects, spectra):
@@ -701,7 +719,7 @@ def _run_d2_comparison(cfg, fast):
         ],
     }
     info = {"c_grid": [c for c, _ in aspects], "start_index": start}
-    return files, seeds, info
+    return files, cfg.seeds, info
 
 
 def _run_zeroing_comparison(cfg, fast):
@@ -709,10 +727,10 @@ def _run_zeroing_comparison(cfg, fast):
     transition matrix across signal strengths: the zero-diagonal variant
     at bandwidth 35, the plain variant at the selected bandwidth.
     """
-    n, p, upsilon, alphas = cfg.n, cfg.p, cfg.upsilon, cfg.alpha_grid
-    seeds = _run_seeds(cfg, fast)
+    n, upsilon, alphas = cfg.n, cfg.upsilon, cfg.alpha_grid
+    [(c, p)] = _aspects(cfg, n, default=(1.0,))
     h_zero = 35.0
-    s = resample_threshold(n / float(p), n, upsilon, seed=seeds[0])
+    s = resample_threshold(c, n, upsilon, seed=cfg.seeds[0])
 
     def third_vector_row_stochastic(W):
         # D^{-1/2} maps eigenvectors of the symmetric form to those of D^{-1} W
@@ -736,7 +754,7 @@ def _run_zeroing_comparison(cfg, fast):
         r = eigvec_rmse(refs, cols)
         return [alpha, seed, r[0], r[1], r[2], sel.omega]
 
-    grouped = _seed_major(seeds, [(n, p, float(a)) for a in alphas], one)
+    grouped = _seed_major(cfg.seeds, [(n, p, float(a)) for a in alphas], one)
     rows = [row for block in grouped for row in block]
     means = [
         [float(alpha)] + list(np.array([r[2:5] for r in block]).mean(axis=0))
@@ -757,7 +775,7 @@ def _run_zeroing_comparison(cfg, fast):
         ],
     }
     info = {"h_zero": h_zero, "s": s}
-    return files, seeds, info
+    return files, cfg.seeds, info
 
 
 # name: (recipe, reads).  ``reads`` maps each optional ExperimentConfig field
@@ -772,7 +790,7 @@ _RUNNERS = {
     "AccuracyLowSNR": (_run_accuracy_low, _ASPECTS),
     "AccuracyModerate": (_run_accuracy_moderate, _ASPECTS),
     "AccuracyLarge": (_run_accuracy_large, _ASPECTS),
-    "DimensionSweep": (_run_dimension_sweep, dict(alpha_base="p")),
+    "DimensionSweep": (_run_dimension_sweep, {}),
     "HistogramBulk": (_run_histogram_bulk, dict(_ASPECTS, reps=None)),
     "OmegaSweep": (_run_omega_sweep, dict(
         _ASPECTS, n=300, alpha_grid=(0.2, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0), alpha_base="n"
@@ -792,11 +810,12 @@ def run(config, fast=False):
     """Execute one named experiment, write its artifacts and return its
     manifest.
 
-    The recipe gets the config with its defaults filled in and only
-    computes: it returns its files in manifest order, each CSV as (header,
-    rows) and the gnuplot script as its lines, and the settings it derived.
-    The manifest's ``resolved`` holds every field the recipe reads that has
-    a value, merged with those settings.  ``run`` is the only code that
+    The recipe gets the config with its defaults filled in, and in fast
+    mode at most its first two seeds, and only computes: it returns its
+    files in manifest order, each CSV as (header, rows) and the gnuplot
+    script as its lines, and the settings it derived.  The manifest's
+    ``resolved`` holds every field the recipe reads that has a value,
+    merged with those settings.  ``run`` is the only code that
     writes under ``config.output_dir``, and only once the recipe has
     returned: a recipe that raises leaves the directory as it was.  It then
     removes an earlier manifest, writes each file and writes
@@ -805,6 +824,8 @@ def run(config, fast=False):
     config.validate()
     recipe, reads = _RUNNERS[config.name]
     cfg = replace(config, **{k: v for k, v in reads.items() if getattr(config, k) is None})
+    if fast:
+        cfg = replace(cfg, seeds=cfg.seeds[:2])
     started = time.perf_counter()
     files, seeds, derived = recipe(cfg, fast)
     out = config.output_dir
@@ -832,6 +853,7 @@ def run(config, fast=False):
         seeds=[int(s) for s in seeds],
         resolved=dict(echo, **derived),
         wall_clock_s=round(time.perf_counter() - started, 3),
+        environment=_environment(),
         files=[
             {"path": name, "sha256": _sha256(os.path.join(out, name))} for name in files
         ],

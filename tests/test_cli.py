@@ -186,10 +186,15 @@ def test_run_experiment_overrides_config_name(tmp_path):
         ("name = AccuracyLowSNR\nc_grid = 1000\n", "c = 1000 at n = 200 gives p"),
         ("name = HistogramBulk\nupsilon = 50\nn = 40\nreps = 2\n",
          "bulk at c = 0.5, upsilon = 50 too narrow to bin"),
+        ("name = ManifoldRmse\nn = 8\nreps = 1\n",
+         "ManifoldRmse keeps 9 eigenvectors per cloud; need n > 9, got n = 8"),
+        ("name = D2Comparison\nn = 8\n",
+         "D2Comparison compares spectra from index 10 on; need n >= 10, got n = 8"),
     ],
     ids=["unknown-key", "malformed-value", "bad-value", "unread-field", "unread-n", "zero-p",
          "fractional-seed", "nan-upsilon", "inf-upsilon", "nan-c", "nan-alpha",
-         "empty-ratio-window", "zero-p-aspect", "collapsed-bins"],
+         "empty-ratio-window", "zero-p-aspect", "collapsed-bins", "nine-vectors",
+         "d2-tail"],
 )
 def test_run_rejects_a_config_as_usage_error(tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"

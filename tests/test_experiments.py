@@ -584,18 +584,19 @@ def test_recipe_refuses_a_field_it_fixes(tmp_path, name, field):
     assert os.listdir(str(tmp_path)) == []
 
 
-# small settings, so that every recipe runs in about a second
+# small settings, so that every recipe runs in about a second; c = 2, so
+# that p != n and the base of the strength n**alpha or p**alpha matters
 SMALL_SETTINGS = {
-    "PhaseSweep": dict(n=30, c_grid=(1.0,), alpha_grid=(0.0,)),
-    "AccuracyLowSNR": dict(n=40, c_grid=(1.0,)),
-    "AccuracyModerate": dict(n=40, c_grid=(1.0,)),
-    "AccuracyLarge": dict(n=40, c_grid=(1.0,)),
-    "DimensionSweep": dict(alpha_base="n"),
-    "HistogramBulk": dict(n=40, c_grid=(1.0,), reps=2),
-    "OmegaSweep": dict(n=40, c_grid=(1.0,), alpha_grid=(1.0,)),
-    "ManifoldRmse": dict(n=40, c_grid=(1.0,), reps=1),
-    "StieltjesCompare": dict(n=40),
-    "D2Comparison": dict(n=40, c_grid=(1.0,)),
+    "PhaseSweep": dict(n=30, c_grid=(2.0,), alpha_grid=(0.0,)),
+    "AccuracyLowSNR": dict(n=40, c_grid=(2.0,)),
+    "AccuracyModerate": dict(n=40, c_grid=(2.0,)),
+    "AccuracyLarge": dict(n=40, c_grid=(2.0,)),
+    "DimensionSweep": dict(),
+    "HistogramBulk": dict(n=40, c_grid=(2.0,), reps=2),
+    "OmegaSweep": dict(n=40, c_grid=(2.0,), alpha_grid=(1.0,)),
+    "ManifoldRmse": dict(n=40, c_grid=(2.0,), reps=1),
+    "StieltjesCompare": dict(n=40, p=20),
+    "D2Comparison": dict(n=40, c_grid=(2.0,)),
     "ZeroingComparison": dict(n=40, p=20, alpha_grid=(1.0,)),
 }
 
@@ -612,6 +613,72 @@ def test_resolved_echoes_every_field_the_recipe_reads(tmp_path, name):
         assert field in resolved
         if not isinstance(value, tuple):
             assert resolved[field] == value
+
+
+# another value for each optional field, unlike its value in SMALL_SETTINGS
+OTHER_VALUES = {"n": 48, "p": 10, "c_grid": (1.0,), "alpha_grid": (0.5,), "reps": 3}
+
+
+def _small_run_digests(out, name, settings):
+    cfg = ExperimentConfig(name=name, seeds=(0,), output_dir=str(out), **settings)
+    return {entry["path"]: entry["sha256"] for entry in run(cfg, fast=True).files}
+
+
+@pytest.fixture(scope="module")
+def small_digests(tmp_path_factory):
+    """The artifact digests of each recipe at its SMALL_SETTINGS, run once."""
+    found = {}
+
+    def digests(name):
+        if name not in found:
+            out = tmp_path_factory.mktemp(name)
+            found[name] = _small_run_digests(out, name, SMALL_SETTINGS[name])
+        return found[name]
+
+    return digests
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [(name, field) for name, (_, reads) in experiments._RUNNERS.items() for field in reads],
+)
+def test_every_field_a_recipe_reads_moves_an_artifact(tmp_path, small_digests, name, field):
+    settings = dict(SMALL_SETTINGS[name])
+    if field == "alpha_base":
+        value = "n" if settings.get(field, experiments._RUNNERS[name][1][field]) == "p" else "p"
+    else:
+        value = OTHER_VALUES[field]
+    # p and c_grid are two ways to fix one aspect; setting one drops the other
+    settings.pop({"p": "c_grid", "c_grid": "p"}.get(field), None)
+    settings[field] = value
+    assert _small_run_digests(tmp_path, name, settings) != small_digests(name)
+
+
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    settings = dict(name="AccuracyLarge", n=40, seeds=(0,))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    first = run(ExperimentConfig(output_dir=str(tmp_path / "a"), **settings), fast=True)
+    with open(tmp_path / "a" / "manifest.json") as fh:
+        environment = json.load(fh)["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment == {
+        "numpy": np.__version__,
+        "blas": "%s %s" % (blas["name"], blas["version"]),
+        "threads": {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"},
+    }
+    # the record sits beside the digests, not among them
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    second = run(ExperimentConfig(output_dir=str(tmp_path / "b"), **settings), fast=True)
+    assert second.environment["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert second.files == first.files
+
+    def old_numpy(**kwargs):
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+    monkeypatch.setattr(np, "show_config", old_numpy)
+    assert experiments._environment()["blas"] == "unknown unknown"
 
 
 def test_d2_comparison_printed_cases(tmp_path):

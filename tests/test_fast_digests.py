@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import glspec
+from glspec.experiments import _environment
 
 # name: config settings besides the name; the three slowest recipes run
 # at a smaller n so that all eleven take a few seconds.
@@ -69,13 +70,10 @@ def _openblas_core():
 
 def _build():
     """What the artifact bytes depend on besides the source."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        blas = {}
+    env = _environment()
     return {
-        "numpy": np.__version__,
-        "blas": "%s %s" % (blas.get("name"), blas.get("version")),
+        "numpy": env["numpy"],
+        "blas": env["blas"],
         "blas_core": _openblas_core(),
         "OPENBLAS_NUM_THREADS": "1",
     }
