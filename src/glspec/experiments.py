@@ -58,14 +58,13 @@ class ExperimentConfig:
 
     The fields that default to ``None`` are optional: ``_RUNNERS`` lists
     the ones each recipe reads, with their defaults, and ``validate``
-    refuses the others.  ``p`` and ``c_grid`` are mutually exclusive ways
-    to fix the ambient dimension; ``alpha_base`` is the base of the signal
+    refuses the others.  ``c_grid`` fixes the ambient dimension through
+    the aspect ratios c = n/p; ``alpha_base`` is the base of the signal
     strength lambda = base**alpha.  Every field lands in the run manifest.
     """
 
     name: str
     n: int = None
-    p: int = None
     c_grid: tuple = None
     alpha_grid: tuple = None
     upsilon: float = 0.5
@@ -80,12 +79,8 @@ class ExperimentConfig:
                 "unknown experiment %r (choose from %s)"
                 % (self.name, ", ".join(EXPERIMENT_NAMES))
             )
-        if self.p is not None and self.c_grid is not None:
-            raise ValueError("give either p or c_grid, not both")
         if self.n is not None and self.n < 2:
             raise ValueError("need n >= 2")
-        if self.p is not None and self.p < 1:
-            raise ValueError("need p >= 1")
         if not (self.upsilon > 0 and np.isfinite(self.upsilon)):
             raise ValueError("need upsilon > 0 and finite, got %r" % (self.upsilon,))
         if not self.seeds:
@@ -211,16 +206,13 @@ def _environment():
     }
 
 
-def _aspects(cfg, n, default=(0.5, 1.0, 2.0)):
+def _aspects(cfg, n, default=(0.5, 1.0, 2.0), single=False):
     """Pairs (c, p = round(n/c)) for a recipe that draws n points, one per
-    c of ``cfg.c_grid`` or of ``default``; a fixed ``cfg.p`` becomes the
-    one c = n/p.  A c that rounds p below 1 is refused."""
-    if cfg.c_grid is not None:
-        cs = cfg.c_grid
-    elif cfg.p is not None:
-        cs = (n / float(cfg.p),)
-    else:
-        cs = default
+    c of ``cfg.c_grid`` or of ``default``.  A c that rounds p below 1 is
+    refused, and so is a second c when ``single`` is set."""
+    cs = default if cfg.c_grid is None else cfg.c_grid
+    if single and len(cs) > 1:
+        raise ValueError("%s runs at one c; got c_grid = %r" % (cfg.name, cfg.c_grid))
     pairs = [(c, int(round(n / c))) for c in map(float, cs)]
     for c, p in pairs:
         if p < 1:
@@ -266,8 +258,8 @@ def _run_phase_sweep(cfg, fast):
     """Descending eigenvalue curves per signal strength, plus four tracked
     eigenvalues swept over a fine strength grid with frozen noise.
 
-    The curves run at p = ``cfg.p`` (default n), or at p = round(n/c) for
-    each c of ``cfg.c_grid``, one ``c*_alpha_*`` column per pair."""
+    The curves run at p = n, the tracked half at n = 200 and c = 0.5, 1, 2;
+    a ``cfg.c_grid`` sets the c of both, one ``c*_alpha_*`` curve per pair."""
     n, alphas, seed = cfg.n, cfg.alpha_grid, cfg.seeds[0]
     aspects = _aspects(cfg, n, default=(1.0,))
     tags = ["" if cfg.c_grid is None else "c%g_" % c for c, _ in aspects]
@@ -564,11 +556,10 @@ def _run_manifold_rmse(cfg, fast):
             "ManifoldRmse keeps %d eigenvectors per cloud; need n > %d, got n = %d"
             % (top, top, cfg.n)
         )
-    rmse_rows, omega_rows, c_grids, sizes = [], [], {}, {}
+    rmse_rows, omega_rows, sizes = [], [], {}
     for kind, n_kind in MANIFOLD_RMSE_SIZES.items():
         n = sizes[kind] = n_kind if cfg.n is None else cfg.n
         aspects = _aspects(cfg, n, default=(1.0,))
-        c_grids[kind] = [c for c, _ in aspects]
         for ci, (c, p) in enumerate(aspects):
             a = 20.0 * np.sqrt(p)
             s = resample_threshold(c, n, upsilon, seed=base_seed)
@@ -622,7 +613,7 @@ def _run_manifold_rmse(cfg, fast):
             "skip 1 with yerrorlines title 'h=p'",
         ],
     }
-    info = {"reps": reps, "c_grid": c_grids, "sizes": sizes}
+    info = {"reps": reps, "c_grid": [c for c, _ in aspects], "sizes": sizes}
     return files, [base_seed + r for r in range(reps)], info
 
 
@@ -630,7 +621,7 @@ def _run_stieltjes_compare(cfg, fast):
     """Stieltjes transforms of W and its Gram-based surrogate over the
     spectral-parameter box, at unit-exponent signal strength."""
     n, a = cfg.n, 0.2
-    [(_, p)] = _aspects(cfg, n, default=(1.0,))
+    [(_, p)] = _aspects(cfg, n, default=(1.0,), single=True)
     points = stieltjes_grid(n, 1.0, a)
     eta_min = float(points.imag.min())
 
@@ -728,7 +719,7 @@ def _run_zeroing_comparison(cfg, fast):
     at bandwidth 35, the plain variant at the selected bandwidth.
     """
     n, upsilon, alphas = cfg.n, cfg.upsilon, cfg.alpha_grid
-    [(c, p)] = _aspects(cfg, n, default=(1.0,))
+    [(c, p)] = _aspects(cfg, n, default=(1.0,), single=True)
     h_zero = 35.0
     s = resample_threshold(c, n, upsilon, seed=cfg.seeds[0])
 
@@ -745,7 +736,12 @@ def _run_zeroing_comparison(cfg, fast):
         D2 = pairwise_sq_dists(cloud.noisy())
         sel = select_omega(cloud, upsilon, s, D2=D2)
         adap = third_vector_row_stochastic(affinity(D2, upsilon, sel.h))
-        zeroed = third_vector_row_stochastic(off_diagonal(affinity(D2, upsilon, h_zero)))
+        try:
+            off = off_diagonal(affinity(D2, upsilon, h_zero))
+        except ValueError as err:
+            where = "alpha = %g, n = %d, p = %d, h_zero = %g" % (alpha, n, p, h_zero)
+            raise ValueError("ZeroingComparison at %s: %s" % (where, err)) from None
+        zeroed = third_vector_row_stochastic(off)
         rng = np.random.Generator(np.random.Philox(key=seed + 991))
         noise_vec = rng.standard_normal(n)
         noise_vec /= np.linalg.norm(noise_vec)
@@ -780,9 +776,9 @@ def _run_zeroing_comparison(cfg, fast):
 
 # name: (recipe, reads).  ``reads`` maps each optional ExperimentConfig field
 # the recipe uses to its default; None means the recipe works the value out
-# itself (the c grid of ``_aspects``, the fast-dependent reps, p = n), and
-# ``validate`` refuses every other optional field.
-_ASPECTS = dict(n=200, p=None, c_grid=None, alpha_base="p")
+# itself (the c grid of ``_aspects``, the fast-dependent reps, the n of each
+# manifold), and ``validate`` refuses every other optional field.
+_ASPECTS = dict(n=200, c_grid=None, alpha_base="p")
 _RUNNERS = {
     "PhaseSweep": (_run_phase_sweep, dict(
         _ASPECTS, n=300, alpha_grid=(0.0, 0.3, 0.45, 0.6, 0.8, 1.5, 2.5)
@@ -795,11 +791,11 @@ _RUNNERS = {
     "OmegaSweep": (_run_omega_sweep, dict(
         _ASPECTS, n=300, alpha_grid=(0.2, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0), alpha_base="n"
     )),
-    "ManifoldRmse": (_run_manifold_rmse, dict(n=None, p=None, c_grid=None, reps=None)),
-    "StieltjesCompare": (_run_stieltjes_compare, dict(n=200, p=None, alpha_base="p")),
+    "ManifoldRmse": (_run_manifold_rmse, dict(n=None, c_grid=None, reps=None)),
+    "StieltjesCompare": (_run_stieltjes_compare, dict(n=200, c_grid=None, alpha_base="p")),
     "D2Comparison": (_run_d2_comparison, _ASPECTS),
     "ZeroingComparison": (_run_zeroing_comparison, dict(
-        n=400, p=200, alpha_grid=(0.3, 0.5, 0.6, 0.8, 1.0, 1.2), alpha_base="p"
+        n=400, c_grid=(2.0,), alpha_grid=(0.3, 0.5, 0.6, 0.8, 1.0, 1.2), alpha_base="p"
     )),
 }
 

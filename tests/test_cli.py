@@ -175,7 +175,8 @@ def test_run_experiment_overrides_config_name(tmp_path):
         ("name = AccuracyLarge\nupsilon = 0\n", "need upsilon > 0"),
         ("name = AccuracyLarge\nalpha_grid = 1\n", "AccuracyLarge does not read alpha_grid"),
         ("name = DimensionSweep\nn = 60\n", "DimensionSweep does not read n"),
-        ("name = StieltjesCompare\np = 0\n", "need p >= 1"),
+        # the retired fixed p; c_grid = n/P replaces p = P
+        ("name = StieltjesCompare\np = 0\n", "unknown config key 'p'"),
         ("name = AccuracyLarge\nseeds = 0.5\n", "seeds must be integers"),
         ("name = AccuracyLarge\nupsilon = nan\n", "need upsilon > 0 and finite"),
         ("name = AccuracyLarge\nupsilon = inf\n", "need upsilon > 0 and finite"),
@@ -190,11 +191,18 @@ def test_run_experiment_overrides_config_name(tmp_path):
          "ManifoldRmse keeps 9 eigenvectors per cloud; need n > 9, got n = 8"),
         ("name = D2Comparison\nn = 8\n",
          "D2Comparison compares spectra from index 10 on; need n >= 10, got n = 8"),
+        ("name = StieltjesCompare\nc_grid = 1, 2\n",
+         "StieltjesCompare runs at one c; got c_grid = (1, 2)"),
+        ("name = ZeroingComparison\nc_grid = 2, 0.5\n",
+         "ZeroingComparison runs at one c; got c_grid = (2, 0.5)"),
+        ("name = ZeroingComparison\nn = 16\nc_grid = 0.1\nalpha_grid = 3\n",
+         "ZeroingComparison at alpha = 3, n = 16, p = 160, h_zero = 35: "
+         "zeroed kernel has a degenerate row"),
     ],
     ids=["unknown-key", "malformed-value", "bad-value", "unread-field", "unread-n", "zero-p",
          "fractional-seed", "nan-upsilon", "inf-upsilon", "nan-c", "nan-alpha",
          "empty-ratio-window", "zero-p-aspect", "collapsed-bins", "nine-vectors",
-         "d2-tail"],
+         "d2-tail", "stieltjes-two-c", "zeroing-two-c", "degenerate-zeroed-row"],
 )
 def test_run_rejects_a_config_as_usage_error(tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -232,7 +240,7 @@ def test_experiment_override_is_validated_against_its_name(tmp_path):
 
 def test_run_zeroing_comparison(tmp_path):
     cfg = tmp_path / "zero.cfg"
-    cfg.write_text("n = 60\np = 30\nalpha_grid = 0.5, 1.0\nseeds = 0\n")
+    cfg.write_text("n = 60\nc_grid = 2\nalpha_grid = 0.5, 1.0\nseeds = 0\n")
     out = str(tmp_path / "zeroing")
     result = _invoke(
         ["run", "--experiment", "ZeroingComparison", "--config", str(cfg),

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import weakref
 
 import numpy as np
@@ -38,8 +39,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(name="NoSuchExperiment").validate()
     with pytest.raises(ValueError):
-        ExperimentConfig(name="PhaseSweep", p=100, c_grid=(1.0,)).validate()
-    with pytest.raises(ValueError):
         ExperimentConfig(name="PhaseSweep", n=1).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(name="PhaseSweep", upsilon=0.0).validate()
@@ -55,8 +54,6 @@ def test_config_validation():
         ({"c_grid": ()}, "c_grid"),
         ({"alpha_grid": ()}, "alpha_grid"),
         ({"seeds": (0, -1)}, "seeds"),
-        ({"p": 0}, "need p >= 1"),
-        ({"p": -3}, "need p >= 1"),
         # a fractional seed would draw int(seed)'s clouds under its own label
         ({"seeds": (0.5,)}, "seeds must be integers"),
         ({"seeds": (0, 1.0)}, "seeds must be integers"),
@@ -66,7 +63,7 @@ def test_config_validation():
             ExperimentConfig(name="HistogramBulk", **bad).validate()
     cfg = ExperimentConfig(name="PhaseSweep").validate()
     assert cfg.seeds == DEFAULT_SEEDS
-    assert ExperimentConfig(name="StieltjesCompare", p=1, seeds=(0, np.int64(3))).validate()
+    assert ExperimentConfig(name="StieltjesCompare", seeds=(0, np.int64(3))).validate()
 
 
 def test_config_to_dict_is_json_ready():
@@ -100,15 +97,15 @@ def test_parse_config_file(tmp_path):
     assert cfg.seeds == (0, 7)
     assert cfg.output_dir == "somewhere"
     assert cfg.alpha_base == "n"
-    # the two fields the file above leaves out, and the echo of every field
+    # the field the file above leaves out, and the echo of every field
     other = tmp_path / "other.cfg"
-    other.write_text("name = HistogramBulk\np = 90\nreps = 7\nupsilon = 2\n")
+    other.write_text("name = HistogramBulk\nc_grid = 2\nreps = 7\nupsilon = 2\n")
     cfg = parse_config_file(other)
-    assert (cfg.p, cfg.reps, cfg.upsilon) == (90, 7, 2.0)
+    assert (cfg.c_grid, cfg.reps, cfg.upsilon) == ((2,), 7, 2.0)
     assert isinstance(cfg.upsilon, float)
     d = cfg.to_dict()
     assert set(d) == {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert (d["p"], d["reps"], d["seeds"]) == (90, 7, list(DEFAULT_SEEDS))
+    assert (d["c_grid"], d["reps"], d["seeds"]) == ([2], 7, list(DEFAULT_SEEDS))
 
 
 def test_parse_config_file_default_name_and_errors(tmp_path):
@@ -388,15 +385,6 @@ def test_omega_sweep_fast_endpoints(tmp_path):
     assert "1" in manifest.resolved["thresholds"]
 
 
-def test_omega_sweep_fixed_p_uses_its_own_n(tmp_path):
-    # n = 300 points in p = 150 dimensions is c = 2, whatever n other
-    # recipes draw
-    cfg = ExperimentConfig(name="OmegaSweep", p=150, alpha_grid=(3.0,), output_dir=str(tmp_path))
-    manifest = run(cfg, fast=True)
-    assert manifest.resolved["n"] == 300
-    assert manifest.resolved["c_grid"] == [2.0]
-
-
 def test_manifold_rmse_structure(tmp_path):
     out = str(tmp_path)
     manifest = run(
@@ -427,7 +415,7 @@ def test_manifold_rmse_structure(tmp_path):
         ({"name": "ManifoldRmse", "n": 40, "reps": 2, "c_grid": (1.0,)}, 2 * 4),
         # clean and noisy distances once per (alpha, seed): 2 x 2 pairs
         (
-            {"name": "ZeroingComparison", "n": 60, "p": 30,
+            {"name": "ZeroingComparison", "n": 60, "c_grid": (2.0,),
              "alpha_grid": (0.5, 1.0), "seeds": (0, 1)},
             2 * 4,
         ),
@@ -564,7 +552,7 @@ def test_stieltjes_compare_sup_below_bound(tmp_path):
 
 # a valid value for each optional field, the ones that default to None
 OPTIONAL_VALUES = {
-    "n": 100, "p": 100, "c_grid": (2.0,), "alpha_grid": (2.0,), "reps": 3, "alpha_base": "n",
+    "n": 100, "c_grid": (2.0,), "alpha_grid": (2.0,), "reps": 3, "alpha_base": "n",
 }
 
 
@@ -595,9 +583,9 @@ SMALL_SETTINGS = {
     "HistogramBulk": dict(n=40, c_grid=(2.0,), reps=2),
     "OmegaSweep": dict(n=40, c_grid=(2.0,), alpha_grid=(1.0,)),
     "ManifoldRmse": dict(n=40, c_grid=(2.0,), reps=1),
-    "StieltjesCompare": dict(n=40, p=20),
+    "StieltjesCompare": dict(n=40, c_grid=(2.0,)),
     "D2Comparison": dict(n=40, c_grid=(2.0,)),
-    "ZeroingComparison": dict(n=40, p=20, alpha_grid=(1.0,)),
+    "ZeroingComparison": dict(n=40, c_grid=(2.0,), alpha_grid=(1.0,)),
 }
 
 
@@ -616,7 +604,7 @@ def test_resolved_echoes_every_field_the_recipe_reads(tmp_path, name):
 
 
 # another value for each optional field, unlike its value in SMALL_SETTINGS
-OTHER_VALUES = {"n": 48, "p": 10, "c_grid": (1.0,), "alpha_grid": (0.5,), "reps": 3}
+OTHER_VALUES = {"n": 48, "c_grid": (1.0,), "alpha_grid": (0.5,), "reps": 3}
 
 
 def _small_run_digests(out, name, settings):
@@ -648,10 +636,26 @@ def test_every_field_a_recipe_reads_moves_an_artifact(tmp_path, small_digests, n
         value = "n" if settings.get(field, experiments._RUNNERS[name][1][field]) == "p" else "p"
     else:
         value = OTHER_VALUES[field]
-    # p and c_grid are two ways to fix one aspect; setting one drops the other
-    settings.pop({"p": "c_grid", "c_grid": "p"}.get(field), None)
     settings[field] = value
     assert _small_run_digests(tmp_path, name, settings) != small_digests(name)
+
+
+def test_readme_lists_the_fields_each_recipe_reads():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    optional = {f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None}
+    intro = re.search(r"optional fields \(([^)]*)\)", text).group(1)
+    assert set(re.findall(r"`(\w+)`", intro)) == optional
+    table = text.split("| Experiment | Optional fields it reads |\n| --- | --- |\n")[1]
+    listed = {}
+    for row in table.split("\n\n")[0].splitlines():
+        names, reads = row.split("|")[1:3]
+        fields = set() if reads.strip().startswith("none") else set(re.findall(r"`(\w+)`", reads))
+        for name in re.findall(r"`(\w+)`", names):
+            assert name not in listed, "%s is listed twice" % name
+            listed[name] = fields
+    assert listed == {name: set(reads) for name, (_, reads) in experiments._RUNNERS.items()}
 
 
 def test_manifest_records_the_environment(tmp_path, monkeypatch):
@@ -717,14 +721,15 @@ def zeroing_run(tmp_path_factory):
 
 
 def test_zeroing_comparison_follows_alpha_base(tmp_path):
-    settings = dict(name="ZeroingComparison", n=60, p=30, alpha_grid=(1.0,), seeds=(0,))
+    settings = dict(name="ZeroingComparison", n=60, alpha_grid=(1.0,), seeds=(0,))
     digests = {}
     for base in (None, "p", "n"):
         out = str(tmp_path / str(base))
         manifest = run(ExperimentConfig(output_dir=out, alpha_base=base, **settings))
         assert manifest.resolved["alpha_base"] == (base or "p")
         digests[base] = {f["path"]: f["sha256"] for f in manifest.files}["zeroing.csv"]
-    # p is the default base; with n != p the strength n**alpha is another cloud
+    # p is the default base; at the default c = 2, n != p and the strength
+    # n**alpha is another cloud
     assert digests[None] == digests["p"]
     assert digests["n"] != digests["p"]
 
