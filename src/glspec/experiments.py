@@ -208,15 +208,18 @@ def _environment():
 
 def _aspects(cfg, n, default=(0.5, 1.0, 2.0), single=False):
     """Pairs (c, p = round(n/c)) for a recipe that draws n points, one per
-    c of ``cfg.c_grid`` or of ``default``.  A c that rounds p below 1 is
-    refused, and so is a second c when ``single`` is set."""
+    c of ``cfg.c_grid`` or of ``default``.  An (n, p) below the recipe's
+    smallest sizes in ``_RUNNERS`` is refused, and so is a second c when
+    ``single`` is set."""
     cs = default if cfg.c_grid is None else cfg.c_grid
     if single and len(cs) > 1:
         raise ValueError("%s runs at one c; got c_grid = %r" % (cfg.name, cfg.c_grid))
+    min_n, min_p = _RUNNERS[cfg.name][2]
     pairs = [(c, int(round(n / c))) for c in map(float, cs)]
     for c, p in pairs:
-        if p < 1:
-            raise ValueError("c = %g at n = %d gives p = round(n/c) = %d < 1" % (c, n, p))
+        if n < min_n or p < min_p:
+            need = "%s needs n >= %d and p >= %d" % (cfg.name, min_n, min_p)
+            raise ValueError("%s; c = %g at n = %d gives p = round(n/c) = %d" % (need, c, n, p))
     return pairs
 
 
@@ -261,7 +264,10 @@ def _run_phase_sweep(cfg, fast):
     The curves run at p = n, the tracked half at n = 200 and c = 0.5, 1, 2;
     a ``cfg.c_grid`` sets the c of both, one ``c*_alpha_*`` curve per pair."""
     n, alphas, seed = cfg.n, cfg.alpha_grid, cfg.seeds[0]
+    # both halves resolve their aspects first, so a size refusal precedes any draw
+    n2 = 200
     aspects = _aspects(cfg, n, default=(1.0,))
+    pairs = _aspects(cfg, n2)
     tags = ["" if cfg.c_grid is None else "c%g_" % c for c, _ in aspects]
 
     # plain loops: the previous cloud keeps its noise live while the next
@@ -274,8 +280,6 @@ def _run_phase_sweep(cfg, fast):
     header = ["index"] + [tag + "alpha_%g" % a for tag in tags for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
 
-    n2 = 200
-    pairs = _aspects(cfg, n2)
     step = 0.1 if fast else 0.05
     fine = np.round(np.arange(0.0, 2.5 + 1e-9, step), 10)
     track = (1, 2, 8, 80)
@@ -462,7 +466,8 @@ def _run_histogram_bulk(cfg, fast):
     for (c, _), m in zip(aspects, measures):
         edges.append(np.linspace(m.shift + m.bulk_lo, m.shift + m.bulk_hi, bins + 1))
         if not np.all(np.diff(edges[-1]) > 0):
-            raise ValueError("bulk at c = %g, upsilon = %g too narrow to bin" % (c, cfg.upsilon))
+            where = "c = %g, upsilon = %g" % (c, cfg.upsilon)
+            raise ValueError("%s: bulk at %s too narrow to bin" % (cfg.name, where))
 
     def one(n, p, edge, seed):
         _, W = _spiked_affinity(cfg, n, p, seed, (0.2,))
@@ -551,11 +556,6 @@ def _run_manifold_rmse(cfg, fast):
     reps = cfg.reps if cfg.reps is not None else (5 if fast else 20)
     base_seed = cfg.seeds[0]
     top = 9
-    if cfg.n is not None and cfg.n <= top:
-        raise ValueError(
-            "ManifoldRmse keeps %d eigenvectors per cloud; need n > %d, got n = %d"
-            % (top, top, cfg.n)
-        )
     rmse_rows, omega_rows, sizes = [], [], {}
     for kind, n_kind in MANIFOLD_RMSE_SIZES.items():
         n = sizes[kind] = n_kind if cfg.n is None else cfg.n
@@ -676,11 +676,6 @@ def _run_d2_comparison(cfg, fast):
     n = cfg.n
     aspects = _aspects(cfg, n)
     start = 10
-    if n < start:
-        raise ValueError(
-            "D2Comparison compares spectra from index %d on; need n >= %d, got n = %d"
-            % (start, start, n)
-        )
     strengths = {alphas for _, a1, a2, _ in D2_CASES for alphas in ((a1,), (a1, a2))}
 
     def one(n, p, seed):
@@ -774,29 +769,33 @@ def _run_zeroing_comparison(cfg, fast):
     return files, cfg.seeds, info
 
 
-# name: (recipe, reads).  ``reads`` maps each optional ExperimentConfig field
-# the recipe uses to its default; None means the recipe works the value out
-# itself (the c grid of ``_aspects``, the fast-dependent reps, the n of each
-# manifold), and ``validate`` refuses every other optional field.
+# name: (recipe, reads, (min_n, min_p)).  ``reads`` maps each optional
+# ExperimentConfig field the recipe uses to its default; None means the recipe
+# works the value out itself (the c grid of ``_aspects``, the fast-dependent
+# reps, the n of each manifold), and ``validate`` refuses every other optional
+# field.  ``_aspects`` refuses an (n, p) below (min_n, min_p): n >= 10 where
+# the recipe skips 9 eigenvalues (bulk_rigidity), starts its tail at index 10
+# or keeps 9 eigenvectors; p >= 2 for D2Comparison's second spike; n, p >= 5
+# for the bandwidth scan's bulk ratio window; (2, 1) where only the cloud does.
 _ASPECTS = dict(n=200, c_grid=None, alpha_base="p")
 _RUNNERS = {
     "PhaseSweep": (_run_phase_sweep, dict(
         _ASPECTS, n=300, alpha_grid=(0.0, 0.3, 0.45, 0.6, 0.8, 1.5, 2.5)
-    )),
-    "AccuracyLowSNR": (_run_accuracy_low, _ASPECTS),
-    "AccuracyModerate": (_run_accuracy_moderate, _ASPECTS),
-    "AccuracyLarge": (_run_accuracy_large, _ASPECTS),
-    "DimensionSweep": (_run_dimension_sweep, {}),
-    "HistogramBulk": (_run_histogram_bulk, dict(_ASPECTS, reps=None)),
+    ), (2, 1)),
+    "AccuracyLowSNR": (_run_accuracy_low, _ASPECTS, (10, 1)),
+    "AccuracyModerate": (_run_accuracy_moderate, _ASPECTS, (2, 1)),
+    "AccuracyLarge": (_run_accuracy_large, _ASPECTS, (2, 1)),
+    "DimensionSweep": (_run_dimension_sweep, {}, (2, 1)),
+    "HistogramBulk": (_run_histogram_bulk, dict(_ASPECTS, reps=None), (2, 1)),
     "OmegaSweep": (_run_omega_sweep, dict(
         _ASPECTS, n=300, alpha_grid=(0.2, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0), alpha_base="n"
-    )),
-    "ManifoldRmse": (_run_manifold_rmse, dict(n=None, c_grid=None, reps=None)),
-    "StieltjesCompare": (_run_stieltjes_compare, dict(n=200, c_grid=None, alpha_base="p")),
-    "D2Comparison": (_run_d2_comparison, _ASPECTS),
+    ), (5, 5)),
+    "ManifoldRmse": (_run_manifold_rmse, dict(n=None, c_grid=None, reps=None), (10, 5)),
+    "StieltjesCompare": (_run_stieltjes_compare, _ASPECTS, (2, 1)),
+    "D2Comparison": (_run_d2_comparison, _ASPECTS, (10, 2)),
     "ZeroingComparison": (_run_zeroing_comparison, dict(
         n=400, c_grid=(2.0,), alpha_grid=(0.3, 0.5, 0.6, 0.8, 1.0, 1.2), alpha_base="p"
-    )),
+    ), (5, 5)),
 }
 
 EXPERIMENT_NAMES = tuple(_RUNNERS)
@@ -818,7 +817,7 @@ def run(config, fast=False):
     ``manifest.json`` last, so a failed write leaves no manifest.
     """
     config.validate()
-    recipe, reads = _RUNNERS[config.name]
+    recipe, reads, _ = _RUNNERS[config.name]
     cfg = replace(config, **{k: v for k, v in reads.items() if getattr(config, k) is None})
     if fast:
         cfg = replace(cfg, seeds=cfg.seeds[:2])

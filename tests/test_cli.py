@@ -183,14 +183,19 @@ def test_run_experiment_overrides_config_name(tmp_path):
         ("name = AccuracyLarge\nc_grid = 1, nan\n", "c_grid must hold positive finite numbers"),
         ("name = PhaseSweep\nalpha_grid = 0.2, nan\n", "alpha_grid must hold finite numbers"),
         # refused by the recipe, before run() touches the output directory
-        ("name = OmegaSweep\nn = 40\nc_grid = 10\n", "bulk ratio window is empty"),
+        ("name = OmegaSweep\nn = 40\nc_grid = 10\n",
+         "OmegaSweep needs n >= 5 and p >= 5; c = 10 at n = 40 gives p = round(n/c) = 4"),
         ("name = AccuracyLowSNR\nc_grid = 1000\n", "c = 1000 at n = 200 gives p"),
         ("name = HistogramBulk\nupsilon = 50\nn = 40\nreps = 2\n",
-         "bulk at c = 0.5, upsilon = 50 too narrow to bin"),
+         "HistogramBulk: bulk at c = 0.5, upsilon = 50 too narrow to bin"),
         ("name = ManifoldRmse\nn = 8\nreps = 1\n",
-         "ManifoldRmse keeps 9 eigenvectors per cloud; need n > 9, got n = 8"),
+         "ManifoldRmse needs n >= 10 and p >= 5; c = 1 at n = 8 gives p = round(n/c) = 8"),
         ("name = D2Comparison\nn = 8\n",
-         "D2Comparison compares spectra from index 10 on; need n >= 10, got n = 8"),
+         "D2Comparison needs n >= 10 and p >= 2; c = 0.5 at n = 8 gives p = round(n/c) = 16"),
+        ("name = AccuracyLowSNR\nn = 8\n",
+         "AccuracyLowSNR needs n >= 10 and p >= 1; c = 0.5 at n = 8 gives p = round(n/c) = 16"),
+        ("name = D2Comparison\nn = 20\nc_grid = 20\n",
+         "D2Comparison needs n >= 10 and p >= 2; c = 20 at n = 20 gives p = round(n/c) = 1"),
         ("name = StieltjesCompare\nc_grid = 1, 2\n",
          "StieltjesCompare runs at one c; got c_grid = (1, 2)"),
         ("name = ZeroingComparison\nc_grid = 2, 0.5\n",
@@ -202,7 +207,8 @@ def test_run_experiment_overrides_config_name(tmp_path):
     ids=["unknown-key", "malformed-value", "bad-value", "unread-field", "unread-n", "zero-p",
          "fractional-seed", "nan-upsilon", "inf-upsilon", "nan-c", "nan-alpha",
          "empty-ratio-window", "zero-p-aspect", "collapsed-bins", "nine-vectors",
-         "d2-tail", "stieltjes-two-c", "zeroing-two-c", "degenerate-zeroed-row"],
+         "d2-tail", "low-snr-rigidity", "d2-two-spikes", "stieltjes-two-c", "zeroing-two-c",
+         "degenerate-zeroed-row"],
 )
 def test_run_rejects_a_config_as_usage_error(tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"

@@ -63,7 +63,8 @@ def _refused_or_finished(name, fields):
             return
         try:
             manifest = run(cfg, fast=True)
-        except ValueError:
+        except ValueError as err:
+            assert name in str(err)
             assert not os.path.exists(out)
             return
         for entry in manifest.files:

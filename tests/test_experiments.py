@@ -211,7 +211,8 @@ def test_validate_refuses_non_finite_numbers(tmp_path, bad):
 def test_a_c_that_rounds_p_to_zero_is_refused(tmp_path, name):
     out = tmp_path / "out"
     cfg = ExperimentConfig(name=name, n=200, c_grid=(1.0, 1000.0), output_dir=str(out))
-    with pytest.raises(ValueError, match=r"c = 1000 at n = 200 gives p = round\(n/c\) = 0 < 1"):
+    message = r"%s needs n >= \d+ and p >= \d+; c = 1000 at n = 200 gives p = round\(n/c\) = 0$"
+    with pytest.raises(ValueError, match=message % name):
         run(cfg, fast=True)
     # the recipe raises before run() touches the output directory
     assert not out.exists()
@@ -244,13 +245,13 @@ def test_unserialisable_manifest_leaves_no_file(tmp_path, monkeypatch):
     import glspec.experiments as experiments
 
     out = str(tmp_path)
-    inner, reads = experiments._RUNNERS["AccuracyLarge"]
+    inner, reads, sizes = experiments._RUNNERS["AccuracyLarge"]
 
     def runner(cfg, fast):
         files, seeds, info = inner(cfg, fast)
         return files, seeds, dict(info, bad=object())
 
-    monkeypatch.setitem(experiments._RUNNERS, "AccuracyLarge", (runner, reads))
+    monkeypatch.setitem(experiments._RUNNERS, "AccuracyLarge", (runner, reads, sizes))
     with pytest.raises(TypeError):
         run(ExperimentConfig(name="AccuracyLarge", n=40, seeds=(0,), output_dir=out), fast=True)
     assert os.path.exists(os.path.join(out, "accuracy_large_summary.csv"))
@@ -541,6 +542,28 @@ def test_each_seed_draws_its_noise_once(tmp_path, monkeypatch, settings, expecte
     assert drawn == expected
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        # the curves run at p = round(300/500) = 1; the tracked half at n = 200
+        # rounds p to 0, and is resolved before the curves draw
+        {"name": "PhaseSweep", "n": 300, "c_grid": (500.0,)},
+        # bulk_rigidity skips 9 eigenvalues
+        {"name": "AccuracyLowSNR", "n": 8},
+        # p = 1 leaves no room for the second spike
+        {"name": "D2Comparison", "n": 20, "c_grid": (20.0,)},
+    ],
+    ids=["PhaseSweep-tracked-p0", "AccuracyLowSNR-n8", "D2Comparison-p1"],
+)
+def test_a_shape_below_its_floor_is_refused_before_any_draw(tmp_path, monkeypatch, settings):
+    drawn = _record_draws(monkeypatch)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^%s needs n >= " % settings["name"]):
+        run(ExperimentConfig(output_dir=str(out), **settings), fast=True)
+    assert drawn == []
+    assert not out.exists()
+
+
 def test_stieltjes_compare_sup_below_bound(tmp_path):
     out = str(tmp_path)
     run(ExperimentConfig(name="StieltjesCompare", output_dir=out), fast=True)
@@ -560,7 +583,7 @@ OPTIONAL_VALUES = {
     "name, field",
     [
         (name, field)
-        for name, (_, reads) in experiments._RUNNERS.items()
+        for name, (_, reads, _) in experiments._RUNNERS.items()
         for field in (f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None)
         if field not in reads
     ],
@@ -628,7 +651,7 @@ def small_digests(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "name, field",
-    [(name, field) for name, (_, reads) in experiments._RUNNERS.items() for field in reads],
+    [(name, field) for name, (_, reads, _) in experiments._RUNNERS.items() for field in reads],
 )
 def test_every_field_a_recipe_reads_moves_an_artifact(tmp_path, small_digests, name, field):
     settings = dict(SMALL_SETTINGS[name])
@@ -647,15 +670,19 @@ def test_readme_lists_the_fields_each_recipe_reads():
     optional = {f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None}
     intro = re.search(r"optional fields \(([^)]*)\)", text).group(1)
     assert set(re.findall(r"`(\w+)`", intro)) == optional
-    table = text.split("| Experiment | Optional fields it reads |\n| --- | --- |\n")[1]
-    listed = {}
+    header = "| Experiment | Optional fields it reads | Smallest (n, p) |\n| --- | --- | --- |\n"
+    table = text.split(header)[1]
+    listed, floors = {}, {}
     for row in table.split("\n\n")[0].splitlines():
-        names, reads = row.split("|")[1:3]
+        names, reads, sizes = row.split("|")[1:4]
         fields = set() if reads.strip().startswith("none") else set(re.findall(r"`(\w+)`", reads))
+        floor = tuple(map(int, re.match(r" \((\d+), (\d+)\)", sizes).groups()))
         for name in re.findall(r"`(\w+)`", names):
             assert name not in listed, "%s is listed twice" % name
-            listed[name] = fields
-    assert listed == {name: set(reads) for name, (_, reads) in experiments._RUNNERS.items()}
+            listed[name], floors[name] = fields, floor
+    registry = experiments._RUNNERS.items()
+    assert listed == {name: set(reads) for name, (_, reads, _) in registry}
+    assert floors == {name: sizes for name, (_, _, sizes) in registry}
 
 
 def test_manifest_records_the_environment(tmp_path, monkeypatch):
