@@ -87,7 +87,12 @@ def _strengths(kind, n, p, lam, alpha, alpha_base, scale):
         raise click.BadParameter("%s takes %s, got %r" % (kind, count, text), param_hint=name)
     if name == "--alpha":
         base = float(n if alpha_base == "n" else p)
-        values = tuple(base ** a for a in values)
+        try:
+            values = tuple(base ** a for a in values)
+        except OverflowError:
+            raise click.BadParameter(
+                "%g**alpha overflows for %r" % (base, text), param_hint=name
+            ) from None
     return values
 
 

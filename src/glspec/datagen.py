@@ -133,12 +133,15 @@ def _generate(kind, n, p, seed, lambdas, coords, rotate=False):
     """The one body behind every generator: the noise of ``seed`` and the
     n x d array ``coords(signal_rng)`` drawn from its signal substream, kept
     as is, or zero-padded to n x p and rotated by ``random_rotation(p, seed)``
-    when ``rotate`` (the dense product, to the last bit).  Refuses n < 2 and
-    a seed that is not an integer >= 0 before anything is drawn."""
+    when ``rotate`` (the dense product, to the last bit).  Refuses n < 2, a
+    seed that is not an integer >= 0 and a strength that is not finite
+    before anything is drawn."""
     if n < 2:
         raise ValueError("need n >= 2, got %r" % (n,))
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError("need an integer seed >= 0, got %r" % (seed,))
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError("%s cloud needs finite signal strengths, got %r" % (kind, lambdas))
     noise = _shared_noise(seed, n, p)
     z = coords(_substream(seed, 1))
     d = z.shape[1]

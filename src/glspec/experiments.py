@@ -79,21 +79,23 @@ class ExperimentConfig:
                 "unknown experiment %r (choose from %s)"
                 % (self.name, ", ".join(EXPERIMENT_NAMES))
             )
-        if self.n is not None and self.n < 2:
-            raise ValueError("need n >= 2")
-        if not (self.upsilon > 0 and np.isfinite(self.upsilon)):
+        for key, least in (("n", 2), ("reps", 1)):
+            value = getattr(self, key)
+            if value is not None and not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError("%s must be an integer >= %d, got %r" % (key, least, value))
+        if not (isinstance(self.upsilon, numbers.Real) and 0 < self.upsilon < np.inf):
             raise ValueError("need upsilon > 0 and finite, got %r" % (self.upsilon,))
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if not all(isinstance(seed, numbers.Integral) and seed >= 0 for seed in self.seeds):
-            raise ValueError("seeds must be integers >= 0, got %r" % (self.seeds,))
-        cs, alphas = self.c_grid, self.alpha_grid
-        if cs is not None and not (cs and all(c > 0 and np.isfinite(c) for c in cs)):
-            raise ValueError("c_grid must hold positive finite numbers, got %r" % (cs,))
-        if alphas is not None and not (alphas and np.all(np.isfinite(alphas))):
-            raise ValueError("alpha_grid must hold finite numbers, got %r" % (alphas,))
-        if self.reps is not None and self.reps < 1:
-            raise ValueError("need reps >= 1")
+        for key, rule, ok in (
+            ("c_grid", "hold positive finite numbers", lambda c: 0 < c < np.inf),
+            ("alpha_grid", "hold finite numbers", np.isfinite),
+            ("seeds", "be integers >= 0", lambda s: isinstance(s, numbers.Integral) and s >= 0),
+        ):
+            values = getattr(self, key)
+            if values is not None and not (
+                isinstance(values, (tuple, list)) and values
+                and all(isinstance(v, numbers.Real) and ok(v) for v in values)
+            ):
+                raise ValueError("%s must %s in a non-empty sequence, got %r" % (key, rule, values))
         if self.alpha_base not in (None, "n", "p"):
             raise ValueError("alpha_base must be 'n' or 'p'")
         reads = _RUNNERS[self.name][1]
@@ -105,10 +107,11 @@ class ExperimentConfig:
         return self
 
     def to_dict(self):
-        """Every field, JSON-ready: tuples as lists, ``alpha_grid`` as floats."""
+        """Every field, JSON-ready: tuples as lists, the two grids as floats."""
         d = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
-        if self.alpha_grid is not None:
-            d["alpha_grid"] = [float(a) for a in self.alpha_grid]
+        for key in ("c_grid", "alpha_grid"):
+            if d[key] is not None:
+                d[key] = [float(v) for v in d[key]]
         return d
 
 
@@ -206,16 +209,14 @@ def _environment():
     }
 
 
-def _aspects(cfg, n, default=(0.5, 1.0, 2.0), single=False):
+def _aspects(cfg, n, single=False):
     """Pairs (c, p = round(n/c)) for a recipe that draws n points, one per
-    c of ``cfg.c_grid`` or of ``default``.  An (n, p) below the recipe's
-    smallest sizes in ``_RUNNERS`` is refused, and so is a second c when
-    ``single`` is set."""
-    cs = default if cfg.c_grid is None else cfg.c_grid
-    if single and len(cs) > 1:
+    c of ``cfg.c_grid``.  An (n, p) below the recipe's smallest sizes in
+    ``_RUNNERS`` is refused, and so is a second c when ``single`` is set."""
+    if single and len(cfg.c_grid) > 1:
         raise ValueError("%s runs at one c; got c_grid = %r" % (cfg.name, cfg.c_grid))
     min_n, min_p = _RUNNERS[cfg.name][2]
-    pairs = [(c, int(round(n / c))) for c in map(float, cs)]
+    pairs = [(c, int(round(n / c))) for c in map(float, cfg.c_grid)]
     for c, p in pairs:
         if n < min_n or p < min_p:
             need = "%s needs n >= %d and p >= %d" % (cfg.name, min_n, min_p)
@@ -238,8 +239,14 @@ def _seed_major(seeds, shapes, one):
     return grouped
 
 
-def _signal(alpha, n, p, base):
-    return float(n) ** alpha if base == "n" else float(p) ** alpha
+def _signal(cfg, alpha, n, p):
+    """The strength base**alpha, base n or p as ``cfg.alpha_base`` says."""
+    base = float(n if cfg.alpha_base == "n" else p)
+    try:
+        return base ** float(alpha)
+    except OverflowError:
+        where = "%s**alpha = %g**%g" % (cfg.alpha_base, base, alpha)
+        raise ValueError("%s: the strength %s overflows" % (cfg.name, where)) from None
 
 
 def _affinity_of(X, upsilon, h):
@@ -249,7 +256,7 @@ def _affinity_of(X, upsilon, h):
 def _spiked_affinity(cfg, n, p, seed, alphas):
     """A spiked cloud of strengths base**alpha (base ``cfg.alpha_base``),
     one per alpha of ``alphas``, and its noisy affinity at h = p."""
-    cloud = gen_spiked(n, p, tuple(_signal(a, n, p, cfg.alpha_base) for a in alphas), seed)
+    cloud = gen_spiked(n, p, tuple(_signal(cfg, a, n, p) for a in alphas), seed)
     return cloud, _affinity_of(cloud.noisy(), cfg.upsilon, p)
 
 
@@ -266,8 +273,8 @@ def _run_phase_sweep(cfg, fast):
     n, alphas, seed = cfg.n, cfg.alpha_grid, cfg.seeds[0]
     # both halves resolve their aspects first, so a size refusal precedes any draw
     n2 = 200
-    aspects = _aspects(cfg, n, default=(1.0,))
-    pairs = _aspects(cfg, n2)
+    aspects = _aspects(replace(cfg, c_grid=cfg.c_grid or (1.0,)), n)
+    pairs = _aspects(replace(cfg, c_grid=cfg.c_grid or (0.5, 1.0, 2.0)), n2)
     tags = ["" if cfg.c_grid is None else "c%g_" % c for c, _ in aspects]
 
     # plain loops: the previous cloud keeps its noise live while the next
@@ -357,7 +364,7 @@ def _accuracy_recipe(cfg, tag, alpha, make_reference):
             % tag,
         ],
     }
-    info = {"alpha": alpha, "c_grid": [c for c, _ in aspects]}
+    info = {"alpha": alpha}
     return files, cfg.seeds, info
 
 
@@ -496,7 +503,7 @@ def _run_histogram_bulk(cfg, fast):
             "title 'limit (c=1)'",
         ],
     }
-    info = {"reps": reps, "alpha": 0.2, "c_grid": [c for c, _ in aspects]}
+    info = {"reps": reps, "alpha": 0.2}
     return files, [first_seed], info
 
 
@@ -510,7 +517,7 @@ def _run_omega_sweep(cfg, fast):
     shapes = [(n, p, c, float(a)) for c, p in aspects for a in alphas]
 
     def one(n, p, c, alpha, seed):
-        cloud = gen_circle(n, p, _signal(alpha, n, p, cfg.alpha_base), seed)
+        cloud = gen_circle(n, p, _signal(cfg, alpha, n, p), seed)
         D2 = pairwise_sq_dists(cloud.noisy())
         sel_w = select_omega(cloud, cfg.upsilon, thresholds[c], D2=D2)
         sel_a = select_omega(
@@ -539,7 +546,6 @@ def _run_omega_sweep(cfg, fast):
     }
     info = {
         "alpha_grid": [float(a) for a in alphas],
-        "c_grid": [c for c, _ in aspects],
         "thresholds": {_fmt(c): s for c, s in thresholds.items()},
     }
     return files, [seed], info
@@ -559,7 +565,7 @@ def _run_manifold_rmse(cfg, fast):
     rmse_rows, omega_rows, sizes = [], [], {}
     for kind, n_kind in MANIFOLD_RMSE_SIZES.items():
         n = sizes[kind] = n_kind if cfg.n is None else cfg.n
-        aspects = _aspects(cfg, n, default=(1.0,))
+        aspects = _aspects(cfg, n)
         for ci, (c, p) in enumerate(aspects):
             a = 20.0 * np.sqrt(p)
             s = resample_threshold(c, n, upsilon, seed=base_seed)
@@ -613,7 +619,7 @@ def _run_manifold_rmse(cfg, fast):
             "skip 1 with yerrorlines title 'h=p'",
         ],
     }
-    info = {"reps": reps, "c_grid": [c for c, _ in aspects], "sizes": sizes}
+    info = {"reps": reps, "sizes": sizes}
     return files, [base_seed + r for r in range(reps)], info
 
 
@@ -621,7 +627,7 @@ def _run_stieltjes_compare(cfg, fast):
     """Stieltjes transforms of W and its Gram-based surrogate over the
     spectral-parameter box, at unit-exponent signal strength."""
     n, a = cfg.n, 0.2
-    [(_, p)] = _aspects(cfg, n, default=(1.0,), single=True)
+    [(_, p)] = _aspects(cfg, n, single=True)
     points = stieltjes_grid(n, 1.0, a)
     eta_min = float(points.imag.min())
 
@@ -659,7 +665,7 @@ def _run_stieltjes_compare(cfg, fast):
             "title 'mean over seeds'",
         ],
     }
-    info = {"p": p, "lambda": _signal(1.0, n, p, cfg.alpha_base), "a": a, "eta_min": eta_min}
+    info = {"p": p, "lambda": _signal(cfg, 1.0, n, p), "a": a, "eta_min": eta_min}
     return files, cfg.seeds, info
 
 
@@ -704,7 +710,7 @@ def _run_d2_comparison(cfg, fast):
             "with points title 'two spikes'",
         ],
     }
-    info = {"c_grid": [c for c, _ in aspects], "start_index": start}
+    info = {"start_index": start}
     return files, cfg.seeds, info
 
 
@@ -714,7 +720,7 @@ def _run_zeroing_comparison(cfg, fast):
     at bandwidth 35, the plain variant at the selected bandwidth.
     """
     n, upsilon, alphas = cfg.n, cfg.upsilon, cfg.alpha_grid
-    [(c, p)] = _aspects(cfg, n, default=(1.0,), single=True)
+    [(c, p)] = _aspects(cfg, n, single=True)
     h_zero = 35.0
     s = resample_threshold(c, n, upsilon, seed=cfg.seeds[0])
 
@@ -725,7 +731,7 @@ def _run_zeroing_comparison(cfg, fast):
         return vec / np.linalg.norm(vec)
 
     def one(n, p, alpha, seed):
-        lam = _signal(alpha, n, p, cfg.alpha_base)
+        lam = _signal(cfg, alpha, n, p)
         cloud = gen_spiked(n, p, (lam,), seed)
         ref = third_vector_row_stochastic(_affinity_of(cloud.clean_cols, upsilon, p + lam))
         D2 = pairwise_sq_dists(cloud.noisy())
@@ -771,16 +777,16 @@ def _run_zeroing_comparison(cfg, fast):
 
 # name: (recipe, reads, (min_n, min_p)).  ``reads`` maps each optional
 # ExperimentConfig field the recipe uses to its default; None means the recipe
-# works the value out itself (the c grid of ``_aspects``, the fast-dependent
-# reps, the n of each manifold), and ``validate`` refuses every other optional
+# works the value out itself (PhaseSweep's c grids, the fast-dependent reps,
+# the n of each manifold), and ``validate`` refuses every other optional
 # field.  ``_aspects`` refuses an (n, p) below (min_n, min_p): n >= 10 where
 # the recipe skips 9 eigenvalues (bulk_rigidity), starts its tail at index 10
 # or keeps 9 eigenvectors; p >= 2 for D2Comparison's second spike; n, p >= 5
 # for the bandwidth scan's bulk ratio window; (2, 1) where only the cloud does.
-_ASPECTS = dict(n=200, c_grid=None, alpha_base="p")
+_ASPECTS = dict(n=200, c_grid=(0.5, 1.0, 2.0), alpha_base="p")
 _RUNNERS = {
     "PhaseSweep": (_run_phase_sweep, dict(
-        _ASPECTS, n=300, alpha_grid=(0.0, 0.3, 0.45, 0.6, 0.8, 1.5, 2.5)
+        _ASPECTS, n=300, c_grid=None, alpha_grid=(0.0, 0.3, 0.45, 0.6, 0.8, 1.5, 2.5)
     ), (2, 1)),
     "AccuracyLowSNR": (_run_accuracy_low, _ASPECTS, (10, 1)),
     "AccuracyModerate": (_run_accuracy_moderate, _ASPECTS, (2, 1)),
@@ -790,8 +796,8 @@ _RUNNERS = {
     "OmegaSweep": (_run_omega_sweep, dict(
         _ASPECTS, n=300, alpha_grid=(0.2, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0), alpha_base="n"
     ), (5, 5)),
-    "ManifoldRmse": (_run_manifold_rmse, dict(n=None, c_grid=None, reps=None), (10, 5)),
-    "StieltjesCompare": (_run_stieltjes_compare, _ASPECTS, (2, 1)),
+    "ManifoldRmse": (_run_manifold_rmse, dict(n=None, c_grid=(1.0,), reps=None), (10, 5)),
+    "StieltjesCompare": (_run_stieltjes_compare, dict(_ASPECTS, c_grid=(1.0,)), (2, 1)),
     "D2Comparison": (_run_d2_comparison, _ASPECTS, (10, 2)),
     "ZeroingComparison": (_run_zeroing_comparison, dict(
         n=400, c_grid=(2.0,), alpha_grid=(0.3, 0.5, 0.6, 0.8, 1.0, 1.2), alpha_base="p"

@@ -115,6 +115,12 @@ def test_gen_alpha_resolution_base_p_and_n(tmp_path):
         ["--kind", "m1", "--n", "0"],
         ["--kind", "kb", "--n", "1"],
         ["--kind", "circle", "--lam", "4", "--seed", "-1"],
+        ["--kind", "spiked", "--lam", "nan"],
+        ["--kind", "circle", "--lam", "inf"],
+        ["--kind", "m1", "--scale", "nan"],
+        ["--kind", "kb", "--scale", "1e200"],
+        ["--kind", "spiked", "--alpha", "1e400"],
+        ["--kind", "spiked", "--alpha", "500"],
     ],
     ids=lambda args: "-".join(a.lstrip("-") for a in args[1:]),
 )
@@ -203,12 +209,14 @@ def test_run_experiment_overrides_config_name(tmp_path):
         ("name = ZeroingComparison\nn = 16\nc_grid = 0.1\nalpha_grid = 3\n",
          "ZeroingComparison at alpha = 3, n = 16, p = 160, h_zero = 35: "
          "zeroed kernel has a degenerate row"),
+        ("name = PhaseSweep\nn = 20\nalpha_grid = 300\n",
+         "PhaseSweep: the strength p**alpha = 20**300 overflows"),
     ],
     ids=["unknown-key", "malformed-value", "bad-value", "unread-field", "unread-n", "zero-p",
          "fractional-seed", "nan-upsilon", "inf-upsilon", "nan-c", "nan-alpha",
          "empty-ratio-window", "zero-p-aspect", "collapsed-bins", "nine-vectors",
          "d2-tail", "low-snr-rigidity", "d2-two-spikes", "stieltjes-two-c", "zeroing-two-c",
-         "degenerate-zeroed-row"],
+         "degenerate-zeroed-row", "overflowing-strength"],
 )
 def test_run_rejects_a_config_as_usage_error(tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"

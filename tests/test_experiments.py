@@ -61,6 +61,19 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match=pattern):
             ExperimentConfig(name="HistogramBulk", **bad).validate()
+    # a value of the wrong type is refused by name, not left to fail inside run()
+    for name, bad, pattern in (
+        ("HistogramBulk", {"n": 20.0}, "n must be an integer >= 2"),
+        ("HistogramBulk", {"reps": 2.5}, "reps must be an integer >= 1"),
+        ("HistogramBulk", {"upsilon": "0.5"}, "upsilon"),
+        ("HistogramBulk", {"c_grid": 2.0}, "c_grid must hold positive finite numbers"),
+        ("HistogramBulk", {"c_grid": "2"}, "c_grid"),
+        ("HistogramBulk", {"c_grid": (1.0, None)}, "c_grid"),
+        ("HistogramBulk", {"seeds": 3}, "seeds must be integers"),
+        ("OmegaSweep", {"alpha_grid": 0.5}, "alpha_grid must hold finite numbers"),
+    ):
+        with pytest.raises(ValueError, match=pattern):
+            ExperimentConfig(name=name, **bad).validate()
     cfg = ExperimentConfig(name="PhaseSweep").validate()
     assert cfg.seeds == DEFAULT_SEEDS
     assert ExperimentConfig(name="StieltjesCompare", seeds=(0, np.int64(3))).validate()
@@ -624,6 +637,20 @@ def test_resolved_echoes_every_field_the_recipe_reads(tmp_path, name):
         assert field in resolved
         if not isinstance(value, tuple):
             assert resolved[field] == value
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name for name, (_, reads, _) in experiments._RUNNERS.items()
+     if "c_grid" in reads and name != "PhaseSweep"],
+)
+def test_the_registry_holds_each_default_c_grid(tmp_path, name):
+    # PhaseSweep alone resolves its own c grids: its two halves default apart
+    default = experiments._RUNNERS[name][1]["c_grid"]
+    assert isinstance(default, tuple) and default
+    settings = {k: v for k, v in SMALL_SETTINGS[name].items() if k != "c_grid"}
+    cfg = ExperimentConfig(name=name, seeds=(0,), output_dir=str(tmp_path), **settings)
+    assert run(cfg, fast=True).resolved["c_grid"] == list(default)
 
 
 # another value for each optional field, unlike its value in SMALL_SETTINGS
