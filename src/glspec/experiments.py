@@ -333,7 +333,8 @@ def _accuracy_recipe(cfg, tag, alpha, make_reference):
     ``make_reference(n, p)`` prepares the per-aspect context at h = p and
     returns a function mapping (cloud, W, descending eigenvalues of W) to
     (limit eigenvalues, error scalar) for each cloud, seed by seed.  The per-c
-    CSVs carry the mean sample and limit curves, the summary the per-seed error.
+    CSVs carry the mean sample and limit curves, the summary the per-seed error
+    and sup_absdiff = max_i |sample_i - limit_i|.
     """
     n = cfg.n
     aspects = _aspects(cfg, n)
@@ -351,10 +352,10 @@ def _accuracy_recipe(cfg, tag, alpha, make_reference):
         for i in range(n):
             curve_rows.append([c, i + 1, sample[i], limit[i]])
         for seed, r in zip(cfg.seeds, results):
-            summary_rows.append([c, seed, r[2]])
+            summary_rows.append([c, seed, r[2], np.max(np.abs(r[0] - r[1]))])
     files = {
         "%s_curves.csv" % tag: (["c", "index", "sample_mean", "limit_mean"], curve_rows),
-        "%s_summary.csv" % tag: (["c", "seed", "error"], summary_rows),
+        "%s_summary.csv" % tag: (["c", "seed", "error", "sup_absdiff"], summary_rows),
         "%s.gp" % tag: [
             "set xlabel 'index'",
             "set ylabel 'eigenvalue'",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import glspec.experiments as experiments
+from glspec.approximants import w_a1
 from glspec.datagen import gen_spiked
 from glspec.experiments import (
     DEFAULT_SEEDS,
@@ -334,6 +335,29 @@ def test_accuracy_large_spectrum_collapses(tmp_path):
     assert np.all(summary[:, 2] >= 0.0)
     curves = np.loadtxt(os.path.join(out, "accuracy_large_curves.csv"), delimiter=",", skiprows=1)
     assert np.all(curves[:, 3] == 1.0)
+
+
+def test_accuracy_summaries_carry_the_largest_eigenvalue_gap(tmp_path):
+    # sup_absdiff of AccuracyModerate against eigvalsh of W and W_a1 rebuilt
+    # from each seed's cloud; AccuracyLarge's limit is the flat spectrum, so
+    # there it is the error itself
+    n, upsilon = 40, 0.5
+    out = str(tmp_path / "moderate")
+    config = ExperimentConfig(name="AccuracyModerate", n=n, c_grid=(1.0, 2.0), output_dir=out)
+    run(config, fast=True)
+    rows = np.loadtxt(os.path.join(out, "accuracy_moderate_summary.csv"), delimiter=",", skiprows=1)
+    assert rows.shape == (4, 4)
+    for c, seed, _, sup in rows:
+        p = int(round(n / c))
+        cloud = gen_spiked(n, p, (float(p) ** 1.9,), int(seed))
+        W = affinity(pairwise_sq_dists(cloud.noisy()), upsilon, float(p))
+        Wa1 = w_a1(affinity(pairwise_sq_dists(cloud.clean), upsilon, float(p)), upsilon)
+        gap = np.max(np.abs(np.linalg.eigvalsh(W) - np.linalg.eigvalsh(Wa1)))
+        assert sup == pytest.approx(gap, rel=1e-9, abs=1e-12)
+    out = str(tmp_path / "large")
+    run(ExperimentConfig(name="AccuracyLarge", n=n, output_dir=out), fast=True)
+    rows = np.loadtxt(os.path.join(out, "accuracy_large_summary.csv"), delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 3], rows[:, 2])
 
 
 def test_dimension_sweep_errors_decrease(tmp_path):
