@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import affinity, gram, pairwise_sq_dists, sym_normalized
-from .spectrum import sym_eigs
+from .kernels import affinity, gram, pairwise_sq_dists
+from .spectrum import sym_eigs, transition_eigs
 
 
 def quantile_bandwidth(D2, omega):
@@ -160,10 +160,9 @@ def select_omega(cloud, upsilon, s, grid=DEFAULT_GRID, matrix="affinity", D2=Non
     """Scan the quantile levels of ``omega_grid(grid)`` and return the
     largest omega maximizing the outlier count.
 
-    ``grid`` is (omega_L, omega_U, T).  With
-    ``matrix="transition"`` the outlier counts are taken from the
-    row-stochastic normalization instead (same scan, eigenvalues of
-    D^{-1/2} W D^{-1/2}, which shares the transition spectrum).
+    ``grid`` is (omega_L, omega_U, T).  With ``matrix="transition"`` the
+    outlier counts are taken from ``transition_eigs``, the spectrum of
+    D^{-1} W, instead (same scan).
 
     ``D2`` is ``pairwise_sq_dists(cloud.noisy())`` when the caller already
     holds it; otherwise the scan builds it.
@@ -186,9 +185,8 @@ def select_omega(cloud, upsilon, s, grid=DEFAULT_GRID, matrix="affinity", D2=Non
     hs = quantile_bandwidth(D2, omegas)
     for i, h in enumerate(hs):
         W = affinity(D2, upsilon, h)
-        if matrix == "transition":
-            W = sym_normalized(W)
-        counts[i] = window_outliers(sym_eigs(W), s, k_hi)
+        eigs = transition_eigs(W) if matrix == "transition" else sym_eigs(W)
+        counts[i] = window_outliers(eigs, s, k_hi)
     best = int(np.flatnonzero(counts == counts.max())[-1])
     return OmegaSelection(
         float(omegas[best]), float(hs[best]), counts, float(s), omegas

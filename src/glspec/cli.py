@@ -30,14 +30,8 @@ from .experiments import (
     parse_config_file,
     run as run_experiment,
 )
-from .kernels import (
-    affinity,
-    gram,
-    off_diagonal,
-    pairwise_sq_dists,
-    sym_normalized,
-)
-from .spectrum import sym_eigs
+from .kernels import affinity, gram, off_diagonal, pairwise_sq_dists
+from .spectrum import sym_eigs, transition_eigs
 
 
 class _Positive(click.FloatRange):
@@ -269,18 +263,15 @@ def spectra(cloud_path, which, upsilon, bandwidth, clean, top, out):
     X = cloud.clean if clean else cloud.noisy()
     h = bandwidth if bandwidth is not None else float(cloud.p)
     if which == "gram":
-        M = gram(X)
+        eigs = sym_eigs(gram(X))
     else:
-        # the row-normalized matrices are similar to D^{-1/2} W D^{-1/2}
         W = affinity(pairwise_sq_dists(X), upsilon, h)
-        if which == "affinity":
-            M = W
-        else:
+        if which == "zeroed":
             try:
-                M = sym_normalized(off_diagonal(W) if which == "zeroed" else W)
+                W = off_diagonal(W)
             except ValueError as err:
                 raise click.BadParameter("%s at h = %g" % (err, h), param_hint="--h") from None
-    eigs = sym_eigs(M)
+        eigs = sym_eigs(W) if which == "affinity" else transition_eigs(W)
     if which == "laplacian":
         eigs = (1.0 - eigs[::-1]) / h
     shown = ", ".join("%.6g" % v for v in eigs[: max(1, top)])

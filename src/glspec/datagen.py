@@ -304,15 +304,16 @@ def load_cloud_csv(path):
 
 
 def save_cloud_npz(cloud, path):
-    """Binary dump; unlike the CSV it keeps the signal-strength metadata."""
+    """Binary dump; unlike the CSV it keeps the signal-strength metadata, if any."""
+    strengths = {} if cloud.lambdas is None else {"lambdas": np.asarray(cloud.lambdas, float)}
     np.savez(
         path,
         clean=cloud.clean,
         noise=cloud.noise,
         d=cloud.d,
-        lambdas=np.asarray(cloud.lambdas, dtype=float),
         seed=cloud.seed,
         kind=cloud.kind,
+        **strengths,
     )
 
 
@@ -328,7 +329,7 @@ def load_cloud_npz(path):
             n,
             p,
             int(z["d"]),
-            tuple(float(v) for v in z["lambdas"]),
+            tuple(float(v) for v in z["lambdas"]) if "lambdas" in z.files else None,
             int(z["seed"]),
             str(z["kind"]),
         )

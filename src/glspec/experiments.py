@@ -31,14 +31,7 @@ from .datagen import (
     write_csv,
     write_json,
 )
-from .kernels import (
-    affinity,
-    degree,
-    gram,
-    off_diagonal,
-    pairwise_sq_dists,
-    sym_normalized,
-)
+from .kernels import affinity, gram, off_diagonal, pairwise_sq_dists
 from .mplaw import mp_cdf, nu0, typical_location
 from .spectrum import (
     bulk_rigidity,
@@ -47,6 +40,7 @@ from .spectrum import (
     stieltjes,
     stieltjes_grid,
     sym_eigs,
+    transition_eigs,
 )
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -621,7 +615,7 @@ def _run_manifold_rmse(cfg, fast):
         ],
     }
     info = {"reps": reps, "sizes": sizes}
-    return files, [base_seed + r for r in range(reps)], info
+    return files, sorted({row[2] for row in omega_rows}), info
 
 
 def _run_stieltjes_compare(cfg, fast):
@@ -725,25 +719,22 @@ def _run_zeroing_comparison(cfg, fast):
     h_zero = 35.0
     s = resample_threshold(c, n, upsilon, seed=cfg.seeds[0])
 
-    def third_vector_row_stochastic(W):
-        # D^{-1/2} maps eigenvectors of the symmetric form to those of D^{-1} W
-        _, vecs = sym_eigs(sym_normalized(W), want_vectors=3)
-        vec = vecs[:, 2] / np.sqrt(degree(W))
-        return vec / np.linalg.norm(vec)
+    def third_vector(W):
+        return transition_eigs(W, want_vectors=3)[1][:, 2]
 
     def one(n, p, alpha, seed):
         lam = _signal(cfg, alpha, n, p)
         cloud = gen_spiked(n, p, (lam,), seed)
-        ref = third_vector_row_stochastic(_affinity_of(cloud.clean_cols, upsilon, p + lam))
+        ref = third_vector(_affinity_of(cloud.clean_cols, upsilon, p + lam))
         D2 = pairwise_sq_dists(cloud.noisy())
         sel = select_omega(cloud, upsilon, s, D2=D2)
-        adap = third_vector_row_stochastic(affinity(D2, upsilon, sel.h))
+        adap = third_vector(affinity(D2, upsilon, sel.h))
         try:
             off = off_diagonal(affinity(D2, upsilon, h_zero))
         except ValueError as err:
             where = "alpha = %g, n = %d, p = %d, h_zero = %g" % (alpha, n, p, h_zero)
             raise ValueError("ZeroingComparison at %s: %s" % (where, err)) from None
-        zeroed = third_vector_row_stochastic(off)
+        zeroed = third_vector(off)
         rng = np.random.Generator(np.random.Philox(key=seed + 991))
         noise_vec = rng.standard_normal(n)
         noise_vec /= np.linalg.norm(noise_vec)

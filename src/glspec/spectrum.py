@@ -1,9 +1,11 @@
-"""Eigen-decompositions and spectral diagnostics: descending spectra,
-operator-norm differences, bulk rigidity against analytic measures,
-Stieltjes transforms over a spectral-parameter box, and eigenvector RMSE."""
+"""Eigen-decompositions and spectral diagnostics: descending spectra of
+symmetric and transition matrices, operator-norm differences, bulk rigidity
+against analytic measures, Stieltjes transforms over a spectral-parameter
+box, and eigenvector RMSE."""
 
 import numpy as np
 
+from .kernels import degree, sym_normalized
 from .mplaw import typical_location
 
 
@@ -30,6 +32,20 @@ def sym_eigs(M, want_vectors=0):
         k = min(int(want_vectors), vals.size)
         return vals[order], vecs[:, order[:k]]
     return np.linalg.eigvalsh(M)[::-1].copy()
+
+
+def transition_eigs(W, want_vectors=0):
+    """Descending spectrum of the transition matrix D^{-1} W, solved on its
+    similar symmetric form ``sym_normalized(W)`` (Coifman & Lafon 2006).
+    ``want_vectors`` = k > 0 returns the pair (eigenvalues, the k leading unit
+    right eigenvectors of D^{-1} W as columns): each is the symmetric
+    eigenvector over sqrt(degree).  For the zeroed form, pass ``off_diagonal(W)``."""
+    if not want_vectors:
+        return sym_eigs(sym_normalized(W))
+    vals, vecs = sym_eigs(sym_normalized(W), want_vectors)
+    root = np.sqrt(degree(W))
+    cols = [vecs[:, j] / root for j in range(vecs.shape[1])]
+    return vals, np.column_stack([v / np.linalg.norm(v) for v in cols])
 
 
 def op_norm_diff(Ma, Mb):

@@ -365,6 +365,18 @@ def test_cloud_npz_roundtrip(tmp_path):
     assert back.kind == CIRCLE
 
 
+def test_a_cloud_loaded_from_csv_round_trips_through_npz(tmp_path):
+    cloud = gen_spiked(6, 4, (2.0,), 0)
+    save_cloud_csv(cloud, tmp_path / "cloud.csv")
+    save_cloud_npz(load_cloud_csv(tmp_path / "cloud.csv"), tmp_path / "cloud.npz")
+    back = load_cloud_npz(tmp_path / "cloud.npz")
+    assert back.noisy().tobytes() == cloud.noisy().tobytes()
+    # no strengths, not an empty tuple, so lambda_total still refuses
+    assert back.lambdas is None
+    with pytest.raises(ValueError, match="no signal-strength"):
+        back.lambda_total()
+
+
 def test_load_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

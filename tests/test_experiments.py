@@ -446,6 +446,17 @@ def test_manifold_rmse_structure(tmp_path):
     assert manifest.resolved["reps"] == 2
 
 
+def test_manifold_rmse_manifest_lists_every_seed_it_drew(tmp_path):
+    # aspect ci draws seeds seeds[0] + 1000 ci + rep
+    out = str(tmp_path)
+    manifest = run(
+        ExperimentConfig(name="ManifoldRmse", n=40, reps=2, c_grid=(0.5, 1.0), seeds=(3,),
+                         output_dir=out)
+    )
+    omegas = _load_named_csv(os.path.join(out, "manifold_omegas.csv"))
+    assert manifest.seeds == sorted({int(r[2]) for r in omegas}) == [3, 4, 1003, 1004]
+
+
 @pytest.mark.parametrize(
     "settings, expected",
     [

@@ -34,7 +34,7 @@ def _glspec_modules_after(module):
     "module, uses",
     [
         ("datagen", []),
-        ("spectrum", ["mplaw"]),
+        ("spectrum", ["kernels", "mplaw"]),
         ("bandwidth", ["kernels", "mplaw", "spectrum"]),
     ],
     ids=["datagen", "spectrum", "bandwidth"],

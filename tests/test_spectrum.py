@@ -4,6 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from glspec.datagen import gen_spiked
+from glspec.kernels import (
+    affinity,
+    off_diagonal,
+    pairwise_sq_dists,
+    transition,
+    zeroed_transition,
+)
 from glspec.mplaw import MpMeasure, mp_cdf, nu0, typical_location
 from glspec.spectrum import (
     bulk_rigidity,
@@ -12,6 +20,7 @@ from glspec.spectrum import (
     stieltjes,
     stieltjes_grid,
     sym_eigs,
+    transition_eigs,
 )
 
 
@@ -47,6 +56,24 @@ def test_sym_eigs_rejects_asymmetric_input():
         sym_eigs(M)
     with pytest.raises(ValueError, match="not symmetric"):
         sym_eigs(M, want_vectors=2)
+
+
+@pytest.mark.parametrize("zeroed", [False, True], ids=["plain", "zeroed"])
+def test_transition_eigs_match_the_dense_transition_matrix(zeroed):
+    cloud = gen_spiked(40, 20, (3.0,), 5)
+    W = affinity(pairwise_sq_dists(cloud.noisy()), 0.5, 20.0)
+    A = zeroed_transition(W) if zeroed else transition(W)
+    if zeroed:
+        W = off_diagonal(W)
+    vals = transition_eigs(W)
+    assert_allclose(vals, np.sort(np.linalg.eigvals(A).real)[::-1], atol=1e-10)
+    k = 4
+    vals_k, vecs = transition_eigs(W, want_vectors=k)
+    assert_allclose(vals_k, vals, atol=1e-12)
+    assert vecs.shape == (40, k)
+    for lam, v in zip(vals_k, vecs.T):
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert_allclose(A @ v, lam * v, atol=1e-10)
 
 
 def test_op_norm_diff_against_power_iteration():
