@@ -185,12 +185,7 @@ def run_cmd(experiment, config_path, out, fast):
         raise click.UsageError(str(err)) from None
     click.echo(
         "%s finished in %.1fs; %d artifacts in %s"
-        % (
-            manifest.experiment,
-            manifest.wall_clock_s,
-            len(manifest.files),
-            cfg.output_dir,
-        )
+        % (manifest["experiment"], manifest["wall_clock_s"], len(manifest["files"]), cfg.output_dir)
     )
 
 

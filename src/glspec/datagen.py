@@ -318,18 +318,22 @@ def save_cloud_npz(cloud, path):
 
 
 def load_cloud_npz(path):
+    """The cloud ``save_cloud_npz`` wrote.  A missing entry, or strengths
+    that are not 1-D, is a ``ValueError`` naming the file and the entry."""
     with np.load(path) as z:
-        clean = z["clean"]
-        noise = z["noise"]
+        for key in ("clean", "noise", "d", "seed", "kind"):
+            if key not in z.files:
+                raise ValueError("%s is not a cloud NPZ: it has no %r entry" % (path, key))
+        clean, noise = z["clean"], z["noise"]
         _check_loaded(clean, noise)
         n, p = clean.shape
-        return PointCloud(
-            clean,
-            noise,
-            n,
-            p,
-            int(z["d"]),
-            tuple(float(v) for v in z["lambdas"]) if "lambdas" in z.files else None,
-            int(z["seed"]),
-            str(z["kind"]),
-        )
+        lambdas = z["lambdas"] if "lambdas" in z.files else None
+        if lambdas is not None and lambdas.ndim != 1:
+            # an earlier writer stored a cloud without strengths as a 0-d NaN
+            if not (lambdas.dtype.kind == "f" and lambdas.shape == () and np.isnan(lambdas)):
+                raise ValueError(
+                    "%s: entry 'lambdas' must be 1-D, has shape %s" % (path, lambdas.shape)
+                )
+            lambdas = None
+        lambdas = None if lambdas is None else tuple(float(v) for v in lambdas)
+        return PointCloud(clean, noise, n, p, int(z["d"]), lambdas, int(z["seed"]), str(z["kind"]))

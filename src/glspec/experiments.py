@@ -14,7 +14,7 @@ import hashlib
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -107,24 +107,6 @@ class ExperimentConfig:
             if d[key] is not None:
                 d[key] = [float(v) for v in d[key]]
         return d
-
-
-@dataclass
-class RunManifest:
-    """Record of one experiment run: config echo, versions, seeds, timing,
-    the numpy and BLAS builds and thread variables the bytes depend on, and
-    the sha256 of every artifact.  Re-running the same config (and fast
-    flag) in the same environment reproduces the artifact bytes."""
-
-    config: dict
-    version: str
-    experiment: str
-    fast: bool
-    seeds: list
-    resolved: dict
-    wall_clock_s: float
-    environment: dict
-    files: list = field(default_factory=list)
 
 
 def parse_config_file(path, name=None):
@@ -801,7 +783,11 @@ EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 def run(config, fast=False):
     """Execute one named experiment, write its artifacts and return its
-    manifest.
+    manifest: the dict saved as ``manifest.json``, with the config echo,
+    version, seeds, wall clock, the numpy and BLAS builds and thread
+    variables the bytes depend on, and the sha256 of every artifact.
+    Re-running the same config (and fast flag) in the same environment
+    reproduces the artifact bytes.
 
     The recipe gets the config with its defaults filled in, and in fast
     mode at most its first two seeds, and only computes: it returns its
@@ -838,18 +824,18 @@ def run(config, fast=False):
             "experiment %s failed writing under %r: %s" % (config.name, out, err)
         ) from err
     echo = {k: v for k, v in cfg.to_dict().items() if k in reads and v is not None}
-    manifest = RunManifest(
-        config=config.to_dict(),
-        version=__version__,
-        experiment=config.name,
-        fast=bool(fast),
-        seeds=[int(s) for s in seeds],
-        resolved=dict(echo, **derived),
-        wall_clock_s=round(time.perf_counter() - started, 3),
-        environment=_environment(),
-        files=[
+    manifest = {
+        "config": config.to_dict(),
+        "version": __version__,
+        "experiment": config.name,
+        "fast": bool(fast),
+        "seeds": [int(s) for s in seeds],
+        "resolved": dict(echo, **derived),
+        "wall_clock_s": round(time.perf_counter() - started, 3),
+        "environment": _environment(),
+        "files": [
             {"path": name, "sha256": _sha256(os.path.join(out, name))} for name in files
         ],
-    )
-    write_json(manifest_path, asdict(manifest))
+    }
+    write_json(manifest_path, manifest)
     return manifest

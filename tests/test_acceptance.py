@@ -68,7 +68,7 @@ def test_criterion_01_bulk_rigidity_low_snr(tmp_path):
     # lambda = p^0.2, h = p, upsilon = 0.5, seeds 0-4; `error` is the bulk
     # rigidity sup of each seed
     manifest, elapsed = _timed_run(tmp_path, name="AccuracyLowSNR")
-    assert manifest.seeds == list(SEEDS) and manifest.resolved["n"] == 200
+    assert manifest["seeds"] == list(SEEDS) and manifest["resolved"]["n"] == 200
     rows = _columns(tmp_path / "accuracy_low_summary.csv")
     worst = {c: float(np.mean(rows["error"][rows["c"] == c])) for c in (0.5, 1.0, 2.0)}
     ok = all(v <= 0.15 for v in worst.values()) and elapsed < 30.0
@@ -87,7 +87,7 @@ def test_criterion_02_moderate_snr_closeness(tmp_path):
     n = 200
     bound = 5.0 / np.sqrt(n)
     manifest, elapsed = _timed_run(tmp_path, name="AccuracyModerate", c_grid=(1.0,))
-    assert manifest.seeds == list(SEEDS) and manifest.resolved["n"] == n
+    assert manifest["seeds"] == list(SEEDS) and manifest["resolved"]["n"] == n
     rows = _columns(tmp_path / "accuracy_moderate_summary.csv")
     op_devs, weyl_devs = rows["error"], rows["sup_absdiff"] / n
     ok = max(op_devs) <= bound and max(weyl_devs) <= bound and elapsed < 20.0
@@ -242,14 +242,15 @@ def omega_sweep(tmp_path_factory):
     manifest, `omega_sweep.csv` and the seconds the run took."""
     out = tmp_path_factory.mktemp("omega_sweep")
     manifest, elapsed = _timed_run(out, name="OmegaSweep")
-    assert manifest.seeds == [0] and manifest.resolved["n"] == 300
+    assert manifest["seeds"] == [0] and manifest["resolved"]["n"] == 300
     return manifest, _columns(out / "omega_sweep.csv"), elapsed
 
 
+@pytest.mark.slow
 def test_criterion_09_bandwidth_algorithm(omega_sweep):
     manifest, rows, elapsed = omega_sweep
     alphas = [0.2, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0]
-    assert manifest.resolved["alpha_grid"] == alphas
+    assert manifest["resolved"]["alpha_grid"] == alphas
     step = (0.95 - 0.05) / 91.0
     details, ok = [], True
     for c in (0.5, 1.0, 2.0):
@@ -273,12 +274,13 @@ def test_criterion_09_bandwidth_algorithm(omega_sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_resampling_threshold(omega_sweep):
     # The printed threshold triple is indexed by the transposed aspect
     # ratio (p over n); translated to this package's c = n/p convention the
     # targets pair as c=0.5 -> 0.12, c=1 -> 0.17, c=2 -> 0.24.
     targets = {0.5: 0.12, 1.0: 0.17, 2.0: 0.24}
-    got = {float(c): s for c, s in omega_sweep[0].resolved["thresholds"].items()}
+    got = {float(c): s for c, s in omega_sweep[0]["resolved"]["thresholds"].items()}
     devs = {c: abs(got[c] - targets[c]) for c in targets}
     ok = all(v <= 0.08 for v in devs.values())
     _report(
@@ -289,6 +291,7 @@ def test_criterion_10_resampling_threshold(omega_sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_manifold_rmse(tmp_path):
     # Expected failure on the median-quantile clause: the quantile-scan
     # rule lands at its small-quantile endpoint on these strongly scaled
@@ -324,9 +327,9 @@ def test_criterion_12_stieltjes_comparison(tmp_path):
     # lambda = p, a = 0.2, seeds 0-4
     out = str(tmp_path)
     manifest = run(ExperimentConfig(name="StieltjesCompare", output_dir=out))
-    assert manifest.seeds == list(SEEDS)
-    assert (manifest.resolved["n"], manifest.resolved["p"]) == (200, 200)
-    assert (manifest.resolved["lambda"], manifest.resolved["a"]) == (200.0, 0.2)
+    assert manifest["seeds"] == list(SEEDS)
+    assert (manifest["resolved"]["n"], manifest["resolved"]["p"]) == (200, 200)
+    assert (manifest["resolved"]["lambda"], manifest["resolved"]["a"]) == (200.0, 0.2)
     rows = _columns(os.path.join(out, "stieltjes_sup.csv"))
     sups, bounds = rows["sup_absdiff"], rows["bound"]
     ok = bool(np.all(sups <= bounds))

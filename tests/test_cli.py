@@ -143,9 +143,13 @@ def test_run_experiment_flag(tmp_path):
     result = _invoke(
         ["run", "--experiment", "StieltjesCompare", "--out", out, "--fast"]
     )
-    assert "StieltjesCompare finished" in result.output
-    assert os.path.exists(os.path.join(out, "manifest.json"))
     assert os.path.exists(os.path.join(out, "stieltjes_sup.csv"))
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    # the summary line is read off the manifest run() wrote
+    assert result.output == "StieltjesCompare finished in %.1fs; %d artifacts in %s\n" % (
+        manifest["wall_clock_s"], len(manifest["files"]), out
+    )
 
 
 def test_run_with_config_file(tmp_path):
@@ -468,6 +472,16 @@ def test_non_finite_cloud_is_a_usage_error(tmp_path, monkeypatch, args):
     assert "NaN" in result.output
     assert "Traceback" not in result.output
 
+
+
+@pytest.mark.parametrize("command", ["omega", "spectra"])
+def test_foreign_npz_cloud_is_a_usage_error(tmp_path, command):
+    cloud_path = tmp_path / "foreign.npz"
+    np.savez(cloud_path, a=np.ones(3))
+    result = CliRunner().invoke(main, [command, "--cloud", str(cloud_path)])
+    assert result.exit_code == 2, result.output
+    assert "no 'clean' entry" in result.output
+    assert "Traceback" not in result.output
 
 def test_omega_rejects_identical_points_before_resampling(tmp_path, monkeypatch):
     # every pairwise distance is zero, so the bandwidth at the bottom of

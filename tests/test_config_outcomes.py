@@ -67,7 +67,7 @@ def _refused_or_finished(name, fields):
             assert name in str(err)
             assert not os.path.exists(out)
             return
-        for entry in manifest.files:
+        for entry in manifest["files"]:
             if entry["path"].endswith(".csv"):
                 path = os.path.join(out, entry["path"])
                 assert all(map(math.isfinite, _numbers(path))), entry["path"]

@@ -408,6 +408,40 @@ def test_npz_loader_rejects_mismatched_noise(tmp_path):
         load_cloud_npz(path)
 
 
+def _npz_entries(cloud):
+    """The entries ``save_cloud_npz`` writes for ``cloud``, as a dict."""
+    return dict(clean=cloud.clean, noise=cloud.noise, d=cloud.d, seed=cloud.seed,
+                kind=cloud.kind, lambdas=np.asarray(cloud.lambdas, float))
+
+
+def test_npz_loader_reads_the_old_writers_missing_strengths_as_none(tmp_path):
+    # an earlier save_cloud_npz wrote lambdas=None as np.asarray(None, float)
+    cloud = gen_spiked(6, 4, (2.0,), 0)
+    path = tmp_path / "old.npz"
+    np.savez(path, **dict(_npz_entries(cloud), lambdas=np.asarray(None, float)))
+    back = load_cloud_npz(path)
+    assert back.lambdas is None
+    assert back.noisy().tobytes() == cloud.noisy().tobytes()
+
+
+@pytest.mark.parametrize("entry", ["clean", "noise", "d", "seed", "kind"])
+def test_npz_loader_names_a_missing_entry(tmp_path, entry):
+    entries = _npz_entries(gen_spiked(6, 4, (2.0,), 0))
+    del entries[entry]
+    path = tmp_path / "partial.npz"
+    np.savez(path, **entries)
+    with pytest.raises(ValueError, match="partial.npz .*'%s'" % entry):
+        load_cloud_npz(path)
+
+
+@pytest.mark.parametrize("lambdas", [np.float64(2.0), np.ones((2, 2))], ids=["0-d", "2-d"])
+def test_npz_loader_refuses_strengths_that_are_not_1d(tmp_path, lambdas):
+    path = tmp_path / "cloud.npz"
+    np.savez(path, **dict(_npz_entries(gen_spiked(6, 4, (2.0,), 0)), lambdas=lambdas))
+    with pytest.raises(ValueError, match="cloud.npz: entry 'lambdas' must be 1-D"):
+        load_cloud_npz(path)
+
+
 # The generator bodies as they were before the four generators shared one
 # body: the bit-for-bit reference for every generated array.
 def _ref_streams(seed):

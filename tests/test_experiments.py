@@ -151,13 +151,13 @@ def test_run_rejects_unknown_name(tmp_path):
 def test_phase_sweep_manifest_and_artifacts(tmp_path):
     out = str(tmp_path / "phase")
     manifest = run(ExperimentConfig(name="PhaseSweep", output_dir=out), fast=True)
-    assert manifest.experiment == "PhaseSweep"
-    assert manifest.fast is True
-    assert manifest.wall_clock_s >= 0.0
-    assert manifest.config["name"] == "PhaseSweep"
-    names = {entry["path"] for entry in manifest.files}
+    assert manifest["experiment"] == "PhaseSweep"
+    assert manifest["fast"] is True
+    assert manifest["wall_clock_s"] >= 0.0
+    assert manifest["config"]["name"] == "PhaseSweep"
+    names = {entry["path"] for entry in manifest["files"]}
     assert names == {"phase_eigencurves.csv", "phase_tracked.csv", "phase_sweep.gp"}
-    for entry in manifest.files:
+    for entry in manifest["files"]:
         full = os.path.join(out, entry["path"])
         assert os.path.exists(full)
         with open(full, "rb") as fh:
@@ -167,7 +167,7 @@ def test_phase_sweep_manifest_and_artifacts(tmp_path):
     with open(os.path.join(out, "manifest.json")) as fh:
         payload = json.load(fh)
     assert payload["experiment"] == "PhaseSweep"
-    assert payload["files"] == manifest.files
+    assert payload["files"] == manifest["files"]
     # gnuplot preamble
     gp = (tmp_path / "phase" / "phase_sweep.gp").read_text()
     assert gp.startswith("set datafile separator ','")
@@ -180,8 +180,8 @@ def test_phase_sweep_eigencurves_follow_c_grid(tmp_path):
                          output_dir=out),
         fast=True,
     )
-    assert manifest.resolved["curve_p"] == [30]
-    assert manifest.resolved["tracked_p"] == [100]
+    assert manifest["resolved"]["curve_p"] == [30]
+    assert manifest["resolved"]["tracked_p"] == [100]
     with open(os.path.join(out, "phase_eigencurves.csv")) as fh:
         header = fh.readline().strip().split(",")
     assert header == ["index", "c2_alpha_0", "c2_alpha_1.5"]
@@ -248,11 +248,13 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
 def test_numpy_scalar_config_writes_a_plain_manifest(tmp_path):
     out = str(tmp_path)
     cfg = ExperimentConfig(name="AccuracyLarge", n=np.int64(40), seeds=(0,), output_dir=out)
-    run(cfg, fast=True)
+    returned = run(cfg, fast=True)
     with open(os.path.join(out, "manifest.json")) as fh:
         manifest = json.load(fh)
     assert manifest["config"]["n"] == 40 and manifest["resolved"]["n"] == 40
     assert isinstance(manifest["config"]["n"], int)
+    # run() returns the very record it wrote
+    assert manifest == returned
 
 
 def test_unserialisable_manifest_leaves_no_file(tmp_path, monkeypatch):
@@ -399,7 +401,7 @@ def test_histogram_bulk_reps_follow_the_first_seed(tmp_path):
             fast=True,
         )
         rows = np.loadtxt(os.path.join(out, "histogram_bulk.csv"), delimiter=",", skiprows=1)
-        return manifest.seeds, rows[:, 3]
+        return manifest["seeds"], rows[:, 3]
 
     seeds_0, emp_0 = empirical(0)
     seeds_1, emp_1 = empirical(1)
@@ -419,8 +421,8 @@ def test_omega_sweep_fast_endpoints(tmp_path):
     assert np.all(rows[:, 4] > 0.0)
     # the transition-matrix scan is reported alongside
     assert np.all((rows[:, 5] >= 0.05) & (rows[:, 5] <= 0.95))
-    assert manifest.resolved["alpha_base"] == "n"
-    assert "1" in manifest.resolved["thresholds"]
+    assert manifest["resolved"]["alpha_base"] == "n"
+    assert "1" in manifest["resolved"]["thresholds"]
 
 
 def test_manifold_rmse_structure(tmp_path):
@@ -443,7 +445,7 @@ def test_manifold_rmse_structure(tmp_path):
     for r in omegas:
         assert 0.05 <= r[3] <= 0.95
         assert r[4] > 0.0
-    assert manifest.resolved["reps"] == 2
+    assert manifest["resolved"]["reps"] == 2
 
 
 def test_manifold_rmse_manifest_lists_every_seed_it_drew(tmp_path):
@@ -454,7 +456,7 @@ def test_manifold_rmse_manifest_lists_every_seed_it_drew(tmp_path):
                          output_dir=out)
     )
     omegas = _load_named_csv(os.path.join(out, "manifold_omegas.csv"))
-    assert manifest.seeds == sorted({int(r[2]) for r in omegas}) == [3, 4, 1003, 1004]
+    assert manifest["seeds"] == sorted({int(r[2]) for r in omegas}) == [3, 4, 1003, 1004]
 
 
 @pytest.mark.parametrize(
@@ -664,7 +666,7 @@ SMALL_SETTINGS = {
 def test_resolved_echoes_every_field_the_recipe_reads(tmp_path, name):
     settings = SMALL_SETTINGS[name]
     cfg = ExperimentConfig(name=name, seeds=(0,), output_dir=str(tmp_path), **settings)
-    resolved = run(cfg, fast=True).resolved
+    resolved = run(cfg, fast=True)["resolved"]
     for field, default in experiments._RUNNERS[name][1].items():
         value = settings.get(field, default)
         if value is None:
@@ -685,7 +687,7 @@ def test_the_registry_holds_each_default_c_grid(tmp_path, name):
     assert isinstance(default, tuple) and default
     settings = {k: v for k, v in SMALL_SETTINGS[name].items() if k != "c_grid"}
     cfg = ExperimentConfig(name=name, seeds=(0,), output_dir=str(tmp_path), **settings)
-    assert run(cfg, fast=True).resolved["c_grid"] == list(default)
+    assert run(cfg, fast=True)["resolved"]["c_grid"] == list(default)
 
 
 # another value for each optional field, unlike its value in SMALL_SETTINGS
@@ -694,7 +696,7 @@ OTHER_VALUES = {"n": 48, "c_grid": (1.0,), "alpha_grid": (0.5,), "reps": 3}
 
 def _small_run_digests(out, name, settings):
     cfg = ExperimentConfig(name=name, seeds=(0,), output_dir=str(out), **settings)
-    return {entry["path"]: entry["sha256"] for entry in run(cfg, fast=True).files}
+    return {entry["path"]: entry["sha256"] for entry in run(cfg, fast=True)["files"]}
 
 
 @pytest.fixture(scope="module")
@@ -764,8 +766,8 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     # the record sits beside the digests, not among them
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     second = run(ExperimentConfig(output_dir=str(tmp_path / "b"), **settings), fast=True)
-    assert second.environment["threads"]["OPENBLAS_NUM_THREADS"] == "1"
-    assert second.files == first.files
+    assert second["environment"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert second["files"] == first["files"]
 
     def old_numpy(**kwargs):
         raise TypeError("show_config() got an unexpected keyword argument 'mode'")
@@ -777,7 +779,7 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
 def test_d2_comparison_printed_cases(tmp_path):
     out = str(tmp_path)
     manifest = run(ExperimentConfig(name="D2Comparison", output_dir=out))
-    assert manifest.experiment == "D2Comparison"
+    assert manifest["experiment"] == "D2Comparison"
     summary = _load_named_csv(os.path.join(out, "d2_summary.csv"))
     sups = {}
     for case, c, sup, expected in summary:
@@ -792,7 +794,7 @@ def test_d2_comparison_printed_cases(tmp_path):
         # lower half of the spectrum is unaffected
         assert sups[("large_small", c)] < sups[("both_large", c)]
     curves = _load_named_csv(os.path.join(out, "d2_curves.csv"))
-    n = manifest.resolved["n"]
+    n = manifest["resolved"]["n"]
     for c in (0.5, 1.0, 2.0):
         tail = [
             abs(r[3] - r[4])
@@ -815,18 +817,19 @@ def test_zeroing_comparison_follows_alpha_base(tmp_path):
     for base in (None, "p", "n"):
         out = str(tmp_path / str(base))
         manifest = run(ExperimentConfig(output_dir=out, alpha_base=base, **settings))
-        assert manifest.resolved["alpha_base"] == (base or "p")
-        digests[base] = {f["path"]: f["sha256"] for f in manifest.files}["zeroing.csv"]
+        assert manifest["resolved"]["alpha_base"] == (base or "p")
+        digests[base] = {f["path"]: f["sha256"] for f in manifest["files"]}["zeroing.csv"]
     # p is the default base; at the default c = 2, n != p and the strength
     # n**alpha is another cloud
     assert digests[None] == digests["p"]
     assert digests["n"] != digests["p"]
 
 
+@pytest.mark.slow
 def test_zeroing_comparison_strength_windows(zeroing_run):
     out, manifest = zeroing_run
-    assert manifest.experiment == "ZeroingComparison"
-    assert manifest.resolved["h_zero"] == 35.0
+    assert manifest["experiment"] == "ZeroingComparison"
+    assert manifest["resolved"]["h_zero"] == 35.0
     mean = np.loadtxt(os.path.join(out, "zeroing_mean.csv"), delimiter=",", skiprows=1)
     by_alpha = {round(r[0], 3): r[1:] for r in mean}
     # below the recovery window both variants sit at the random baseline
@@ -849,9 +852,10 @@ def test_zeroing_comparison_strength_windows(zeroing_run):
         assert zero <= 0.6 * base
 
 
+@pytest.mark.slow
 def test_zeroing_manifest_lists_artifacts(zeroing_run):
     out, manifest = zeroing_run
-    names = {entry["path"] for entry in manifest.files}
+    names = {entry["path"] for entry in manifest["files"]}
     assert names == {"zeroing.csv", "zeroing_mean.csv", "zeroing.gp"}
     rows = np.loadtxt(os.path.join(out, "zeroing.csv"), delimiter=",", skiprows=1)
     # alpha, seed, three rmse columns, selected omega

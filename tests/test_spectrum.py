@@ -232,6 +232,7 @@ def test_eigvec_rmse_bounded_for_unit_columns(n, key):
     assert_allclose(eigvec_rmse(U, -U), np.zeros(2), atol=1e-12)
 
 
+@pytest.mark.slow
 def test_esd_density_matches_limit_in_probability():
     # 1000 pure-noise spectra at n = 300: binned density within 0.05 of the
     # limiting bulk density over the 50-bin grid, except the two bins at
