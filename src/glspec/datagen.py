@@ -262,12 +262,18 @@ def write_json(path, payload):
     """Write ``payload`` as JSON, indented and with sorted keys; every JSON
     file the package writes goes through here.  The text is serialised
     first and the finished file swapped in, so a failed write never leaves
-    a partial file at ``path``.  Returns ``path``."""
+    a partial file at ``path``, and the temporary file is removed when the
+    write or the swap fails.  Returns ``path``."""
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar)
     tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text + "\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(text + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return path
 
 

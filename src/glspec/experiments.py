@@ -252,27 +252,24 @@ def _run_phase_sweep(cfg, fast):
     aspects = _aspects(replace(cfg, c_grid=cfg.c_grid or (1.0,)), n)
     pairs = _aspects(replace(cfg, c_grid=cfg.c_grid or (0.5, 1.0, 2.0)), n2)
     tags = ["" if cfg.c_grid is None else "c%g_" % c for c, _ in aspects]
+    fine = np.round(np.arange(0.0, 2.5 + 1e-9, 0.1 if fast else 0.05), 10)
+    track = (1, 2, 8, 80)
+    # a curve has no c; a tracked shape carries its c into its row
+    curve_shapes = [(n, p, alpha, None) for _, p in aspects for alpha in alphas]
+    tracked_shapes = [(n2, p2, float(alpha), c) for c, p2 in pairs for alpha in fine]
 
-    # plain loops: the previous cloud keeps its noise live while the next
-    # strength is drawn, so each aspect draws its frozen noise at most once
-    curves = []
-    for _, p in aspects:
-        for alpha in alphas:
-            cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
-            curves.append(sym_eigs(W))
+    def one(n, p, alpha, c, seed):
+        cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
+        ew = sym_eigs(W)
+        if c is None:
+            return ew
+        eg = sym_eigs(gram(cloud.noisy()))
+        return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
+
+    results = [block[0] for block in _seed_major([seed], curve_shapes + tracked_shapes, one)]
+    curves, tracked = results[: len(curve_shapes)], results[len(curve_shapes) :]
     header = ["index"] + [tag + "alpha_%g" % a for tag in tags for a in alphas]
     rows = [[i + 1] + [col[i] for col in curves] for i in range(n)]
-
-    step = 0.1 if fast else 0.05
-    fine = np.round(np.arange(0.0, 2.5 + 1e-9, step), 10)
-    track = (1, 2, 8, 80)
-    tracked = []
-    for c, p2 in pairs:
-        for alpha in map(float, fine):
-            cloud, W = _spiked_affinity(cfg, n2, p2, seed, (alpha,))
-            ew = sym_eigs(W)
-            eg = sym_eigs(gram(cloud.noisy()))
-            tracked.append([c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]])
 
     files = {
         "phase_eigencurves.csv": (header, rows),
@@ -547,8 +544,7 @@ def _run_manifold_rmse(cfg, fast):
             a = 20.0 * np.sqrt(p)
             s = resample_threshold(c, n, upsilon, seed=base_seed)
 
-            def one(rep):
-                seed = base_seed + 1000 * ci + rep
+            def one(n, p, seed):
                 if kind == "m1":
                     cloud = gen_curve_m1(n, p, a, seed)
                 else:
@@ -569,13 +565,14 @@ def _run_manifold_rmse(cfg, fast):
                 for tag, h in variants.items():
                     _, vecs = sym_eigs(affinity(D2, upsilon, h), want_vectors=top)
                     rmse[tag] = eigvec_rmse(ref, vecs)
-                return seed, sel, rmse
+                return sel, rmse
 
-            results = [one(rep) for rep in range(reps)]
-            for seed, sel, _ in results:
+            rep_seeds = [base_seed + 1000 * ci + rep for rep in range(reps)]
+            results = _seed_major(rep_seeds, [(n, p)], one)[0]
+            for seed, (sel, _) in zip(rep_seeds, results):
                 omega_rows.append([kind, c, seed, sel.omega, sel.h / p])
             for tag in ("adap", "medq", "hp", "theory"):
-                stack = np.array([r[2][tag] for r in results])
+                stack = np.array([r[1][tag] for r in results])
                 mean, std = stack.mean(axis=0), stack.std(axis=0)
                 for j in range(top):
                     rmse_rows.append([kind, c, j + 1, tag, mean[j], std[j]])
@@ -608,7 +605,7 @@ def _run_stieltjes_compare(cfg, fast):
     points = stieltjes_grid(n, 1.0, a)
     eta_min = float(points.imag.min())
 
-    def one(seed):
+    def one(n, p, seed):
         cloud, W = _spiked_affinity(cfg, n, p, seed, (1.0,))
         W1 = _affinity_of(cloud.clean_cols, cfg.upsilon, p)
         Wb1 = w_b1(W1, gram(cloud.noise), cfg.upsilon)
@@ -619,7 +616,7 @@ def _run_stieltjes_compare(cfg, fast):
         # hypot rounds as Python's complex abs does; numpy's complex abs differs
         return np.hypot(diff.real, diff.imag)
 
-    diffs = np.array([one(seed) for seed in cfg.seeds])
+    diffs = np.array(_seed_major(cfg.seeds, [(n, p)], one)[0])
     files = {
         "stieltjes_grid.csv": (
             ["energy", "eta", "mean_absdiff", "max_absdiff"],
@@ -794,20 +791,22 @@ def run(config, fast=False):
     files in manifest order, each CSV as (header, rows) and the gnuplot
     script as its lines, and the settings it derived.  The manifest's
     ``resolved`` holds every field the recipe reads that has a value,
-    merged with those settings.  ``run`` is the only code that
-    writes under ``config.output_dir``, and only once the recipe has
-    returned: a recipe that raises leaves the directory as it was.  It then
-    removes an earlier manifest, writes each file and writes
+    merged with those settings.  ``run`` refuses an ``output_dir`` that is
+    not a directory, then runs the recipe and only then writes under the
+    directory, the only code that does: a recipe that raises leaves it as
+    it was.  It removes an earlier manifest, writes each file and writes
     ``manifest.json`` last, so a failed write leaves no manifest.
     """
     config.validate()
+    out = config.output_dir
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ValueError("output_dir %r exists and is not a directory" % (out,))
     recipe, reads, _ = _RUNNERS[config.name]
     cfg = replace(config, **{k: v for k, v in reads.items() if getattr(config, k) is None})
     if fast:
         cfg = replace(cfg, seeds=cfg.seeds[:2])
     started = time.perf_counter()
     files, seeds, derived = recipe(cfg, fast)
-    out = config.output_dir
     manifest_path = os.path.join(out, "manifest.json")
     try:
         os.makedirs(out, exist_ok=True)

@@ -152,6 +152,16 @@ def test_run_experiment_flag(tmp_path):
     )
 
 
+def test_run_refuses_an_output_path_that_is_a_file(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    args = ["run", "--experiment", "AccuracyLarge", "--fast", "--out", str(afile)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "is not a directory" in result.output
+    assert afile.read_text() == "keep\n"
+
+
 def test_run_with_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

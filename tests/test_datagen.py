@@ -202,6 +202,16 @@ def test_write_json_keeps_the_old_file_when_the_payload_does_not_serialise(tmp_p
     assert [f.name for f in tmp_path.iterdir()] == ["a.json"]
 
 
+def test_write_json_removes_its_temporary_file_when_the_swap_fails(tmp_path):
+    # a directory at the path: the text is written, and the rename onto it fails
+    path = tmp_path / "adir"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        datagen.write_json(path, {"a": 1})
+    assert [f.name for f in tmp_path.iterdir()] == ["adir"]
+    assert list(path.iterdir()) == []
+
+
 def test_determinism_same_seed():
     a = gen_spiked(15, 8, (2.0,), 42, rotate=True)
     b = gen_spiked(15, 8, (2.0,), 42, rotate=True)

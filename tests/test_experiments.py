@@ -539,9 +539,9 @@ def test_noise_draws_per_recipe(tmp_path, monkeypatch, name, settings):
 @pytest.mark.parametrize(
     "settings, shapes, draws",
     [
-        # curves at (n, p) = (30, 30), then tracked strengths at (200, 200),
-        # too long for the curves' draw of the same seed
-        ({"name": "PhaseSweep", "n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, 2, 2),
+        # tracked strengths at (n, p) = (200, 200) hold their draw while the
+        # curves at (30, 30) read its prefix
+        ({"name": "PhaseSweep", "n": 30, "c_grid": (1.0,), "alpha_grid": (0.0, 0.3)}, 2, 1),
         # five strength tuples on each of 2 seeds x 2 aspects; p = 20 reads
         # a prefix of its seed's held p = 40 draw
         ({"name": "D2Comparison", "n": 40, "c_grid": (1.0, 2.0), "seeds": (0, 1)}, 4, 2),
@@ -612,6 +612,19 @@ def test_a_shape_below_its_floor_is_refused_before_any_draw(tmp_path, monkeypatc
         run(ExperimentConfig(output_dir=str(out), **settings), fast=True)
     assert drawn == []
     assert not out.exists()
+
+
+def test_an_output_dir_that_is_a_file_is_refused_before_the_recipe_runs(tmp_path, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"keep\n")
+    called = []
+    recipe, reads, floor = experiments._RUNNERS["AccuracyLarge"]
+    monkeypatch.setitem(experiments._RUNNERS, "AccuracyLarge", (
+        lambda cfg, fast: called.append(cfg) or recipe(cfg, fast), reads, floor))
+    with pytest.raises(ValueError, match="output_dir .*afile.* is not a directory"):
+        run(ExperimentConfig(name="AccuracyLarge", output_dir=str(afile)), fast=True)
+    assert called == []
+    assert afile.read_bytes() == b"keep\n"
 
 
 def test_stieltjes_compare_sup_below_bound(tmp_path):
