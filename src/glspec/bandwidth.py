@@ -145,6 +145,24 @@ def omega_grid(grid):
 DEFAULT_GRID = (0.05, 0.95, 91)
 
 
+# Scans of at least this many points run their levels in worker processes
+# (``_scanpool``) when two or more CPUs are usable; one level takes about
+# 1 ms at this size, so smaller scans stay in-process.
+POOL_MIN_N = 128
+
+
+def _level_counts(D2, hs, upsilon, s, k_hi, matrix):
+    """The outlier count ``window_outliers`` at each bandwidth of ``hs``, as
+    a list of ints: the scan's per-level work, run in-process or by the
+    ``_scanpool`` workers."""
+    counts = []
+    for h in hs:
+        W = affinity(D2, upsilon, h)
+        eigs = transition_eigs(W) if matrix == "transition" else sym_eigs(W)
+        counts.append(window_outliers(eigs, s, k_hi))
+    return counts
+
+
 @dataclass
 class OmegaSelection:
     """Outcome of the quantile-grid bandwidth search."""
@@ -169,7 +187,9 @@ def select_omega(cloud, upsilon, s, grid=DEFAULT_GRID, matrix="affinity", D2=Non
 
     Each count is ``window_outliers`` on k <= k_hi = ``ratio_window(n, p)``,
     the window ``resample_threshold`` calibrates s on, with eigenvalues
-    below the round-off floor left out of the scan.
+    below the round-off floor left out of the scan.  At n >= ``POOL_MIN_N``
+    the levels are counted by worker processes, one per usable CPU with one
+    BLAS thread each, and only the counts come back (see ``_scanpool``).
     """
     if matrix not in ("affinity", "transition"):
         raise ValueError("matrix must be 'affinity' or 'transition'")
@@ -181,12 +201,16 @@ def select_omega(cloud, upsilon, s, grid=DEFAULT_GRID, matrix="affinity", D2=Non
         raise ValueError(
             "D2 has shape %s, need (%d, %d)" % (np.shape(D2), cloud.n, cloud.n)
         )
-    counts = np.empty(omegas.size, dtype=int)
     hs = quantile_bandwidth(D2, omegas)
-    for i, h in enumerate(hs):
-        W = affinity(D2, upsilon, h)
-        eigs = transition_eigs(W) if matrix == "transition" else sym_eigs(W)
-        counts[i] = window_outliers(eigs, s, k_hi)
+    task = (upsilon, s, k_hi, matrix)
+    counts = None
+    if cloud.n >= POOL_MIN_N:
+        from . import _scanpool  # a small scan neither imports nor starts it
+
+        counts = _scanpool.level_counts(D2, hs, *task)
+    if counts is None:
+        counts = _level_counts(D2, hs, *task)
+    counts = np.array(counts, dtype=int)
     best = int(np.flatnonzero(counts == counts.max())[-1])
     return OmegaSelection(
         float(omegas[best]), float(hs[best]), counts, float(s), omegas

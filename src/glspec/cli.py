@@ -128,7 +128,7 @@ def main():
 @click.option("--rotate/--no-rotate", default=None,
               help="Random orthogonal map (not circle); default on for manifolds.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", required=True, type=click.Path(),
+@click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="Output path (.csv or .npz).")
 def gen(kind, n, p, lam, alpha, alpha_base, scale, rotate, seed, out):
     """Generate a point cloud and write it to disk."""
@@ -201,7 +201,7 @@ def run_cmd(experiment, config_path, out, fast):
               default="affinity", show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Resampling seed.")
-@click.option("--out", default=None, type=click.Path(),
+@click.option("--out", default=None, type=click.Path(dir_okay=False),
               help="Write the selection as JSON.")
 def omega(cloud_path, upsilon, threshold, grid, matrix, seed, out):
     """Pick the bandwidth quantile that maximizes the outlier count."""
@@ -250,7 +250,7 @@ def omega(cloud_path, upsilon, threshold, grid, matrix, seed, out):
 @click.option("--clean", is_flag=True, help="Use the clean rows instead.")
 @click.option("--top", type=int, default=5, show_default=True,
               help="Eigenvalues to print.")
-@click.option("--out", default=None, type=click.Path(),
+@click.option("--out", default=None, type=click.Path(dir_okay=False),
               help="Write the full descending spectrum as CSV.")
 def spectra(cloud_path, which, upsilon, bandwidth, clean, top, out):
     """Eigenvalues of a kernel matrix built from a stored cloud."""

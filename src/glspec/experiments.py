@@ -531,51 +531,53 @@ MANIFOLD_RMSE_SIZES = {"m1": 400, "kb": 800}
 def _run_manifold_rmse(cfg, fast):
     """Eigenvector RMSE of noisy-manifold affinities against the clean
     reference, for the selected, median-quantile, ambient-dimension, and
-    signal-matched bandwidths."""
+    signal-matched bandwidths.  Both manifolds are shapes of one seed loop
+    per c, so each repetition seed draws its noise once."""
     upsilon = cfg.upsilon
     reps = cfg.reps if cfg.reps is not None else (5 if fast else 20)
     base_seed = cfg.seeds[0]
     top = 9
-    rmse_rows, omega_rows, sizes = [], [], {}
-    for kind, n_kind in MANIFOLD_RMSE_SIZES.items():
-        n = sizes[kind] = n_kind if cfg.n is None else cfg.n
-        aspects = _aspects(cfg, n)
-        for ci, (c, p) in enumerate(aspects):
-            a = 20.0 * np.sqrt(p)
-            s = resample_threshold(c, n, upsilon, seed=base_seed)
+    sizes = {kind: n if cfg.n is None else cfg.n for kind, n in MANIFOLD_RMSE_SIZES.items()}
+    aspects = {kind: _aspects(cfg, n) for kind, n in sizes.items()}
+    rmse_rows = {kind: [] for kind in sizes}
+    omega_rows = {kind: [] for kind in sizes}
 
-            def one(n, p, seed):
-                if kind == "m1":
-                    cloud = gen_curve_m1(n, p, a, seed)
-                else:
-                    cloud = gen_klein_bottle(n, p, a, seed)
-                lam_tot = cloud.lambda_total()
-                _, ref = sym_eigs(
-                    _affinity_of(cloud.clean, upsilon, p + lam_tot), want_vectors=top
-                )
-                D2 = pairwise_sq_dists(cloud.noisy())
-                sel = select_omega(cloud, upsilon, s, D2=D2)
-                variants = {
-                    "adap": sel.h,
-                    "medq": quantile_bandwidth(D2, 0.5),
-                    "hp": float(p),
-                    "theory": p + lam_tot,
-                }
-                rmse = {}
-                for tag, h in variants.items():
-                    _, vecs = sym_eigs(affinity(D2, upsilon, h), want_vectors=top)
-                    rmse[tag] = eigvec_rmse(ref, vecs)
-                return sel, rmse
+    def one(n, p, kind, s, seed):
+        # looked up per call: a tracer may wrap the module's generators
+        make = gen_curve_m1 if kind == "m1" else gen_klein_bottle
+        cloud = make(n, p, 20.0 * np.sqrt(p), seed)
+        lam_tot = cloud.lambda_total()
+        _, ref = sym_eigs(_affinity_of(cloud.clean, upsilon, p + lam_tot), want_vectors=top)
+        D2 = pairwise_sq_dists(cloud.noisy())
+        sel = select_omega(cloud, upsilon, s, D2=D2)
+        variants = {
+            "adap": sel.h,
+            "medq": quantile_bandwidth(D2, 0.5),
+            "hp": float(p),
+            "theory": p + lam_tot,
+        }
+        rmse = {}
+        for tag, h in variants.items():
+            _, vecs = sym_eigs(affinity(D2, upsilon, h), want_vectors=top)
+            rmse[tag] = eigvec_rmse(ref, vecs)
+        return sel, rmse
 
-            rep_seeds = [base_seed + 1000 * ci + rep for rep in range(reps)]
-            results = _seed_major(rep_seeds, [(n, p)], one)[0]
+    for ci, c in enumerate(map(float, cfg.c_grid)):
+        shapes = [
+            (n, aspects[kind][ci][1], kind, resample_threshold(c, n, upsilon, seed=base_seed))
+            for kind, n in sizes.items()
+        ]
+        rep_seeds = [base_seed + 1000 * ci + rep for rep in range(reps)]
+        for (_, p, kind, _), results in zip(shapes, _seed_major(rep_seeds, shapes, one)):
             for seed, (sel, _) in zip(rep_seeds, results):
-                omega_rows.append([kind, c, seed, sel.omega, sel.h / p])
+                omega_rows[kind].append([kind, c, seed, sel.omega, sel.h / p])
             for tag in ("adap", "medq", "hp", "theory"):
                 stack = np.array([r[1][tag] for r in results])
                 mean, std = stack.mean(axis=0), stack.std(axis=0)
                 for j in range(top):
-                    rmse_rows.append([kind, c, j + 1, tag, mean[j], std[j]])
+                    rmse_rows[kind].append([kind, c, j + 1, tag, mean[j], std[j]])
+    rmse_rows = [row for kind in sizes for row in rmse_rows[kind]]
+    omega_rows = [row for kind in sizes for row in omega_rows[kind]]
     files = {
         "manifold_rmse.csv": (
             ["manifold", "c", "vec_index", "variant", "rmse_mean", "rmse_std"], rmse_rows
@@ -792,15 +794,19 @@ def run(config, fast=False):
     script as its lines, and the settings it derived.  The manifest's
     ``resolved`` holds every field the recipe reads that has a value,
     merged with those settings.  ``run`` refuses an ``output_dir`` that is
-    not a directory, then runs the recipe and only then writes under the
+    not a directory or lies under a file, then runs the recipe and only then writes under the
     directory, the only code that does: a recipe that raises leaves it as
     it was.  It removes an earlier manifest, writes each file and writes
     ``manifest.json`` last, so a failed write leaves no manifest.
     """
     config.validate()
     out = config.output_dir
-    if os.path.exists(out) and not os.path.isdir(out):
-        raise ValueError("output_dir %r exists and is not a directory" % (out,))
+    # the directory itself, or else its nearest existing ancestor, must be a directory
+    nearest = os.path.abspath(out)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise ValueError("output_dir %r cannot be made: %r is not a directory" % (out, nearest))
     recipe, reads, _ = _RUNNERS[config.name]
     cfg = replace(config, **{k: v for k, v in reads.items() if getattr(config, k) is None})
     if fast:

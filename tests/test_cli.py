@@ -162,6 +162,47 @@ def test_run_refuses_an_output_path_that_is_a_file(tmp_path):
     assert afile.read_text() == "keep\n"
 
 
+def test_run_refuses_an_output_dir_under_a_file(tmp_path, monkeypatch):
+    import glspec.experiments
+
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+
+    def no_work(cfg, fast):
+        raise AssertionError("ran the recipe for an output_dir it cannot write")
+
+    _, reads, floor = glspec.experiments._RUNNERS["AccuracyLarge"]
+    monkeypatch.setitem(glspec.experiments._RUNNERS, "AccuracyLarge", (no_work, reads, floor))
+    args = ["run", "--experiment", "AccuracyLarge", "--fast", "--out", str(afile / "sub")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "is not a directory" in result.output
+    assert afile.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen", "--kind", "spiked", "--n", "12", "--p", "8", "--lam", "4"],
+        ["omega", "--s", "0.2"],
+        ["spectra"],
+    ],
+    ids=["gen", "omega", "spectra"],
+)
+def test_an_out_path_that_is_a_directory_is_refused_before_any_work(tmp_path, command):
+    cloud_path = str(tmp_path / "cloud.csv")
+    save_cloud_csv(gen_spiked(30, 20, (3.0,), 0), cloud_path)
+    cloud = [] if command[0] == "gen" else ["--cloud", cloud_path]
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    result = CliRunner().invoke(main, [*command, *cloud, "--out", str(adir)])
+    assert result.exit_code == 2, result.output
+    assert "is a directory" in result.output
+    assert "wrote" not in result.output and "omega =" not in result.output
+    assert "spectrum (n=" not in result.output
+    assert os.listdir(str(adir)) == []
+
+
 def test_run_with_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

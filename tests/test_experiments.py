@@ -505,7 +505,7 @@ NOISE_DRAWS = {
     "DimensionSweep": 2,
     "HistogramBulk": 100,
     "OmegaSweep": 1,
-    "ManifoldRmse": 2,
+    "ManifoldRmse": 1,
     "StieltjesCompare": 2,
     "D2Comparison": 2,
     "ZeroingComparison": 2,
@@ -590,6 +590,23 @@ def test_each_seed_draws_its_noise_once(tmp_path, monkeypatch, settings, expecte
     run(ExperimentConfig(output_dir=str(tmp_path), **settings))
     # the narrower aspects read a prefix of the widest aspect's draw
     assert drawn == expected
+
+
+def test_manifold_rmse_draws_each_repetition_seed_once(tmp_path, monkeypatch):
+    # both manifolds at their own n, two c and two repetitions
+    monkeypatch.setattr(experiments, "MANIFOLD_RMSE_SIZES", {"m1": 20, "kb": 30})
+    drawn = _record_draws(monkeypatch)
+    cfg = ExperimentConfig(
+        name="ManifoldRmse", c_grid=(1.0, 2.0), reps=2, seeds=(3,), output_dir=str(tmp_path)
+    )
+    manifest = run(cfg)
+    assert drawn == [3, 4, 1003, 1004]
+    assert manifest["seeds"] == drawn
+    omegas = _load_named_csv(os.path.join(str(tmp_path), "manifold_omegas.csv"))
+    assert [(row[0], row[1], row[2]) for row in omegas] == [
+        (kind, c, seed) for kind in ("m1", "kb") for c, seeds in ((1.0, (3, 4)), (2.0, (1003, 1004)))
+        for seed in seeds
+    ]
 
 
 @pytest.mark.parametrize(
