@@ -110,6 +110,11 @@ def resample_threshold(c, n, upsilon, reps=50, seed=0):
     starts at the top.  Returns the 0.99 quantile of the per-rep maxima,
     minus one.
 
+    At n >= ``POOL_MIN_N`` the repetitions are split into contiguous
+    ranges, one per ``_scanpool`` worker with one BLAS thread; each worker
+    redraws the clouds before its range from the one ``Philox(key=seed)``
+    stream, and the maxima are joined in repetition order.
+
     ``upsilon`` is unused: the null is kernel-free.  It stays only because
     ``perfbench`` passes it by position (ROADMAP open item 1).  A seed that
     is not an integer >= 0 is refused before anything is drawn.
@@ -119,14 +124,36 @@ def resample_threshold(c, n, upsilon, reps=50, seed=0):
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError("need an integer seed >= 0, got %r" % (seed,))
     p = int(round(n / c))
-    k_hi = ratio_window(n, p)
+    task = (n, p, ratio_window(n, p), seed)
+    shares = None
+    if n >= POOL_MIN_N:
+        from . import _scanpool  # a small null neither imports nor starts it
+
+        count = _scanpool.size(reps)
+        if count:
+            bounds = [reps * k // count for k in range(count + 1)]
+            shares = _scanpool.call(
+                [(_null_maxima, task + (bounds[k], bounds[k + 1])) for k in range(count)]
+            )
+    if shares is None:
+        shares = [_null_maxima(*task, 0, reps)]
+    maxima = [m for share in shares for m in share]
+    return float(np.quantile(maxima, 0.99)) - 1.0
+
+
+def _null_maxima(n, p, k_hi, seed, start, stop):
+    """The largest bulk ratio of each null repetition start..stop-1 of
+    ``resample_threshold``, as a list; the clouds of the repetitions before
+    ``start`` are drawn and dropped, so each repetition reads its own part
+    of the seed's stream."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    ratios = np.empty(reps)
-    for r in range(reps):
-        X = rng.standard_normal((n, p))
-        eigs = sym_eigs(gram(X))
-        ratios[r] = np.max(_bulk_ratios(eigs, k_hi)[1:])
-    return float(np.quantile(ratios, 0.99)) - 1.0
+    for _ in range(start):
+        rng.standard_normal((n, p))
+    maxima = []
+    for _ in range(start, stop):
+        eigs = sym_eigs(gram(rng.standard_normal((n, p))))
+        maxima.append(float(np.max(_bulk_ratios(eigs, k_hi)[1:])))
+    return maxima
 
 
 def omega_grid(grid):
@@ -145,9 +172,10 @@ def omega_grid(grid):
 DEFAULT_GRID = (0.05, 0.95, 91)
 
 
-# Scans of at least this many points run their levels in worker processes
-# (``_scanpool``) when two or more CPUs are usable; one level takes about
-# 1 ms at this size, so smaller scans stay in-process.
+# Scans, nulls and seed loops (``experiments._seed_major``) of at least this
+# many points run in worker processes (``_scanpool``) when two or more CPUs
+# are usable; one eigensolve takes about 1 ms at this size, so smaller ones
+# stay in-process.
 POOL_MIN_N = 128
 
 
@@ -189,7 +217,8 @@ def select_omega(cloud, upsilon, s, grid=DEFAULT_GRID, matrix="affinity", D2=Non
     the window ``resample_threshold`` calibrates s on, with eigenvalues
     below the round-off floor left out of the scan.  At n >= ``POOL_MIN_N``
     the levels are counted by worker processes, one per usable CPU with one
-    BLAS thread each, and only the counts come back (see ``_scanpool``).
+    BLAS thread each, and only the counts come back (see ``_scanpool``); a
+    scan that runs inside a worker counts in-process.
     """
     if matrix not in ("affinity", "transition"):
         raise ValueError("matrix must be 'affinity' or 'transition'")

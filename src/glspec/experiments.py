@@ -15,12 +15,13 @@ import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _scanpool
 from .approximants import w_a1, w_b1
-from .bandwidth import quantile_bandwidth, resample_threshold, select_omega
+from .bandwidth import POOL_MIN_N, quantile_bandwidth, resample_threshold, select_omega
 from .datagen import (
     _fmt,
     _shared_noise,
@@ -204,7 +205,41 @@ def _seed_major(seeds, shapes, one):
     """``one(*shape, seed)`` for each shape (n, p, ...) and seed, one list per
     shape in ``seeds`` order.  A seed runs its largest n*p first and holds that
     noise draw while its other shapes read prefix views of it; the draw is
-    dropped before the next seed draws, so one draw is live at a time."""
+    dropped before the next seed draws, so one draw is live at a time.
+
+    When the widest shape has n >= ``POOL_MIN_N`` and two or more CPUs are
+    usable, the work goes to the ``_scanpool`` workers, one BLAS thread
+    each: two or more seeds are dealt round-robin, whole seeds to a worker;
+    one seed with two or more shapes has its shapes dealt instead, and each
+    worker draws the seed's noise once for its own widest shape, a prefix of
+    the same substream.  The results come back in seed and shape order, so
+    every mean over them is summed as in-process.  ``one`` is then a
+    module-level function, or a ``functools.partial`` of one on data."""
+    seeds = list(seeds)
+    by_seed = len(seeds) >= 2
+    count = 0
+    if max(shapes, key=lambda shape: shape[0] * shape[1])[0] >= POOL_MIN_N:
+        count = _scanpool.size(len(seeds) if by_seed else len(shapes))
+    if count:
+        if by_seed:
+            tasks = [(_seed_loop, (seeds[k::count], shapes, one)) for k in range(count)]
+        else:
+            tasks = [(_seed_loop, (seeds, shapes[k::count], one)) for k in range(count)]
+        shares = _scanpool.call(tasks)
+        if shares is not None and by_seed:
+            # seed j went to worker j % count, as its (j // count)-th seed
+            return [
+                [shares[j % count][k][j // count] for j in range(len(seeds))]
+                for k in range(len(shapes))
+            ]
+        if shares is not None:
+            # shape k went to worker k % count, as its (k // count)-th shape
+            return [shares[k % count][k // count] for k in range(len(shapes))]
+    return _seed_loop(seeds, shapes, one)
+
+
+def _seed_loop(seeds, shapes, one):
+    """The in-process body of ``_seed_major``, also what each worker runs."""
     widest_first = sorted(range(len(shapes)), key=lambda k: -shapes[k][0] * shapes[k][1])
     grouped = [[] for _ in shapes]
     for seed in seeds:
@@ -253,19 +288,11 @@ def _run_phase_sweep(cfg, fast):
     pairs = _aspects(replace(cfg, c_grid=cfg.c_grid or (0.5, 1.0, 2.0)), n2)
     tags = ["" if cfg.c_grid is None else "c%g_" % c for c, _ in aspects]
     fine = np.round(np.arange(0.0, 2.5 + 1e-9, 0.1 if fast else 0.05), 10)
-    track = (1, 2, 8, 80)
     # a curve has no c; a tracked shape carries its c into its row
     curve_shapes = [(n, p, alpha, None) for _, p in aspects for alpha in alphas]
     tracked_shapes = [(n2, p2, float(alpha), c) for c, p2 in pairs for alpha in fine]
 
-    def one(n, p, alpha, c, seed):
-        cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
-        ew = sym_eigs(W)
-        if c is None:
-            return ew
-        eg = sym_eigs(gram(cloud.noisy()))
-        return [c, alpha] + [ew[i - 1] for i in track] + [eg[0], eg[1]]
-
+    one = partial(_phase_point, cfg)
     results = [block[0] for block in _seed_major([seed], curve_shapes + tracked_shapes, one)]
     curves, tracked = results[: len(curve_shapes)], results[len(curve_shapes) :]
     header = ["index"] + [tag + "alpha_%g" % a for tag in tags for a in alphas]
@@ -274,7 +301,7 @@ def _run_phase_sweep(cfg, fast):
     files = {
         "phase_eigencurves.csv": (header, rows),
         "phase_tracked.csv": (
-            ["c", "alpha"] + ["w_eig%d" % i for i in track] + ["gram_eig1", "gram_eig2"],
+            ["c", "alpha"] + ["w_eig%d" % i for i in PHASE_TRACK] + ["gram_eig1", "gram_eig2"],
             tracked,
         ),
         "phase_sweep.gp": [
@@ -300,24 +327,35 @@ def _run_phase_sweep(cfg, fast):
     return files, [seed], info
 
 
-def _accuracy_recipe(cfg, tag, alpha, make_reference):
+# the eigenvalues of W that PhaseSweep tracks over the fine strength grid
+PHASE_TRACK = (1, 2, 8, 80)
+
+
+def _phase_point(cfg, n, p, alpha, c, seed):
+    """PhaseSweep at one shape: W's spectrum for a curve (``c`` None), or
+    the tracked row of W's and the Gram matrix's eigenvalues."""
+    cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
+    ew = sym_eigs(W)
+    if c is None:
+        return ew
+    eg = sym_eigs(gram(cloud.noisy()))
+    return [c, alpha] + [ew[i - 1] for i in PHASE_TRACK] + [eg[0], eg[1]]
+
+
+def _accuracy_recipe(cfg, tag, alpha, score, limit=lambda n, p: None):
     """Shared body of the three fixed-strength accuracy experiments.
 
-    ``make_reference(n, p)`` prepares the per-aspect context at h = p and
-    returns a function mapping (cloud, W, descending eigenvalues of W) to
-    (limit eigenvalues, error scalar) for each cloud, seed by seed.  The per-c
-    CSVs carry the mean sample and limit curves, the summary the per-seed error
-    and sup_absdiff = max_i |sample_i - limit_i|.
+    ``limit(n, p)`` prepares the per-aspect data of the limit at h = p, once
+    per aspect; the module-level ``score(cfg, data, cloud, W, eigs)`` maps it
+    and each cloud, its W and W's descending eigenvalues to (limit
+    eigenvalues, error scalar), seed by seed.  The per-c CSVs carry the mean
+    sample and limit curves, the summary the per-seed error and sup_absdiff =
+    max_i |sample_i - limit_i|.
     """
     n = cfg.n
     aspects = _aspects(cfg, n)
-    shapes = [(n, p, make_reference(n, p)) for _, p in aspects]
-
-    def one(n, p, reference, seed):
-        cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
-        eigs = sym_eigs(W)
-        return (eigs,) + reference(cloud, W, eigs)
-
+    shapes = [(n, p, limit(n, p)) for _, p in aspects]
+    one = partial(_accuracy_point, cfg, alpha, score)
     curve_rows, summary_rows = [], []
     for (c, _), results in zip(aspects, _seed_major(cfg.seeds, shapes, one)):
         sample = np.mean([r[0] for r in results], axis=0)
@@ -342,6 +380,14 @@ def _accuracy_recipe(cfg, tag, alpha, make_reference):
     return files, cfg.seeds, info
 
 
+def _accuracy_point(cfg, alpha, score, n, p, data, seed):
+    """An accuracy recipe at one aspect and seed: W's eigenvalues, then the
+    limit and the error of ``score``."""
+    cloud, W = _spiked_affinity(cfg, n, p, seed, (alpha,))
+    eigs = sym_eigs(W)
+    return (eigs,) + score(cfg, data, cloud, W, eigs)
+
+
 def _clean_surrogate(cloud, upsilon):
     """The moderate-signal reference W_a1 built from the clean rows at h = p.
 
@@ -362,52 +408,48 @@ def _large_snr_error(eigs):
     return float(np.max(np.abs(eigs - 1.0)))
 
 
+def _low_score(cfg, law, cloud, W, eigs):
+    """The shifted MP typical locations and W's bulk rigidity against them."""
+    measure, gammas = law
+    return gammas, bulk_rigidity(eigs, measure)
+
+
+def _moderate_score(cfg, _, cloud, W, eigs):
+    """The spectrum of the clean surrogate W_a1 and W's distance to it."""
+    Wa1 = _clean_surrogate(cloud, cfg.upsilon)
+    return sym_eigs(Wa1), _moderate_snr_error(W, Wa1)
+
+
+def _large_score(cfg, _, cloud, W, eigs):
+    """The unit spectrum and W's largest distance to it."""
+    return np.ones(W.shape[0]), _large_snr_error(eigs)
+
+
 def _run_accuracy_low(cfg, fast):
     """Bulk eigenvalues against shifted MP typical locations at weak signal."""
 
-    def make_reference(n, p):
+    def limit(n, p):
         measure = nu0(n / float(p), cfg.upsilon)
-        gammas = typical_location(measure, np.arange(1, n + 1), n)
-        return lambda cloud, W, eigs: (gammas, bulk_rigidity(eigs, measure))
+        return measure, typical_location(measure, np.arange(1, n + 1), n)
 
-    return _accuracy_recipe(cfg, "accuracy_low", 0.2, make_reference)
+    return _accuracy_recipe(cfg, "accuracy_low", 0.2, _low_score, limit)
 
 
 def _run_accuracy_moderate(cfg, fast):
     """Eigenvalue overlay of W against its scaled-plus-shifted clean limit."""
-
-    def reference(cloud, W, eigs):
-        Wa1 = _clean_surrogate(cloud, cfg.upsilon)
-        return sym_eigs(Wa1), _moderate_snr_error(W, Wa1)
-
-    return _accuracy_recipe(cfg, "accuracy_moderate", 1.9, lambda n, p: reference)
+    return _accuracy_recipe(cfg, "accuracy_moderate", 1.9, _moderate_score)
 
 
 def _run_accuracy_large(cfg, fast):
     """Very strong signal: the affinity spectrum collapses to unity."""
-
-    def make_reference(n, p):
-        ones = np.ones(n)
-        return lambda cloud, W, eigs: (ones, _large_snr_error(eigs))
-
-    return _accuracy_recipe(cfg, "accuracy_large", 5.0, make_reference)
+    return _accuracy_recipe(cfg, "accuracy_large", 5.0, _large_score)
 
 
 def _run_dimension_sweep(cfg, fast):
     """Error-versus-n curves for the three accuracy regimes at c = 1, where
     n**alpha and p**alpha are the same strength."""
     ns = (50, 150, 300) if fast else (50, 100, 150, 200, 250, 300, 400)
-    law = nu0(1.0, cfg.upsilon)
-
-    def one(n, p, seed):
-        _, W = _spiked_affinity(cfg, n, p, seed, (0.2,))
-        err_low = bulk_rigidity(sym_eigs(W), law)
-        cloud, W = _spiked_affinity(cfg, n, p, seed, (1.9,))
-        err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, cfg.upsilon))
-        _, W = _spiked_affinity(cfg, n, p, seed, (5.0,))
-        err_big = _large_snr_error(sym_eigs(W))
-        return [n, seed, err_low, err_mod, err_big]
-
+    one = partial(_dimension_point, cfg, nu0(1.0, cfg.upsilon))
     grouped = _seed_major(cfg.seeds, [(n, n) for n in ns], one)
     rows = [row for block in grouped for row in block]
     means = [
@@ -430,6 +472,23 @@ def _run_dimension_sweep(cfg, fast):
     return files, cfg.seeds, info
 
 
+def _dimension_point(cfg, law, n, p, seed):
+    """DimensionSweep's row at one n = p and seed: the three regimes' errors."""
+    _, W = _spiked_affinity(cfg, n, p, seed, (0.2,))
+    err_low = bulk_rigidity(sym_eigs(W), law)
+    cloud, W = _spiked_affinity(cfg, n, p, seed, (1.9,))
+    err_mod = _moderate_snr_error(W, _clean_surrogate(cloud, cfg.upsilon))
+    _, W = _spiked_affinity(cfg, n, p, seed, (5.0,))
+    err_big = _large_snr_error(sym_eigs(W))
+    return [n, seed, err_low, err_mod, err_big]
+
+
+def _histogram_point(cfg, n, p, edge, seed):
+    """HistogramBulk's counts of W's eigenvalues in the bins ``edge``."""
+    _, W = _spiked_affinity(cfg, n, p, seed, (0.2,))
+    return np.histogram(sym_eigs(W), bins=edge)[0]
+
+
 def _run_histogram_bulk(cfg, fast):
     """Bulk histogram of the weak-signal affinity spectrum against the
     shifted MP density, point mass removed, over many repetitions.
@@ -450,13 +509,10 @@ def _run_histogram_bulk(cfg, fast):
             where = "c = %g, upsilon = %g" % (c, cfg.upsilon)
             raise ValueError("%s: bulk at %s too narrow to bin" % (cfg.name, where))
 
-    def one(n, p, edge, seed):
-        _, W = _spiked_affinity(cfg, n, p, seed, (0.2,))
-        return np.histogram(sym_eigs(W), bins=edge)[0]
-
     shapes = [(n, p, edge) for (_, p), edge in zip(aspects, edges)]
     rep_seeds = range(first_seed, first_seed + reps)
-    counts = [np.sum(block, axis=0) for block in _seed_major(rep_seeds, shapes, one)]
+    grouped = _seed_major(rep_seeds, shapes, partial(_histogram_point, cfg))
+    counts = [np.sum(block, axis=0) for block in grouped]
     rows = []
     for (c, _), measure, edge, count in zip(aspects, measures, edges, counts):
         width = edge[1] - edge[0]
@@ -488,25 +544,11 @@ def _run_omega_sweep(cfg, fast):
     aspects = _aspects(cfg, n)
     alphas = tuple(cfg.alpha_grid)[::2] if fast else cfg.alpha_grid
     thresholds = {c: resample_threshold(c, n, cfg.upsilon, seed=seed) for c, _ in aspects}
-    shapes = [(n, p, c, float(a)) for c, p in aspects for a in alphas]
-
-    def one(n, p, c, alpha, seed):
-        cloud = gen_circle(n, p, _signal(cfg, alpha, n, p), seed)
-        D2 = pairwise_sq_dists(cloud.noisy())
-        sel_w = select_omega(cloud, cfg.upsilon, thresholds[c], D2=D2)
-        sel_a = select_omega(
-            cloud, cfg.upsilon, thresholds[c], matrix="transition", D2=D2
-        )
-        return [
-            c, alpha, thresholds[c],
-            sel_w.omega, sel_w.h / p,
-            sel_a.omega, sel_a.h / p,
-        ]
-
+    shapes = [(n, p, c, thresholds[c], float(a)) for c, p in aspects for a in alphas]
+    rows = [block[0] for block in _seed_major([seed], shapes, partial(_omega_point, cfg))]
     files = {
         "omega_sweep.csv": (
-            ["c", "alpha", "s", "omega_w", "h_over_p_w", "omega_a", "h_over_p_a"],
-            [block[0] for block in _seed_major([seed], shapes, one)],
+            ["c", "alpha", "s", "omega_w", "h_over_p_w", "omega_a", "h_over_p_a"], rows
         ),
         "omega_sweep.gp": [
             "set xlabel 'alpha'",
@@ -525,7 +567,45 @@ def _run_omega_sweep(cfg, fast):
     return files, [seed], info
 
 
+def _omega_point(cfg, n, p, c, s, alpha, seed):
+    """OmegaSweep's row at one (c, alpha): the affinity and the transition
+    scans of one noisy circle, on one distance matrix."""
+    cloud = gen_circle(n, p, _signal(cfg, alpha, n, p), seed)
+    D2 = pairwise_sq_dists(cloud.noisy())
+    sel_w = select_omega(cloud, cfg.upsilon, s, D2=D2)
+    sel_a = select_omega(cloud, cfg.upsilon, s, matrix="transition", D2=D2)
+    return [c, alpha, s, sel_w.omega, sel_w.h / p, sel_a.omega, sel_a.h / p]
+
+
 MANIFOLD_RMSE_SIZES = {"m1": 400, "kb": 800}
+# the leading eigenvectors ManifoldRmse scores
+MANIFOLD_TOP = 9
+
+
+def _manifold_point(upsilon, n, p, kind, s, seed):
+    """ManifoldRmse at one manifold and repetition seed: the selection and
+    the eigenvector RMSE of each bandwidth variant against the clean
+    reference."""
+    # looked up per call: a tracer may wrap the module's generators
+    make = gen_curve_m1 if kind == "m1" else gen_klein_bottle
+    cloud = make(n, p, 20.0 * np.sqrt(p), seed)
+    lam_tot = cloud.lambda_total()
+    _, ref = sym_eigs(
+        _affinity_of(cloud.clean, upsilon, p + lam_tot), want_vectors=MANIFOLD_TOP
+    )
+    D2 = pairwise_sq_dists(cloud.noisy())
+    sel = select_omega(cloud, upsilon, s, D2=D2)
+    variants = {
+        "adap": sel.h,
+        "medq": quantile_bandwidth(D2, 0.5),
+        "hp": float(p),
+        "theory": p + lam_tot,
+    }
+    rmse = {}
+    for tag, h in variants.items():
+        _, vecs = sym_eigs(affinity(D2, upsilon, h), want_vectors=MANIFOLD_TOP)
+        rmse[tag] = eigvec_rmse(ref, vecs)
+    return sel, rmse
 
 
 def _run_manifold_rmse(cfg, fast):
@@ -536,32 +616,12 @@ def _run_manifold_rmse(cfg, fast):
     upsilon = cfg.upsilon
     reps = cfg.reps if cfg.reps is not None else (5 if fast else 20)
     base_seed = cfg.seeds[0]
-    top = 9
     sizes = {kind: n if cfg.n is None else cfg.n for kind, n in MANIFOLD_RMSE_SIZES.items()}
     aspects = {kind: _aspects(cfg, n) for kind, n in sizes.items()}
     rmse_rows = {kind: [] for kind in sizes}
     omega_rows = {kind: [] for kind in sizes}
 
-    def one(n, p, kind, s, seed):
-        # looked up per call: a tracer may wrap the module's generators
-        make = gen_curve_m1 if kind == "m1" else gen_klein_bottle
-        cloud = make(n, p, 20.0 * np.sqrt(p), seed)
-        lam_tot = cloud.lambda_total()
-        _, ref = sym_eigs(_affinity_of(cloud.clean, upsilon, p + lam_tot), want_vectors=top)
-        D2 = pairwise_sq_dists(cloud.noisy())
-        sel = select_omega(cloud, upsilon, s, D2=D2)
-        variants = {
-            "adap": sel.h,
-            "medq": quantile_bandwidth(D2, 0.5),
-            "hp": float(p),
-            "theory": p + lam_tot,
-        }
-        rmse = {}
-        for tag, h in variants.items():
-            _, vecs = sym_eigs(affinity(D2, upsilon, h), want_vectors=top)
-            rmse[tag] = eigvec_rmse(ref, vecs)
-        return sel, rmse
-
+    one = partial(_manifold_point, upsilon)
     for ci, c in enumerate(map(float, cfg.c_grid)):
         shapes = [
             (n, aspects[kind][ci][1], kind, resample_threshold(c, n, upsilon, seed=base_seed))
@@ -574,7 +634,7 @@ def _run_manifold_rmse(cfg, fast):
             for tag in ("adap", "medq", "hp", "theory"):
                 stack = np.array([r[1][tag] for r in results])
                 mean, std = stack.mean(axis=0), stack.std(axis=0)
-                for j in range(top):
+                for j in range(MANIFOLD_TOP):
                     rmse_rows[kind].append([kind, c, j + 1, tag, mean[j], std[j]])
     rmse_rows = [row for kind in sizes for row in rmse_rows[kind]]
     omega_rows = [row for kind in sizes for row in omega_rows[kind]]
@@ -599,6 +659,19 @@ def _run_manifold_rmse(cfg, fast):
     return files, sorted({row[2] for row in omega_rows}), info
 
 
+def _stieltjes_point(cfg, points, n, p, seed):
+    """|m_W - m_Wb1| at each spectral parameter of ``points``, for one seed."""
+    cloud, W = _spiked_affinity(cfg, n, p, seed, (1.0,))
+    W1 = _affinity_of(cloud.clean_cols, cfg.upsilon, p)
+    Wb1 = w_b1(W1, gram(cloud.noise), cfg.upsilon)
+    # ascending: the last bits of each Stieltjes mean depend on the order
+    ew = sym_eigs(W)[::-1]
+    eb = sym_eigs(Wb1)[::-1]
+    diff = stieltjes(ew, points) - stieltjes(eb, points)
+    # hypot rounds as Python's complex abs does; numpy's complex abs differs
+    return np.hypot(diff.real, diff.imag)
+
+
 def _run_stieltjes_compare(cfg, fast):
     """Stieltjes transforms of W and its Gram-based surrogate over the
     spectral-parameter box, at unit-exponent signal strength."""
@@ -607,17 +680,7 @@ def _run_stieltjes_compare(cfg, fast):
     points = stieltjes_grid(n, 1.0, a)
     eta_min = float(points.imag.min())
 
-    def one(n, p, seed):
-        cloud, W = _spiked_affinity(cfg, n, p, seed, (1.0,))
-        W1 = _affinity_of(cloud.clean_cols, cfg.upsilon, p)
-        Wb1 = w_b1(W1, gram(cloud.noise), cfg.upsilon)
-        # ascending: the last bits of each Stieltjes mean depend on the order
-        ew = sym_eigs(W)[::-1]
-        eb = sym_eigs(Wb1)[::-1]
-        diff = stieltjes(ew, points) - stieltjes(eb, points)
-        # hypot rounds as Python's complex abs does; numpy's complex abs differs
-        return np.hypot(diff.real, diff.imag)
-
+    one = partial(_stieltjes_point, cfg, points)
     diffs = np.array(_seed_major(cfg.seeds, [(n, p)], one)[0])
     files = {
         "stieltjes_grid.csv": (
@@ -652,17 +715,22 @@ D2_CASES = (
 )
 
 
+# the strength tuples of D2_CASES, one cloud each per seed and aspect
+D2_STRENGTHS = {alphas for _, a1, a2, _ in D2_CASES for alphas in ((a1,), (a1, a2))}
+
+
+def _d2_point(cfg, n, p, seed):
+    """W's spectrum for each strength tuple of ``D2_STRENGTHS``, for one seed."""
+    return {a: sym_eigs(_spiked_affinity(cfg, n, p, seed, a)[1]) for a in D2_STRENGTHS}
+
+
 def _run_d2_comparison(cfg, fast):
     """Bulk spectra of one- against two-spike clouds in the three printed
     strength pairings, from the tenth eigenvalue on."""
     n = cfg.n
     aspects = _aspects(cfg, n)
     start = 10
-    strengths = {alphas for _, a1, a2, _ in D2_CASES for alphas in ((a1,), (a1, a2))}
-
-    def one(n, p, seed):
-        return {a: sym_eigs(_spiked_affinity(cfg, n, p, seed, a)[1]) for a in strengths}
-
+    one = partial(_d2_point, cfg)
     spectra = _seed_major(cfg.seeds, [(n, p) for _, p in aspects], one)
     curve_rows, summary_rows = [], []
     for case, a1, a2, expected in D2_CASES:
@@ -690,40 +758,50 @@ def _run_d2_comparison(cfg, fast):
     return files, cfg.seeds, info
 
 
+# the bandwidth of ZeroingComparison's zero-diagonal variant
+ZEROING_H = 35.0
+
+
+def _third_vector(W):
+    """The third unit right eigenvector of D^{-1} W."""
+    return transition_eigs(W, want_vectors=3)[1][:, 2]
+
+
+def _zeroing_point(cfg, s, n, p, alpha, seed):
+    """ZeroingComparison's row at one strength and seed: the third
+    eigenvector's RMSE at the selected bandwidth, with the diagonal zeroed
+    at ``ZEROING_H``, and for a random unit vector."""
+    upsilon = cfg.upsilon
+    lam = _signal(cfg, alpha, n, p)
+    cloud = gen_spiked(n, p, (lam,), seed)
+    ref = _third_vector(_affinity_of(cloud.clean_cols, upsilon, p + lam))
+    D2 = pairwise_sq_dists(cloud.noisy())
+    sel = select_omega(cloud, upsilon, s, D2=D2)
+    adap = _third_vector(affinity(D2, upsilon, sel.h))
+    try:
+        off = off_diagonal(affinity(D2, upsilon, ZEROING_H))
+    except ValueError as err:
+        where = "alpha = %g, n = %d, p = %d, h_zero = %g" % (alpha, n, p, ZEROING_H)
+        raise ValueError("ZeroingComparison at %s: %s" % (where, err)) from None
+    zeroed = _third_vector(off)
+    rng = np.random.Generator(np.random.Philox(key=seed + 991))
+    noise_vec = rng.standard_normal(n)
+    noise_vec /= np.linalg.norm(noise_vec)
+    cols = np.column_stack([adap, zeroed, noise_vec])
+    refs = np.column_stack([ref, ref, ref])
+    r = eigvec_rmse(refs, cols)
+    return [alpha, seed, r[0], r[1], r[2], sel.omega]
+
+
 def _run_zeroing_comparison(cfg, fast):
     """Third-eigenvector recovery of the plain against the zero-diagonal
     transition matrix across signal strengths: the zero-diagonal variant
     at bandwidth 35, the plain variant at the selected bandwidth.
     """
-    n, upsilon, alphas = cfg.n, cfg.upsilon, cfg.alpha_grid
+    n, alphas = cfg.n, cfg.alpha_grid
     [(c, p)] = _aspects(cfg, n, single=True)
-    h_zero = 35.0
-    s = resample_threshold(c, n, upsilon, seed=cfg.seeds[0])
-
-    def third_vector(W):
-        return transition_eigs(W, want_vectors=3)[1][:, 2]
-
-    def one(n, p, alpha, seed):
-        lam = _signal(cfg, alpha, n, p)
-        cloud = gen_spiked(n, p, (lam,), seed)
-        ref = third_vector(_affinity_of(cloud.clean_cols, upsilon, p + lam))
-        D2 = pairwise_sq_dists(cloud.noisy())
-        sel = select_omega(cloud, upsilon, s, D2=D2)
-        adap = third_vector(affinity(D2, upsilon, sel.h))
-        try:
-            off = off_diagonal(affinity(D2, upsilon, h_zero))
-        except ValueError as err:
-            where = "alpha = %g, n = %d, p = %d, h_zero = %g" % (alpha, n, p, h_zero)
-            raise ValueError("ZeroingComparison at %s: %s" % (where, err)) from None
-        zeroed = third_vector(off)
-        rng = np.random.Generator(np.random.Philox(key=seed + 991))
-        noise_vec = rng.standard_normal(n)
-        noise_vec /= np.linalg.norm(noise_vec)
-        cols = np.column_stack([adap, zeroed, noise_vec])
-        refs = np.column_stack([ref, ref, ref])
-        r = eigvec_rmse(refs, cols)
-        return [alpha, seed, r[0], r[1], r[2], sel.omega]
-
+    s = resample_threshold(c, n, cfg.upsilon, seed=cfg.seeds[0])
+    one = partial(_zeroing_point, cfg, s)
     grouped = _seed_major(cfg.seeds, [(n, p, float(a)) for a in alphas], one)
     rows = [row for block in grouped for row in block]
     means = [
@@ -744,7 +822,7 @@ def _run_zeroing_comparison(cfg, fast):
             "title 'random baseline'",
         ],
     }
-    info = {"h_zero": h_zero, "s": s}
+    info = {"h_zero": ZEROING_H, "s": s}
     return files, cfg.seeds, info
 
 
@@ -784,7 +862,10 @@ def run(config, fast=False):
     """Execute one named experiment, write its artifacts and return its
     manifest: the dict saved as ``manifest.json``, with the config echo,
     version, seeds, wall clock, the numpy and BLAS builds and thread
-    variables the bytes depend on, and the sha256 of every artifact.
+    variables the bytes depend on, the number of ``_scanpool`` workers
+    that served the run (0 when all of it ran in-process, under the
+    caller's BLAS threads; the workers run one thread each), and the sha256
+    of every artifact.
     Re-running the same config (and fast flag) in the same environment
     reproduces the artifact bytes.
 
@@ -812,7 +893,8 @@ def run(config, fast=False):
     if fast:
         cfg = replace(cfg, seeds=cfg.seeds[:2])
     started = time.perf_counter()
-    files, seeds, derived = recipe(cfg, fast)
+    with _scanpool.tally() as served:
+        files, seeds, derived = recipe(cfg, fast)
     manifest_path = os.path.join(out, "manifest.json")
     try:
         os.makedirs(out, exist_ok=True)
@@ -837,7 +919,7 @@ def run(config, fast=False):
         "seeds": [int(s) for s in seeds],
         "resolved": dict(echo, **derived),
         "wall_clock_s": round(time.perf_counter() - started, 3),
-        "environment": _environment(),
+        "environment": dict(_environment(), workers=len(served)),
         "files": [
             {"path": name, "sha256": _sha256(os.path.join(out, name))} for name in files
         ],

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import glspec.experiments as experiments
+from glspec import _scanpool
 from glspec.approximants import w_a1
 from glspec.datagen import gen_spiked
 from glspec.experiments import (
@@ -275,9 +276,16 @@ def test_unserialisable_manifest_leaves_no_file(tmp_path, monkeypatch):
     assert not os.path.exists(os.path.join(out, "manifest.json.tmp"))
 
 
+def _in_process(monkeypatch):
+    """Keep every loop in this process: a patch or a recorder inside a
+    per-seed body is not seen by the ``_scanpool`` workers."""
+    monkeypatch.setattr(_scanpool, "usable_cpus", lambda: 1)
+
+
 def test_failed_recipe_leaves_earlier_artifacts_untouched(tmp_path, monkeypatch):
     import glspec.experiments as experiments
 
+    _in_process(monkeypatch)
     out = str(tmp_path)
     settings = dict(name="PhaseSweep", n=30, c_grid=(1.0,), alpha_grid=(0.0,), output_dir=out)
     run(ExperimentConfig(seeds=(0,), **settings), fast=True)
@@ -483,6 +491,7 @@ def test_one_distance_matrix_per_cloud(tmp_path, monkeypatch, settings, expected
     import glspec.bandwidth
     import glspec.experiments
 
+    _in_process(monkeypatch)
     calls = []
 
     def counting(X):
@@ -513,9 +522,11 @@ NOISE_DRAWS = {
 
 
 def _record_draws(monkeypatch):
-    """Empty the noise table and list the seed of each noise draw."""
+    """Empty the noise table and list the seed of each noise draw, with
+    every loop kept in this process."""
     import glspec.datagen
 
+    _in_process(monkeypatch)
     drawn = []
     build = glspec.datagen._substream
 
@@ -788,11 +799,21 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     with open(tmp_path / "a" / "manifest.json") as fh:
         environment = json.load(fh)["environment"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # n = 40 is below POOL_MIN_N: no worker served the run
     assert environment == {
         "numpy": np.__version__,
         "blas": "%s %s" % (blas["name"], blas["version"]),
         "threads": {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"},
+        "workers": 0,
     }
+    # two seeds at n = POOL_MIN_N go to one worker each where two CPUs are usable
+    pooled = dict(settings, n=experiments.POOL_MIN_N, seeds=(0, 1))
+    manifest = run(ExperimentConfig(output_dir=str(tmp_path / "c"), **pooled), fast=True)
+    assert manifest["environment"]["workers"] == (2 if _scanpool.usable_cpus() >= 2 else 0)
+    with monkeypatch.context() as m:
+        m.setattr(_scanpool, "usable_cpus", lambda: 1)
+        manifest = run(ExperimentConfig(output_dir=str(tmp_path / "d"), **pooled), fast=True)
+    assert manifest["environment"]["workers"] == 0
     # the record sits beside the digests, not among them
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     second = run(ExperimentConfig(output_dir=str(tmp_path / "b"), **settings), fast=True)
